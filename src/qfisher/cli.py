@@ -2,7 +2,11 @@
 
 Six subcommands (divergence, fisher, qcr-check, minimize, debruijn,
 uncertainty) share a flat configuration model: defaults < JSON config file
-< explicit flags.  Unknown config keys are rejected and every parameter is
+< explicit flags.  Each subcommand's flags are built from its SCHEMAS
+entry: key `grid_points` is flag `--grid-points`, and a key with a choices
+tuple gets the same choices on the flag and in the config file.  `fisher`
+also accepts `--grid` for `--grid-points`; `debruijn` sizes its grid with
+`--points`.  Unknown config keys are rejected and every parameter is
 validated before any output file is created, so a bad config never leaves
 partial artifacts behind.
 
@@ -48,7 +52,8 @@ DEBRUIJN_REL_ERR_TOL = 2e-2
 
 GLOBAL_KEYS = {"out_dir", "seed", "strict"}
 
-# key -> (python type, default); None default means "required unless unused"
+# key -> (python type, default[, choices]); None default means "required
+# unless unused".  Each key is also the flag --key with "_" spelled "-".
 SCHEMAS = {
     "divergence": {
         "beta": (float, 2.0),
@@ -60,7 +65,7 @@ SCHEMAS = {
         "beta": (float, 2.0),
         "q": (float, 1.0),
         "p": (float, 2.0),
-        "family": (str, "gauss"),
+        "family": (str, "gauss", ("gauss", "laplace", "qgauss")),
         "grid_points": (int, 2048),
         "half_width": (float, 12.0),
         "sigma": (float, 1.0),
@@ -72,7 +77,7 @@ SCHEMAS = {
         "q": (float, 1.5),
         "alpha": (float, 2.0),
         "p": (float, 2.0),
-        "density": (str, "qgauss"),
+        "density": (str, "qgauss", ("qgauss", "gauss", "uniform", "mixture", "file")),
         "density_file": (str, None),
         "grid_points": (int, 4096),
         "half_width": (float, 0.0),  # 0 = pick automatically
@@ -82,7 +87,7 @@ SCHEMAS = {
         "q": (float, 1.5),
         "alpha": (float, 2.0),
         "p": (float, 2.0),
-        "init": (str, "mixture"),
+        "init": (str, "mixture", ("mixture", "uniform", "gauss", "file")),
         "density_file": (str, None),
         "iters": (int, 5000),
         "tol": (float, 1e-3),
@@ -105,7 +110,7 @@ SCHEMAS = {
         "beta": (float, 2.0),
         "gamma": (float, 2.0),
         "theta": (float, 2.0),
-        "psi": (str, "gauss"),
+        "psi": (str, "gauss", ("gauss", "qgauss", "file")),
         "psi_file": (str, None),
         "grid_points": (int, 2049),
         "half_width": (float, 12.0),
@@ -158,7 +163,7 @@ def _resolve_config(ns: argparse.Namespace, schema: dict) -> tuple[dict, dict]:
         )
 
     params = {}
-    for key, (typ, default) in schema.items():
+    for key, (typ, default, *choices) in schema.items():
         flag_val = getattr(ns, key, None)
         if flag_val is not None:
             params[key] = _coerce(key, flag_val, typ)
@@ -166,6 +171,10 @@ def _resolve_config(ns: argparse.Namespace, schema: dict) -> tuple[dict, dict]:
             params[key] = _coerce(key, file_cfg[key], typ)
         else:
             params[key] = default
+        if choices and params[key] not in choices[0]:
+            raise ConfigError(
+                f"key '{key}' must be one of {sorted(choices[0])}, got '{params[key]}'"
+            )
 
     glob = {
         "out_dir": ns.out_dir
@@ -185,9 +194,12 @@ def _require_positive(params: dict, keys: list[str]):
             raise ConfigError(f"key '{key}' must be positive, got {params[key]}")
 
 
-def _require_choice(params: dict, key: str, choices: set[str]):
-    if params[key] not in choices:
-        raise ConfigError(f"key '{key}' must be one of {sorted(choices)}, got '{params[key]}'")
+def _line_grid(half_width: float, points: int) -> GridSpec:
+    """Line grid on [-half_width, half_width]; one the grid refuses is a config error."""
+    try:
+        return GridSpec.line(-half_width, half_width, points)
+    except ValueError as exc:
+        raise ConfigError(f"invalid grid: {exc}") from exc
 
 
 def _load_density(path_str: str | None, what: str) -> GridDensity:
@@ -233,6 +245,17 @@ def _write_summary(path: Path, subcommand: str, params: dict, glob: dict,
         fh.write("\n")
 
 
+def _bound_results(report) -> dict:
+    """Summary results of a BoundReport."""
+    return {
+        "lhs": report.lhs,
+        "rhs": report.rhs,
+        "margin": report.margin,
+        "saturated": bool(report.saturated),
+        "diagnostics": {k: float(v) for k, v in report.diagnostics.items()},
+    }
+
+
 def _out_dir(glob: dict) -> Path:
     out = Path(glob["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
@@ -249,7 +272,7 @@ def cmd_divergence(params: dict, glob: dict) -> int:
     if params["grid_points"] % params["factor"] != 0:
         raise ConfigError("grid_points must be divisible by factor")
 
-    grid = GridSpec.line(-params["half_width"], params["half_width"], params["grid_points"])
+    grid = _line_grid(params["half_width"], params["grid_points"])
     f1, f2, g = zoo.random_triple(grid, glob["seed"])
     fine = chi_beta_g(f1, f2, g, params["beta"])
     factor = params["factor"]
@@ -286,14 +309,13 @@ def cmd_fisher(params: dict, glob: dict) -> int:
         raise ConfigError("beta must exceed 1")
     if not params["p"] > 1.0:
         raise ConfigError("p must exceed 1")
-    _require_choice(params, "family", {"gauss", "laplace", "qgauss"})
     if params["family"] == "qgauss":
         try:
             densities.QGaussianParams(params["q"], params["alpha"], params["gamma"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    grid = GridSpec.line(-params["half_width"], params["half_width"], params["grid_points"])
+    grid = _line_grid(params["half_width"], params["grid_points"])
     if params["family"] == "gauss":
         fam = gaussian_location_family(grid, params["sigma"])
     elif params["family"] == "laplace":
@@ -344,10 +366,10 @@ def _qcr_density(params: dict, glob: dict) -> GridDensity:
         p = densities.QGaussianParams(params["q"], params["alpha"], params["gamma"])
         if half <= 0.0:
             half = densities.suggested_half_extent(p)
-        return densities.make_q_gaussian(p, GridSpec.line(-half, half, n))
+        return densities.make_q_gaussian(p, _line_grid(half, n))
     if half <= 0.0:
         half = 10.0
-    grid = GridSpec.line(-half, half, n)
+    grid = _line_grid(half, n)
     if kind == "gauss":
         return zoo.gaussian_density(grid, 0.0, 1.0)
     if kind == "uniform":
@@ -363,7 +385,6 @@ def cmd_qcr_check(params: dict, glob: dict) -> int:
         raise ConfigError("alpha must exceed 1 (its conjugate beta must be finite)")
     if not params["p"] > 1.0:
         raise ConfigError("p must exceed 1")
-    _require_choice(params, "density", {"qgauss", "gauss", "uniform", "mixture", "file"})
     pair = HolderPair.from_alpha(params["alpha"])
     if params["density"] == "qgauss":
         try:
@@ -387,13 +408,7 @@ def cmd_qcr_check(params: dict, glob: dict) -> int:
         params,
         glob,
         {"margin": MARGIN_TOL, "saturation_rel": 1e-2},
-        {
-            "lhs": report.lhs,
-            "rhs": report.rhs,
-            "margin": report.margin,
-            "saturated": bool(report.saturated),
-            "diagnostics": {k: float(v) for k, v in report.diagnostics.items()},
-        },
+        _bound_results(report),
         status,
     )
     return status
@@ -405,7 +420,6 @@ def cmd_minimize(params: dict, glob: dict) -> int:
         raise ConfigError("alpha must exceed 1")
     if not params["p"] > 1.0:
         raise ConfigError("p must exceed 1")
-    _require_choice(params, "init", {"mixture", "uniform", "gauss", "file"})
     try:
         cfg = minimizer.MinimizationConfig(
             q=params["q"],
@@ -417,7 +431,7 @@ def cmd_minimize(params: dict, glob: dict) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    grid = GridSpec.line(-params["half_width"], params["half_width"], params["grid_points"])
+    grid = _line_grid(params["half_width"], params["grid_points"])
     if params["init"] == "mixture":
         start = zoo.mixture_density(grid, (-1.2, 1.1), (0.7, 0.45), (0.6, 0.4))
     elif params["init"] == "uniform":
@@ -470,7 +484,7 @@ def cmd_debruijn(params: dict, glob: dict) -> int:
     if not 0.0 <= params["t_burn"] < params["t_final"]:
         raise ConfigError("t_burn must lie in [0, t_final)")
 
-    grid = GridSpec.line(-params["half_width"], params["half_width"], params["points"])
+    grid = _line_grid(params["half_width"], params["points"])
     state = diffusion.DiffusionState(
         density=zoo.gaussian_density(grid, 0.0, params["sigma0"]),
         t=0.0,
@@ -489,12 +503,7 @@ def cmd_debruijn(params: dict, glob: dict) -> int:
     _write_csv(out / "debruijn_series.csv", ["t", "S_q", "M_q", "I_bq", "lhs", "rhs", "rel_err"], rows)
 
     if params["snap_every"] > 0:
-        snap_state = diffusion.DiffusionState(
-            density=zoo.gaussian_density(grid, 0.0, params["sigma0"]),
-            t=0.0,
-            m_exp=params["m"],
-            beta=params["beta"],
-        )
+        snap_state = state
         for idx, r in enumerate(reports):
             snap_state = diffusion.evolve(snap_state, r.t_mid)
             if idx % params["snap_every"] == 0:
@@ -520,7 +529,6 @@ def cmd_debruijn(params: dict, glob: dict) -> int:
 
 def cmd_uncertainty(params: dict, glob: dict) -> int:
     _require_positive(params, ["grid_points", "half_width", "sigma"])
-    _require_choice(params, "psi", {"gauss", "qgauss", "file"})
     try:
         up = uncertainty.UncertaintyParams(
             q=params["q"],
@@ -536,7 +544,7 @@ def cmd_uncertainty(params: dict, glob: dict) -> int:
     if params["psi"] == "file":
         loaded = _load_density(params["psi_file"], "psi = file")
 
-    grid = GridSpec.line(-params["half_width"], params["half_width"], params["grid_points"])
+    grid = _line_grid(params["half_width"], params["grid_points"])
     if params["psi"] == "gauss":
         dens = zoo.gaussian_density(grid, 0.0, params["sigma"])
         psi = uncertainty.WaveFunction.from_values(grid, np.sqrt(dens.values))
@@ -555,26 +563,24 @@ def cmd_uncertainty(params: dict, glob: dict) -> int:
         params,
         glob,
         {"margin": MARGIN_TOL, "saturation_rel": 1e-2},
-        {
-            "lhs": report.lhs,
-            "rhs": report.rhs,
-            "margin": report.margin,
-            "saturated": bool(report.saturated),
-            "diagnostics": {k: float(v) for k, v in report.diagnostics.items()},
-        },
+        _bound_results(report),
         status,
     )
     return status
 
 
+# subcommand -> (handler, help line)
 COMMANDS = {
-    "divergence": cmd_divergence,
-    "fisher": cmd_fisher,
-    "qcr-check": cmd_qcr_check,
-    "minimize": cmd_minimize,
-    "debruijn": cmd_debruijn,
-    "uncertainty": cmd_uncertainty,
+    "divergence": (cmd_divergence, "modified chi^beta divergence and its coarse-graining margin"),
+    "fisher": (cmd_fisher, "generalized Fisher information of a named family"),
+    "qcr-check": (cmd_qcr_check, "moment-information product against the dimension bound"),
+    "minimize": (cmd_minimize, "descend the product functional to its q-Gaussian minimum"),
+    "debruijn": (cmd_debruijn, "entropy production along the nonlinear diffusion flow"),
+    "uncertainty": (cmd_uncertainty, "escort-moment Fourier uncertainty product"),
 }
+
+# further spellings of a schema flag: subcommand -> {key: option strings}
+FLAG_ALIASES = {"fisher": {"grid_points": ("--grid",)}}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -584,81 +590,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"qfisher {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(sp):
+    for name, (_, help_line) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_line)
         sp.add_argument("--config", help="flat JSON config file; flags override it")
         sp.add_argument("--out-dir", dest="out_dir", help="output directory (default qfisher-out)")
         sp.add_argument("--seed", type=int, help="seed for randomized inputs (default 0)")
         sp.add_argument("--strict", action="store_true", default=None,
                         help="escalate numerical-hygiene warnings to errors")
-
-    sp = sub.add_parser("divergence", help="modified chi^beta divergence and its coarse-graining margin")
-    add_common(sp)
-    sp.add_argument("--beta", type=float)
-    sp.add_argument("--grid-points", dest="grid_points", type=int)
-    sp.add_argument("--half-width", dest="half_width", type=float)
-    sp.add_argument("--factor", type=int)
-
-    sp = sub.add_parser("fisher", help="generalized Fisher information of a named family")
-    add_common(sp)
-    sp.add_argument("--beta", type=float)
-    sp.add_argument("--q", type=float)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--family", choices=["gauss", "laplace", "qgauss"])
-    sp.add_argument("--grid", dest="grid_points", type=int)
-    sp.add_argument("--half-width", dest="half_width", type=float)
-    sp.add_argument("--sigma", type=float)
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--gamma", type=float)
-
-    sp = sub.add_parser("qcr-check", help="moment-information product against the dimension bound")
-    add_common(sp)
-    sp.add_argument("--q", type=float)
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--density", choices=["qgauss", "gauss", "uniform", "mixture", "file"])
-    sp.add_argument("--density-file", dest="density_file")
-    sp.add_argument("--grid-points", dest="grid_points", type=int)
-    sp.add_argument("--half-width", dest="half_width", type=float)
-    sp.add_argument("--gamma", type=float)
-
-    sp = sub.add_parser("minimize", help="descend the product functional to its q-Gaussian minimum")
-    add_common(sp)
-    sp.add_argument("--q", type=float)
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--init", choices=["mixture", "uniform", "gauss", "file"])
-    sp.add_argument("--density-file", dest="density_file")
-    sp.add_argument("--iters", type=int)
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--grid-points", dest="grid_points", type=int)
-    sp.add_argument("--half-width", dest="half_width", type=float)
-
-    sp = sub.add_parser("debruijn", help="entropy production along the nonlinear diffusion flow")
-    add_common(sp)
-    sp.add_argument("--m", type=float)
-    sp.add_argument("--beta", type=float)
-    sp.add_argument("--t-final", dest="t_final", type=float)
-    sp.add_argument("--points", type=int)
-    sp.add_argument("--snap-every", dest="snap_every", type=int)
-    sp.add_argument("--sigma0", type=float)
-    sp.add_argument("--half-width", dest="half_width", type=float)
-    sp.add_argument("--n-checks", dest="n_checks", type=int)
-    sp.add_argument("--t-burn", dest="t_burn", type=float)
-
-    sp = sub.add_parser("uncertainty", help="escort-moment Fourier uncertainty product")
-    add_common(sp)
-    sp.add_argument("--q", type=float)
-    sp.add_argument("--beta", type=float)
-    sp.add_argument("--gamma", type=float)
-    sp.add_argument("--theta", type=float)
-    sp.add_argument("--psi", choices=["gauss", "qgauss", "file"])
-    sp.add_argument("--psi-file", dest="psi_file")
-    sp.add_argument("--grid-points", dest="grid_points", type=int)
-    sp.add_argument("--half-width", dest="half_width", type=float)
-    sp.add_argument("--sigma", type=float)
-
+        aliases = FLAG_ALIASES.get(name, {})
+        for key, (typ, _, *choices) in SCHEMAS[name].items():
+            flag = "--" + key.replace("_", "-")
+            sp.add_argument(flag, *aliases.get(key, ()), dest=key, type=typ,
+                            choices=choices[0] if choices else None)
     return parser
 
 
@@ -681,7 +624,7 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             if glob["strict"]:
                 warnings.simplefilter("error", UserWarning)
-            return COMMANDS[ns.subcommand](params, glob)
+            return COMMANDS[ns.subcommand][0](params, glob)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

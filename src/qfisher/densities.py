@@ -15,7 +15,7 @@ from .errors import (
     NonIntegrable,
     TruncationWarning,
 )
-from .grid import GridDensity, GridSpec, lp_norm
+from .grid import GridDensity, GridSpec, boundary_abs_max, lp_norm
 
 # q values closer to 1 than this are treated as the stretched-Gaussian limit.
 Q_ONE_EPS = 1e-12
@@ -84,8 +84,9 @@ def q_exponential_shape(p: QGaussianParams, r: np.ndarray) -> np.ndarray:
 def make_q_gaussian(p: QGaussianParams, grid: GridSpec) -> GridDensity:
     """Normalized generalized Gaussian sampled on `grid`.
 
-    The grid must cover the support (q > 1) or at least 8 characteristic
-    scales (q <= 1), with >= 64 points per axis across the support.
+    The grid must cover the support (q > 1) or reach at least 4
+    characteristic scales from the origin (q <= 1), with >= 64 points per
+    axis across the support; GridTooCoarse is raised otherwise.
     """
     if grid.dims != p.dims:
         raise ValueError(f"grid dims {grid.dims} != params dims {p.dims}")
@@ -94,7 +95,7 @@ def make_q_gaussian(p: QGaussianParams, grid: GridSpec) -> GridDensity:
     )
     if p.compact_support:
         if half_extent < p.support_radius:
-            raise ValueError(
+            raise GridTooCoarse(
                 f"grid half-extent {half_extent:.3g} does not cover the "
                 f"support radius {p.support_radius:.3g}"
             )
@@ -106,8 +107,8 @@ def make_q_gaussian(p: QGaussianParams, grid: GridSpec) -> GridDensity:
                 )
     else:
         if half_extent < 4.0 * p.scale:
-            raise ValueError(
-                f"grid half-extent {half_extent:.3g} < 8 scales "
+            raise GridTooCoarse(
+                f"grid half-extent {half_extent:.3g} < 4 scales "
                 f"(scale = {p.scale:.3g}) for non-compact support"
             )
         if min(grid.points) < 64:
@@ -160,13 +161,7 @@ def moment(g: GridDensity, alpha: float, norm_p: float = 2.0) -> float:
     integrand = r**alpha * g.values
     imax = float(integrand.max())
     if imax > 0.0:
-        bmax = 0.0
-        for a in range(g.grid.dims):
-            bmax = max(
-                bmax,
-                float(np.take(integrand, 0, axis=a).max()),
-                float(np.take(integrand, -1, axis=a).max()),
-            )
+        bmax = boundary_abs_max(integrand)
         if bmax > 1e-6 * imax:
             warnings.warn(
                 f"moment integrand at boundary is {bmax / imax:.2e} of its max; "

@@ -18,10 +18,9 @@ import numpy as np
 from .densities import m_q_functional, tsallis_entropy
 from .errors import UnstableStep
 from .fisher import q_fisher
-from .grid import GridDensity
+from .grid import GridDensity, support_floor
 
 CFL_FACTOR = 0.4
-EXCLUSION_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -132,8 +131,8 @@ def debruijn_check(state: DiffusionState, dt: float | None = None, safety: float
 
     Steps twice from `state`; the derivative is the centered difference of
     S_q across the two steps and the functional is evaluated at the midpoint
-    state.  Cells with f < 1e-12 x max are excluded from the information
-    integral; their mass is reported.
+    state.  Cells below the support floor (1e-12 x max) are excluded from the
+    information integral; their mass is reported.
     """
     if dt is None:
         dt = stable_dt(state, safety)
@@ -146,7 +145,7 @@ def debruijn_check(state: DiffusionState, dt: float | None = None, safety: float
     rhs = (state.m_exp / q) ** (state.beta - 1.0) * mq**state.beta * info
     rel_err = abs(lhs - rhs) / max(abs(rhs), 1e-300)
     f = s1.density.values
-    excl = f < EXCLUSION_REL_TOL * float(f.max())
+    excl = f < support_floor(f)
     excluded_mass = s1.density.integral(np.where(excl, f, 0.0))
     return DeBruijnReport(
         t_mid=s1.t,

@@ -14,10 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SupportMismatch
 from .grid import GridDensity
-
-SUPPORT_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -43,24 +40,12 @@ def chi_beta_g(f1: GridDensity, f2: GridDensity, g: GridDensity, beta: float) ->
     if not beta > 1.0:
         raise ValueError("beta must exceed 1")
     _check_same_grid(f1, f2, g)
-    diff = np.abs(f2.values - f1.values)
-    gv = g.values
-    g_tol = max(SUPPORT_REL_TOL * float(gv.max()), 1e-300)
-    mask = gv > g_tol
-    integrand = np.zeros_like(diff)
-    integrand[mask] = diff[mask] ** beta * gv[mask] ** (1.0 - beta)
-    value = g.integral(integrand)
-    # Where g sits below the mask floor the continuum integrand may blow up.
-    # Clamping g at the floor UNDER-estimates that region's contribution, so a
-    # non-negligible clamped value is proof of a genuine support mismatch;
-    # rounding-scale tail residue passes through.
-    if bool(np.any(~mask & (diff > 0.0))):
-        leaked = g.integral(np.where(mask, 0.0, diff**beta * g_tol ** (1.0 - beta)))
-        if leaked > 1e-6 * max(value, 1e-300):
-            raise SupportMismatch(
-                "f2 - f1 carries weight where g sits below the support floor; "
-                "the modified divergence is dominated by unresolvable tail ratios"
-            )
+    value = g.masked_power_integral(
+        np.abs(f2.values - f1.values),
+        beta,
+        mismatch="f2 - f1 carries weight where g sits below the support floor; "
+        "the modified divergence is dominated by unresolvable tail ratios",
+    )
     averaging = "standard" if g is f2 else "modified"
     return DivergenceResult(value=float(value), beta=float(beta), averaging=averaging)
 

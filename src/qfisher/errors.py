@@ -10,7 +10,7 @@ class NonIntegrable(QFisherError, ValueError):
 
 
 class GridTooCoarse(QFisherError, ValueError):
-    """Grid resolution is too low to represent the requested density."""
+    """Grid is too small or too coarse to represent the requested density."""
 
 
 class DegenerateEscort(QFisherError, ValueError):

@@ -16,11 +16,7 @@ import numpy as np
 from .densities import m_q_functional
 from .divergences import chi_beta_g
 from .errors import NonConvergent, SupportMismatch
-from .grid import GridDensity, GridSpec, dual_exponent, lp_norm
-
-SUPPORT_REL_TOL = 1e-12
-# Cells stripped from the edge of a compact support before quadrature.
-EDGE_EXCLUSION_CELLS = 2
+from .grid import GridDensity, GridSpec, dual_exponent, interior_support, lp_norm, support_floor
 
 
 @dataclass(frozen=True)
@@ -80,6 +76,14 @@ def theta_gradient(fam: ParametricFamily, theta) -> tuple[GridDensity, np.ndarra
     return d, np.stack(comps)
 
 
+def _gradient_on(fam: ParametricFamily, g: GridDensity, theta) -> np.ndarray:
+    """theta_gradient components, checked to live on the grid of g."""
+    d, grads = theta_gradient(fam, theta)
+    if g.grid != d.grid:
+        raise ValueError("g must live on the family grid")
+    return grads
+
+
 @dataclass(frozen=True)
 class ScoreField:
     """Components of grad_theta f / g on the grid (zero where both vanish)."""
@@ -89,12 +93,9 @@ class ScoreField:
 
 
 def score_field(fam: ParametricFamily, g: GridDensity, theta) -> ScoreField:
-    d, grads = theta_gradient(fam, theta)
-    if g.grid != d.grid:
-        raise ValueError("g must live on the family grid")
+    grads = _gradient_on(fam, g, theta)
     gv = g.values
-    tol = SUPPORT_REL_TOL * float(gv.max())
-    mask = gv > tol
+    mask = gv > support_floor(gv)
     out = np.zeros_like(grads)
     for j in range(grads.shape[0]):
         gj = grads[j]
@@ -106,38 +107,14 @@ def score_field(fam: ParametricFamily, g: GridDensity, theta) -> ScoreField:
     return ScoreField(grid=g.grid, components=out)
 
 
-def _masked_power_expectation(num_norm: np.ndarray, g: GridDensity, beta: float) -> float:
-    """E_g[(num_norm/g)^beta] computed as integral of num_norm^beta * g^(1-beta).
-
-    Nodes with g below the support floor are excluded; clamping g at the floor
-    there UNDER-estimates their contribution, so if even the clamped total is
-    material relative to the masked value the expectation is divergent in the
-    continuum and we refuse to report a number.
-    """
-    gv = g.values
-    tol = max(SUPPORT_REL_TOL * float(gv.max()), 1e-300)
-    mask = (gv > tol) & (num_norm > 0.0)
-    integrand = np.zeros_like(gv)
-    integrand[mask] = num_norm[mask] ** beta * gv[mask] ** (1.0 - beta)
-    value = g.integral(integrand)
-    off = (gv <= tol) & (num_norm > 0.0)
-    if bool(np.any(off)):
-        leaked = g.integral(np.where(off, num_norm**beta * tol ** (1.0 - beta), 0.0))
-        if leaked > 1e-6 * max(value, 1e-300):
-            raise SupportMismatch("gradient field carries weight where g vanishes")
-    return value
-
-
 def generalized_fisher(
     fam: ParametricFamily, g: GridDensity, theta, beta: float, norm_p: float = 2.0
 ) -> float:
     """I_beta[f|g; theta] = E_g[ ||grad_theta f / g||_p^beta ]."""
     if not beta > 1.0:
         raise ValueError("beta must exceed 1")
-    d, grads = theta_gradient(fam, theta)
-    if g.grid != d.grid:
-        raise ValueError("g must live on the family grid")
-    return _masked_power_expectation(lp_norm(list(grads), norm_p), g, beta)
+    grads = _gradient_on(fam, g, theta)
+    return g.masked_power_integral(lp_norm(list(grads), norm_p), beta)
 
 
 def generalized_fisher_components(
@@ -146,12 +123,8 @@ def generalized_fisher_components(
     """Per-component E_g[|d_j f / g|^beta]; sums to the p = beta functional."""
     if not beta > 1.0:
         raise ValueError("beta must exceed 1")
-    d, grads = theta_gradient(fam, theta)
-    if g.grid != d.grid:
-        raise ValueError("g must live on the family grid")
-    return np.array(
-        [_masked_power_expectation(np.abs(grads[j]), g, beta) for j in range(grads.shape[0])]
-    )
+    grads = _gradient_on(fam, g, theta)
+    return np.array([g.masked_power_integral(np.abs(gj), beta) for gj in grads])
 
 
 @dataclass(frozen=True)
@@ -223,23 +196,6 @@ def chi2_limit_check(
     )
 
 
-def _erode_support(mask: np.ndarray, iterations: int) -> np.ndarray:
-    """Shrink the support mask; cells beyond the domain edge count as inside."""
-    m = mask
-    for _ in range(iterations):
-        p = np.pad(m, 1, mode="constant", constant_values=True)
-        center = tuple(slice(1, -1) for _ in range(m.ndim))
-        out = m.copy()
-        for ax in range(m.ndim):
-            lo = list(center)
-            hi = list(center)
-            lo[ax] = slice(0, -2)
-            hi[ax] = slice(2, None)
-            out = out & p[tuple(lo)] & p[tuple(hi)]
-        m = out
-    return m
-
-
 def q_fisher(g: GridDensity, beta: float, q: float, norm_p: float = 2.0) -> float:
     """I_{beta,q}[g] = (q/M_q)^beta E_g[ g^{beta(q-1)} ||grad ln g||_*^beta ].
 
@@ -255,10 +211,7 @@ def q_fisher(g: GridDensity, beta: float, q: float, norm_p: float = 2.0) -> floa
     grads = g.spatial_gradient()
     gnorm = lp_norm(grads, pstar)
     gv = g.values
-    mask = gv > SUPPORT_REL_TOL * float(gv.max())
-    if not np.all(mask):
-        mask = _erode_support(mask, EDGE_EXCLUSION_CELLS)
-    mask = mask & (gnorm > 0.0)
+    mask = interior_support(gv) & (gnorm > 0.0)
     expo = beta * (q - 1.0) + 1.0 - beta
     integrand = np.zeros_like(gv)
     integrand[mask] = gnorm[mask] ** beta * gv[mask] ** expo
@@ -290,35 +243,29 @@ class FisherMatrix:
         return self.entries.shape[0]
 
 
-def _matrix_from_parts(grads: np.ndarray, gv: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    tol = max(SUPPORT_REL_TOL * float(gv.max()), 1e-300)
-    mask = gv > tol
+def _matrix_from_parts(grads: np.ndarray, g: GridDensity) -> np.ndarray:
+    """Entries integral of grads_i grads_j / g over the support of g."""
+    gv = g.values
+    mask = gv > support_floor(gv)
     k = grads.shape[0]
     m = np.zeros((k, k))
     for i in range(k):
         gi = grads[i]
+        # the clamped-floor leak guard runs on the diagonals only; the
+        # off-diagonal leak is Cauchy-Schwarz dominated by them
+        g.masked_power_integral(
+            np.abs(gi), 2.0, mismatch="theta-gradient carries weight where g vanishes"
+        )
         for j in range(i, k):
             integrand = np.zeros_like(gv)
             integrand[mask] = gi[mask] * grads[j][mask] / gv[mask]
-            m[i, j] = m[j, i] = float((weights * integrand).sum())
-    # clamped-floor lower bound on the excluded diagonal contributions; the
-    # off-diagonal leak is Cauchy-Schwarz dominated by the diagonals
-    for i in range(k):
-        off = ~mask & (grads[i] != 0.0)
-        if bool(np.any(off)):
-            leaked = float((weights * np.where(off, grads[i] ** 2 / tol, 0.0)).sum())
-            if leaked > 1e-6 * max(m[i, i], 1e-300):
-                raise SupportMismatch("theta-gradient carries weight where g vanishes")
+            m[i, j] = m[j, i] = g.integral(integrand)
     return m
 
 
 def fisher_matrix(fam: ParametricFamily, g: GridDensity, theta) -> FisherMatrix:
     """Matrix form at beta = 2: entries integral of (d_i f)(d_j f)/g."""
-    d, grads = theta_gradient(fam, theta)
-    if g.grid != d.grid:
-        raise ValueError("g must live on the family grid")
-    m = _matrix_from_parts(grads, g.values, g.grid.trap_weights())
-    return FisherMatrix(m)
+    return FisherMatrix(_matrix_from_parts(_gradient_on(fam, g, theta), g))
 
 
 def fisher_matrix_data_processing(
@@ -330,18 +277,12 @@ def fisher_matrix_data_processing(
     coarse map is linear in f), so the matrix ordering is structural rather
     than numerical luck.
     """
-    from .densities import block_average, coarse_grain, coarse_grid
+    from .densities import block_average, coarse_grain
 
-    d, grads = theta_gradient(fam, theta)
-    if g.grid != d.grid:
-        raise ValueError("g must live on the family grid")
-    before = fisher_matrix(fam, g, theta)
-    g_c = coarse_grain(g, factor)
-    grads_c = np.stack([block_average(grads[j], factor) for j in range(grads.shape[0])])
-    after_entries = _matrix_from_parts(
-        grads_c, g_c.values, coarse_grid(g.grid, factor).trap_weights()
-    )
-    after = FisherMatrix(after_entries)
+    grads = _gradient_on(fam, g, theta)
+    before = FisherMatrix(_matrix_from_parts(grads, g))
+    grads_c = np.stack([block_average(gj, factor) for gj in grads])
+    after = FisherMatrix(_matrix_from_parts(grads_c, coarse_grain(g, factor)))
     diff = before.entries - after.entries
     psd_margin = float(np.linalg.eigvalsh(0.5 * (diff + diff.T)).min())
     return before, after, psd_margin

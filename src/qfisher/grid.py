@@ -16,10 +16,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BoundaryMassWarning, NonIntegrable
+from .errors import BoundaryMassWarning, NonIntegrable, SupportMismatch
 
 # Relative threshold below which boundary density mass is considered negligible.
 BOUNDARY_REL_TOL = 1e-10
+# Values at or below this fraction of the maximum lie outside a density's support.
+SUPPORT_REL_TOL = 1e-12
+# Cells stripped from the edge of a compact support before quadrature.
+EDGE_EXCLUSION_CELLS = 2
 
 
 @dataclass(frozen=True)
@@ -127,6 +131,45 @@ def lp_norm(components, p: float) -> np.ndarray:
     return np.add.reduce([c**p for c in comps]) ** (1.0 / p)
 
 
+def boundary_abs_max(values) -> float:
+    """Largest |value| on the outer faces of a grid-shaped array."""
+    v = np.asarray(values)
+    return max(
+        float(np.abs(np.take(v, i, axis=a)).max()) for a in range(v.ndim) for i in (0, -1)
+    )
+
+
+def support_floor(values: np.ndarray) -> float:
+    """Value at or below which a node lies outside the support of `values`."""
+    return max(SUPPORT_REL_TOL * float(values.max()), 1e-300)
+
+
+def _erode_support(mask: np.ndarray, iterations: int) -> np.ndarray:
+    """Shrink a mask; cells beyond the domain edge count as inside."""
+    m = mask
+    for _ in range(iterations):
+        p = np.pad(m, 1, mode="constant", constant_values=True)
+        center = tuple(slice(1, -1) for _ in range(m.ndim))
+        out = m.copy()
+        for ax in range(m.ndim):
+            lo = list(center)
+            hi = list(center)
+            lo[ax] = slice(0, -2)
+            hi[ax] = slice(2, None)
+            out = out & p[tuple(lo)] & p[tuple(hi)]
+        m = out
+    return m
+
+
+def interior_support(values: np.ndarray) -> np.ndarray:
+    """Support mask of `values`, less EDGE_EXCLUSION_CELLS cells at a compact
+    support's edge, where one-sided stencil kinks would enter the sum."""
+    mask = values > support_floor(values)
+    if not np.all(mask):
+        mask = _erode_support(mask, EDGE_EXCLUSION_CELLS)
+    return mask
+
+
 def dual_exponent(p: float) -> float:
     """Holder conjugate p* with 1/p + 1/p* = 1; requires 1 < p < inf."""
     if not (1.0 < p < np.inf):
@@ -213,7 +256,7 @@ class GridDensity:
             raise ValueError(f"unnormalized construction requires mass 1, got {z!r}")
         d = GridDensity(grid, v)
         if check_boundary:
-            b = d.boundary_max()
+            b = boundary_abs_max(d.values)
             if b > BOUNDARY_REL_TOL * float(d.values.max()):
                 msg = (
                     f"boundary density {b:.3e} exceeds {BOUNDARY_REL_TOL:.0e} x max; "
@@ -241,13 +284,31 @@ class GridDensity:
     def mean(self) -> np.ndarray:
         return np.array([self.expectation(x) for x in self.grid.mesh()])
 
-    def boundary_max(self) -> float:
-        out = 0.0
-        for a in range(self.grid.dims):
-            first = np.take(self.values, 0, axis=a)
-            last = np.take(self.values, -1, axis=a)
-            out = max(out, float(np.abs(first).max()), float(np.abs(last).max()))
-        return out
+    def masked_power_integral(
+        self, num: np.ndarray, beta: float,
+        mismatch: str = "gradient field carries weight where g vanishes",
+    ) -> float:
+        """E_g[(num/g)^beta], computed as the integral of num^beta g^(1-beta)
+        over the support of this density g.
+
+        Nodes with g below the support floor are excluded; clamping g at the
+        floor there UNDER-estimates their contribution, so if even the clamped
+        total is material relative to the masked value the expectation is
+        divergent in the continuum and SupportMismatch(mismatch) is raised
+        instead of a number.  Rounding-scale tail residue passes through.
+        """
+        gv = self.values
+        tol = support_floor(gv)
+        mask = (gv > tol) & (num > 0.0)
+        integrand = np.zeros_like(gv)
+        integrand[mask] = num[mask] ** beta * gv[mask] ** (1.0 - beta)
+        value = self.integral(integrand)
+        off = (gv <= tol) & (num > 0.0)
+        if bool(np.any(off)):
+            leaked = self.integral(np.where(off, num**beta * tol ** (1.0 - beta), 0.0))
+            if leaked > 1e-6 * max(value, 1e-300):
+                raise SupportMismatch(mismatch)
+        return value
 
     def spatial_gradient(self) -> list[np.ndarray]:
         """Central-difference gradient per axis (one-sided at the domain edge)."""

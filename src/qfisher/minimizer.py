@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridDensity, HolderPair, dual_exponent, lp_norm
+from .grid import GridDensity, HolderPair, dual_exponent, lp_norm, support_floor
 
-SUPPORT_REL_TOL = 1e-12
 VALUE_FLOOR = 1e-14
 
 
@@ -92,11 +91,11 @@ def _objective_parts(g: GridDensity, cfg: MinimizationConfig):
     m_q = float((w * gv**q).sum())
 
     dual = dual_exponent(cfg.norm_p)
-    grads = np.gradient(gv, *grid.spacing) if grid.dims > 1 else [np.gradient(gv, grid.spacing[0])]
-    dens_u = lp_norm(np.stack(grads), dual)
+    grads = g.spatial_gradient()
+    dens_u = lp_norm(grads, dual)
 
     e = beta * (q - 1.0) + 1.0 - beta
-    mask = gv > max(SUPPORT_REL_TOL * float(gv.max()), 1e-300)
+    mask = gv > support_floor(gv)
     g_pow = np.where(mask, gv, 1.0) ** e
     phi_density = np.where(mask, dens_u**beta * g_pow, 0.0)
     phi = float((w * phi_density).sum())

@@ -19,7 +19,7 @@ import numpy as np
 from .cramer_rao import BoundReport
 from .densities import QGaussianParams, escort, m_q_functional, make_q_gaussian
 from .errors import AliasingWarning, BoundaryMassWarning
-from .grid import GridDensity, GridSpec
+from .grid import GridDensity, GridSpec, boundary_abs_max
 
 L2_NORM_TOL = 1e-9
 BOUNDARY_PSI_REL_TOL = 1e-8
@@ -55,14 +55,6 @@ class WaveFunction:
         return GridDensity.from_values(
             self.grid, np.abs(self.values) ** 2, normalize=False, check_boundary=False
         )
-
-    def boundary_abs_max(self) -> float:
-        mask = np.zeros(self.grid.shape, dtype=bool)
-        for axis in range(self.grid.dims):
-            idx = [slice(None)] * self.grid.dims
-            idx[axis] = [0, -1]
-            mask[tuple(idx)] = True
-        return float(np.abs(self.values[mask]).max())
 
 
 @dataclass(frozen=True)
@@ -111,7 +103,7 @@ def frequency_grid(grid: GridSpec) -> GridSpec:
 
 def fourier_transform(psi: WaveFunction) -> WaveFunction:
     """Unitary FFT with the e^{-2 pi i x.xi} kernel and origin phase correction."""
-    bmax = psi.boundary_abs_max()
+    bmax = boundary_abs_max(psi.values)
     vmax = float(np.abs(psi.values).max())
     truncated = bmax > BOUNDARY_PSI_REL_TOL * vmax
     if truncated:

@@ -121,6 +121,56 @@ def test_domain_errors_rejected_before_output(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["divergence", "--grid-points", "1", "--factor", "1"],
+        ["fisher", "--grid-points", "1"],
+        ["qcr-check", "--grid-points", "1"],
+        ["minimize", "--grid-points", "1"],
+        ["uncertainty", "--grid-points", "1"],
+        ["debruijn", "--points", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_single_point_grid_is_config_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 64
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "subcommand, key", [("fisher", "family"), ("qcr-check", "density"),
+                        ("minimize", "init"), ("uncertainty", "psi")]
+)
+def test_config_file_choice_rejected(tmp_path, capsys, subcommand, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: "bogus"}))
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg), "--out-dir", str(out)]) == 64
+    assert f"key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("q, half", [("0.8", "2"), ("1.5", "0.5")])
+def test_qcr_check_box_too_small_is_typed_refusal(tmp_path, capsys, q, half):
+    out = tmp_path / "out"
+    assert main(["qcr-check", "--q", q, "--half-width", half, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid half-extent")
+    assert not out.exists()
+
+
+def test_fisher_grid_points_spells_grid(tmp_path):
+    out = tmp_path / "out"
+    summaries = []
+    for flag in ("--grid-points", "--grid"):
+        assert main(["fisher", flag, "1025", "--out-dir", str(out)]) == 0
+        summaries.append((out / "fisher_summary.json").read_bytes())
+    assert summaries[0] == summaries[1]
+
+
 def test_flag_overrides_config_overrides_default(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(

@@ -47,6 +47,13 @@ def test_scalar_efficient_estimator_saturates():
     assert rep.diagnostics["bias_divergence"] == pytest.approx(0.0, abs=1e-9)
 
 
+def test_scalar_check_equals_multidim_check():
+    prob = _identity_problem(GridSpec.line(-10.0, 10.0, 1025), sigma=1.3)
+    scalar, multidim = scalar_cr_check(prob, 0.0), multidim_cr_check(prob, 0.0)
+    assert scalar == multidim
+    assert scalar.diagnostics == multidim.diagnostics
+
+
 def test_scalar_biased_statistic_shrinks_rhs():
     grid = GridSpec.line(-12.0, 12.0, 4096)
     fam = gaussian_location_family(grid, sigma=1.0)

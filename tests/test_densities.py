@@ -140,6 +140,17 @@ def test_q_gaussian_grid_guards():
         make_q_gaussian(p, GridSpec.line(-20.0, 20.0, 257))  # < 64 points across support
 
 
+@pytest.mark.parametrize(
+    "q, half, match",
+    [(0.8, 2.0, "< 4 scales"), (1.5, 0.5, "does not cover the support radius")],
+)
+def test_q_gaussian_box_too_small_is_grid_too_coarse(q, half, match):
+    # 2 < 4 scales for the q = 0.8 tail; 0.5 < sqrt(2) for the q = 1.5 support
+    p = QGaussianParams(q, 2.0, 1.0)
+    with pytest.raises(GridTooCoarse, match=match):
+        make_q_gaussian(p, GridSpec.line(-half, half, 4096))
+
+
 @pytest.mark.filterwarnings("ignore::qfisher.errors.BoundaryMassWarning")
 def test_moment_warns_on_truncation():
     p = QGaussianParams(0.8, 2.0, 1.0)  # heavy power tail

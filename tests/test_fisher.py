@@ -157,6 +157,24 @@ def test_score_field_support_mismatch():
         score_field(fam, g, 0.0)
 
 
+@pytest.mark.parametrize(
+    "functional",
+    [
+        lambda fam, g: generalized_fisher(fam, g, 0.0, beta=2.0),
+        lambda fam, g: generalized_fisher_components(fam, g, 0.0, beta=2.0),
+        lambda fam, g: fisher_matrix(fam, g, 0.0),
+    ],
+    ids=["generalized_fisher", "generalized_fisher_components", "fisher_matrix"],
+)
+def test_fisher_functionals_refuse_support_mismatch(functional):
+    # the score_field input above: a full-support family against a compact g
+    grid = GridSpec.line(-6.0, 6.0, 1024)
+    fam = gaussian_location_family(grid, sigma=0.6)
+    g = make_q_gaussian(QGaussianParams(q=2.0, alpha=2.0, gamma=1.0), grid)
+    with pytest.raises(SupportMismatch):
+        functional(fam, g)
+
+
 def test_generic_differentiation_agrees_with_translation():
     translation = gaussian_location_family(GRID, sigma=1.0)
     generic = ParametricFamily(

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from qfisher import GridDensity, GridSpec, HolderPair, dual_exponent, lp_norm
-from qfisher.errors import BoundaryMassWarning, NonIntegrable
+from qfisher import GridDensity, GridSpec, HolderPair, dual_exponent, lp_norm, moment
+from qfisher.errors import BoundaryMassWarning, NonIntegrable, TruncationWarning
+from qfisher.grid import interior_support
+from qfisher.uncertainty import WaveFunction, fourier_transform
 
 
 def test_line_grid_axes_and_spacing():
@@ -166,3 +168,26 @@ def test_expectation_uses_quadrature():
     (x,) = g.axes()
     d = GridDensity.from_values(g, np.exp(-0.5 * (x - 1.0) ** 2))
     assert d.expectation(x**2) == pytest.approx(2.0, rel=1e-10)  # var + mean^2
+
+
+def test_boundary_checks_scan_every_axis():
+    # exp(-x0^2) is negligible on the x0 faces and O(1) on the x1 faces, so
+    # only a scan that reaches the last axis sees the boundary mass
+    grid = GridSpec.box(-6.0, 6.0, 65, 2)
+    x0, _ = grid.mesh()
+    vals = np.exp(-(x0**2))
+    with pytest.warns(BoundaryMassWarning):
+        d = GridDensity.from_values(grid, vals)
+    with pytest.warns(TruncationWarning):
+        moment(d, 2.0)
+    with pytest.warns(BoundaryMassWarning):
+        fourier_transform(WaveFunction.from_values(grid, np.sqrt(vals)))
+
+
+def test_interior_support_erodes_only_compact_support():
+    full = np.exp(-np.linspace(-3.0, 3.0, 31) ** 2)
+    assert interior_support(full).all()
+    compact = np.zeros(31)
+    compact[10:21] = 1.0
+    mask = interior_support(compact)
+    assert np.flatnonzero(mask).tolist() == list(range(12, 19))
