@@ -2,13 +2,18 @@
 
 Six subcommands (divergence, fisher, qcr-check, minimize, debruijn,
 uncertainty) share a flat configuration model: defaults < JSON config file
-< explicit flags.  Each subcommand's flags are built from its SCHEMAS
-entry: key `grid_points` is flag `--grid-points`, and a key with a choices
-tuple gets the same choices on the flag and in the config file.  `fisher`
-also accepts `--grid` for `--grid-points`; `debruijn` sizes its grid with
-`--points`.  Unknown config keys are rejected and every parameter is
-validated before any output file is created, so a bad config never leaves
-partial artifacts behind.
+< explicit flags.  Every key a subcommand takes, the global `out_dir`,
+`seed` and `strict` included, is one SCHEMAS entry holding its type, its
+default and its value rule; the flags, the config-file checks and the
+summary's config echo are all built from it.  Key `grid_points` is flag
+`--grid-points`, a `bool` key is an on-switch, a choices rule gives the
+same choices on the flag and in the file, and a bound rule is checked the
+same way from either.  `fisher` also accepts `--grid` for `--grid-points`;
+`debruijn` sizes its grid with `--points`.  Unknown config keys are
+rejected and every parameter is validated before any output file is
+created, so a bad config never leaves partial artifacts behind.  Each
+handler returns its status, tolerances and results, and `main` writes the
+`<subcommand>_summary.json` from them.
 
 Exit codes: 0 all checked inequalities hold, 2 a bound is violated (a
 finding, not a crash), 64 configuration error, 1 crash.
@@ -50,59 +55,69 @@ MARGIN_TOL = 1e-6
 DPI_MARGIN_TOL = 1e-9
 DEBRUIJN_REL_ERR_TOL = 2e-2
 
-GLOBAL_KEYS = {"out_dir", "seed", "strict"}
-
-# key -> (python type, default[, choices]); None default means "required
-# unless unused".  Each key is also the flag --key with "_" spelled "-".
-SCHEMAS = {
+# key -> (python type, default[, rule]); None default means "required
+# unless unused".  The rule is a choices tuple or a lower bound the value
+# must exceed.  Each key is also the flag --key with "_" spelled "-"; a bool
+# key's flag switches it on.  COMMON_SCHEMA holds the keys of every subcommand.
+COMMON_SCHEMA = {
+    "out_dir": (str, "qfisher-out"),
+    "seed": (int, 0),
+    "strict": (bool, False),
+}
+FLAG_HELP = {
+    "out_dir": "output directory (default qfisher-out)",
+    "seed": "seed for randomized inputs (default 0)",
+    "strict": "escalate numerical-hygiene warnings to errors",
+}
+SUBCOMMAND_SCHEMAS = {
     "divergence": {
-        "beta": (float, 2.0),
-        "grid_points": (int, 512),
-        "half_width": (float, 8.0),
-        "factor": (int, 2),
+        "beta": (float, 2.0, 1.0),
+        "grid_points": (int, 512, 0),
+        "half_width": (float, 8.0, 0.0),
+        "factor": (int, 2, 0),
     },
     "fisher": {
-        "beta": (float, 2.0),
-        "q": (float, 1.0),
-        "p": (float, 2.0),
+        "beta": (float, 2.0, 1.0),
+        "q": (float, 1.0, 0.0),
+        "p": (float, 2.0, 1.0),
         "family": (str, "gauss", ("gauss", "laplace", "qgauss")),
-        "grid_points": (int, 2048),
-        "half_width": (float, 12.0),
-        "sigma": (float, 1.0),
-        "eps": (float, 0.005),
+        "grid_points": (int, 2048, 0),
+        "half_width": (float, 12.0, 0.0),
+        "sigma": (float, 1.0, 0.0),
+        "eps": (float, 0.005, 0.0),
         "alpha": (float, 2.0),
-        "gamma": (float, 1.0),
+        "gamma": (float, 1.0, 0.0),
     },
     "qcr-check": {
-        "q": (float, 1.5),
-        "alpha": (float, 2.0),
-        "p": (float, 2.0),
+        "q": (float, 1.5, 0.0),
+        "alpha": (float, 2.0, 1.0),  # its conjugate beta must be finite
+        "p": (float, 2.0, 1.0),
         "density": (str, "qgauss", ("qgauss", "gauss", "uniform", "mixture", "file")),
         "density_file": (str, None),
-        "grid_points": (int, 4096),
-        "half_width": (float, 0.0),  # 0 = pick automatically
+        "grid_points": (int, 4096, 0),
+        "half_width": (float, 0.0),  # <= 0 = pick automatically
         "gamma": (float, 1.0),
     },
     "minimize": {
-        "q": (float, 1.5),
-        "alpha": (float, 2.0),
-        "p": (float, 2.0),
+        "q": (float, 1.5, 0.0),
+        "alpha": (float, 2.0, 1.0),
+        "p": (float, 2.0, 1.0),
         "init": (str, "mixture", ("mixture", "uniform", "gauss", "file")),
         "density_file": (str, None),
-        "iters": (int, 5000),
-        "tol": (float, 1e-3),
-        "grid_points": (int, 513),
-        "half_width": (float, 10.0),
+        "iters": (int, 5000, 0),
+        "tol": (float, 1e-3, 0.0),
+        "grid_points": (int, 513, 0),
+        "half_width": (float, 10.0, 0.0),
     },
     "debruijn": {
-        "m": (float, 1.0),
-        "beta": (float, 2.0),
-        "t_final": (float, 0.2),
-        "points": (int, 2048),
-        "snap_every": (int, 0),
-        "sigma0": (float, 0.05),
-        "half_width": (float, 3.0),
-        "n_checks": (int, 8),
+        "m": (float, 1.0, 0.0),
+        "beta": (float, 2.0, 1.0),
+        "t_final": (float, 0.2, 0.0),
+        "points": (int, 2048, 0),
+        "snap_every": (int, 0, -1),  # 0 = no snapshots
+        "sigma0": (float, 0.05, 0.0),
+        "half_width": (float, 3.0, 0.0),
+        "n_checks": (int, 8, 0),
         "t_burn": (float, 0.02),
     },
     "uncertainty": {
@@ -112,11 +127,12 @@ SCHEMAS = {
         "theta": (float, 2.0),
         "psi": (str, "gauss", ("gauss", "qgauss", "file")),
         "psi_file": (str, None),
-        "grid_points": (int, 2049),
-        "half_width": (float, 12.0),
-        "sigma": (float, 1.0),
+        "grid_points": (int, 2049, 0),
+        "half_width": (float, 12.0, 0.0),
+        "sigma": (float, 1.0, 0.0),
     },
 }
+SCHEMAS = {name: {**COMMON_SCHEMA, **keys} for name, keys in SUBCOMMAND_SCHEMAS.items()}
 
 
 def _load_config_file(path: str) -> dict:
@@ -132,29 +148,39 @@ def _load_config_file(path: str) -> dict:
     return raw
 
 
+_TYPE_NAMES = {float: "a finite number", int: "an integer", str: "a string", bool: "true or false"}
+
+
 def _coerce(key: str, value, typ):
-    if typ is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"key '{key}' must be a number, got {value!r}")
-        return float(value)
-    if typ is int:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"key '{key}' must be an integer, got {value!r}")
-        if float(value) != int(value):
-            raise ConfigError(f"key '{key}' must be an integer, got {value!r}")
-        return int(value)
-    if typ is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"key '{key}' must be a string, got {value!r}")
-        return value
-    raise AssertionError(f"unhandled type for {key}")
+    """`value` as a `typ`; NaN, +-inf and bools given for numbers are config errors."""
+    if typ in (str, bool):
+        ok = isinstance(value, typ)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        ok = False
+    elif isinstance(value, int):
+        # a JSON integer can be too large for a float, i.e. infinite as one
+        ok = typ is int or abs(value) <= sys.float_info.max
+    else:
+        ok = math.isfinite(value) and (typ is float or value.is_integer())
+    if not ok:
+        raise ConfigError(f"key '{key}' must be {_TYPE_NAMES[typ]}, got {value!r}")
+    return typ(value)
 
 
-def _resolve_config(ns: argparse.Namespace, schema: dict) -> tuple[dict, dict]:
-    """Merge defaults, config file, and flags; returns (params, globals)."""
+def _check_rule(key: str, value, rule) -> None:
+    if isinstance(rule, tuple):
+        if value not in rule:
+            raise ConfigError(f"key '{key}' must be one of {sorted(rule)}, got '{value}'")
+    elif not value > rule:
+        # an integer exceeds n exactly when it is >= n + 1
+        need = f"be >= {rule + 1}" if isinstance(value, int) else f"exceed {rule}"
+        raise ConfigError(f"key '{key}' must {need}, got {value}")
+
+
+def _resolve_config(ns: argparse.Namespace, schema: dict) -> dict:
+    """Merge defaults, config file, and flags, checking each key's type and rule."""
     file_cfg = _load_config_file(ns.config) if ns.config else {}
-    allowed = set(schema) | GLOBAL_KEYS | {"subcommand"}
-    unknown = sorted(set(file_cfg) - allowed)
+    unknown = sorted(set(file_cfg) - set(schema) - {"subcommand"})
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     if "subcommand" in file_cfg and file_cfg["subcommand"] != ns.subcommand:
@@ -163,7 +189,7 @@ def _resolve_config(ns: argparse.Namespace, schema: dict) -> tuple[dict, dict]:
         )
 
     params = {}
-    for key, (typ, default, *choices) in schema.items():
+    for key, (typ, default, *rule) in schema.items():
         flag_val = getattr(ns, key, None)
         if flag_val is not None:
             params[key] = _coerce(key, flag_val, typ)
@@ -171,27 +197,9 @@ def _resolve_config(ns: argparse.Namespace, schema: dict) -> tuple[dict, dict]:
             params[key] = _coerce(key, file_cfg[key], typ)
         else:
             params[key] = default
-        if choices and params[key] not in choices[0]:
-            raise ConfigError(
-                f"key '{key}' must be one of {sorted(choices[0])}, got '{params[key]}'"
-            )
-
-    glob = {
-        "out_dir": ns.out_dir
-        if ns.out_dir is not None
-        else _coerce("out_dir", file_cfg.get("out_dir", "qfisher-out"), str),
-        "seed": ns.seed
-        if ns.seed is not None
-        else _coerce("seed", file_cfg.get("seed", 0), int),
-        "strict": bool(ns.strict or file_cfg.get("strict", False)),
-    }
-    return params, glob
-
-
-def _require_positive(params: dict, keys: list[str]):
-    for key in keys:
-        if not params[key] > 0:
-            raise ConfigError(f"key '{key}' must be positive, got {params[key]}")
+        if rule:
+            _check_rule(key, params[key], rule[0])
+    return params
 
 
 def _line_grid(half_width: float, points: int) -> GridSpec:
@@ -230,16 +238,17 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
             fh.write(",".join(_format_cell(c) for c in row) + "\n")
 
 
-def _write_summary(path: Path, subcommand: str, params: dict, glob: dict,
-                   tolerances: dict, results: dict, exit_status: int) -> None:
+def _write_summary(subcommand: str, params: dict, tolerances: dict, results: dict,
+                   exit_status: int) -> None:
     payload = {
         "tool_version": __version__,
         "subcommand": subcommand,
-        "config_echo": {**params, **glob},
+        "config_echo": params,
         "tolerances": tolerances,
         "results": results,
         "exit_status": exit_status,
     }
+    path = _out_dir(params) / f"{subcommand.replace('-', '_')}_summary.json"
     with open(path, "w", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -256,24 +265,23 @@ def _bound_results(report) -> dict:
     }
 
 
-def _out_dir(glob: dict) -> Path:
-    out = Path(glob["out_dir"])
+def _out_dir(params: dict) -> Path:
+    out = Path(params["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 # ---------------------------------------------------------------- subcommands
+# Each handler gets the resolved params (schema rules already checked) and
+# returns (exit status, tolerances, results) for the summary.
 
 
-def cmd_divergence(params: dict, glob: dict) -> int:
-    _require_positive(params, ["grid_points", "half_width", "factor"])
-    if not params["beta"] > 1.0:
-        raise ConfigError("beta must exceed 1")
+def cmd_divergence(params: dict) -> tuple[int, dict, dict]:
     if params["grid_points"] % params["factor"] != 0:
         raise ConfigError("grid_points must be divisible by factor")
 
     grid = _line_grid(params["half_width"], params["grid_points"])
-    f1, f2, g = zoo.random_triple(grid, glob["seed"])
+    f1, f2, g = zoo.random_triple(grid, params["seed"])
     fine = chi_beta_g(f1, f2, g, params["beta"])
     factor = params["factor"]
     coarse = chi_beta_g(
@@ -284,31 +292,15 @@ def cmd_divergence(params: dict, glob: dict) -> int:
     )
     margin = fine.value - coarse.value
     status = EXIT_OK if margin >= -DPI_MARGIN_TOL else EXIT_BOUND_VIOLATED
-
-    out = _out_dir(glob)
-    _write_summary(
-        out / "divergence_summary.json",
-        "divergence",
-        params,
-        glob,
-        {"monotonicity_margin": DPI_MARGIN_TOL},
-        {
-            "beta": params["beta"],
-            "value": fine.value,
-            "coarse_value": coarse.value,
-            "monotonicity_margin": margin,
-        },
-        status,
-    )
-    return status
+    return status, {"monotonicity_margin": DPI_MARGIN_TOL}, {
+        "beta": params["beta"],
+        "value": fine.value,
+        "coarse_value": coarse.value,
+        "monotonicity_margin": margin,
+    }
 
 
-def cmd_fisher(params: dict, glob: dict) -> int:
-    _require_positive(params, ["grid_points", "half_width", "sigma", "eps", "gamma", "q"])
-    if not params["beta"] > 1.0:
-        raise ConfigError("beta must exceed 1")
-    if not params["p"] > 1.0:
-        raise ConfigError("p must exceed 1")
+def cmd_fisher(params: dict) -> tuple[int, dict, dict]:
     if params["family"] == "qgauss":
         try:
             densities.QGaussianParams(params["q"], params["alpha"], params["gamma"])
@@ -340,25 +332,15 @@ def cmd_fisher(params: dict, glob: dict) -> int:
         except NonConvergent as exc:
             limit_check = {"converged": False, "error": str(exc)}
 
-    out = _out_dir(glob)
-    _write_summary(
-        out / "fisher_summary.json",
-        "fisher",
-        params,
-        glob,
-        {"limit_cauchy_tol": 1e-2},
-        {
-            "value": q_value,
-            "family_value": family_value,
-            "limit_check": limit_check,
-            "matrix": matrix,
-        },
-        EXIT_OK,
-    )
-    return EXIT_OK
+    return EXIT_OK, {"limit_cauchy_tol": 1e-2}, {
+        "value": q_value,
+        "family_value": family_value,
+        "limit_check": limit_check,
+        "matrix": matrix,
+    }
 
 
-def _qcr_density(params: dict, glob: dict) -> GridDensity:
+def _qcr_density(params: dict) -> GridDensity:
     kind = params["density"]
     n = params["grid_points"]
     half = params["half_width"]
@@ -379,12 +361,7 @@ def _qcr_density(params: dict, glob: dict) -> GridDensity:
     return _load_density(params["density_file"], "density = file")
 
 
-def cmd_qcr_check(params: dict, glob: dict) -> int:
-    _require_positive(params, ["q", "grid_points"])
-    if not params["alpha"] > 1.0:
-        raise ConfigError("alpha must exceed 1 (its conjugate beta must be finite)")
-    if not params["p"] > 1.0:
-        raise ConfigError("p must exceed 1")
+def cmd_qcr_check(params: dict) -> tuple[int, dict, dict]:
     pair = HolderPair.from_alpha(params["alpha"])
     if params["density"] == "qgauss":
         try:
@@ -392,34 +369,19 @@ def cmd_qcr_check(params: dict, glob: dict) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     # builds or loads before touching out_dir, so bad inputs leave no files
-    g = _qcr_density(params, glob)
+    g = _qcr_density(params)
     report = q_cr_check(g, pair, params["q"], params["p"])
     status = EXIT_OK if report.margin >= -MARGIN_TOL else EXIT_BOUND_VIOLATED
 
-    out = _out_dir(glob)
     _write_csv(
-        out / "qcr_check_detail.csv",
+        _out_dir(params) / "qcr_check_detail.csv",
         ["q", "alpha", "lhs", "rhs", "margin", "saturated"],
         [(params["q"], params["alpha"], report.lhs, report.rhs, report.margin, report.saturated)],
     )
-    _write_summary(
-        out / "qcr_check_summary.json",
-        "qcr-check",
-        params,
-        glob,
-        {"margin": MARGIN_TOL, "saturation_rel": 1e-2},
-        _bound_results(report),
-        status,
-    )
-    return status
+    return status, {"margin": MARGIN_TOL, "saturation_rel": 1e-2}, _bound_results(report)
 
 
-def cmd_minimize(params: dict, glob: dict) -> int:
-    _require_positive(params, ["q", "grid_points", "iters", "tol", "half_width"])
-    if not params["alpha"] > 1.0:
-        raise ConfigError("alpha must exceed 1")
-    if not params["p"] > 1.0:
-        raise ConfigError("p must exceed 1")
+def cmd_minimize(params: dict) -> tuple[int, dict, dict]:
     try:
         cfg = minimizer.MinimizationConfig(
             q=params["q"],
@@ -449,7 +411,7 @@ def cmd_minimize(params: dict, glob: dict) -> int:
     fitted = densities.fit_q_gaussian(result.argmin, params["q"], params["alpha"], params["p"])
     l1 = densities.l1_distance(result.argmin, fitted)
 
-    out = _out_dir(glob)
+    out = _out_dir(params)
     _write_csv(
         out / "minimize_trace.csv",
         ["iter", "objective"],
@@ -457,30 +419,16 @@ def cmd_minimize(params: dict, glob: dict) -> int:
     )
     result.argmin.save_json(out / "minimize_final_density.json")
     result.argmin.save_csv(out / "minimize_final_density.csv")
-    _write_summary(
-        out / "minimize_summary.json",
-        "minimize",
-        params,
-        glob,
-        {"bound_margin": MARGIN_TOL},
-        {
-            "final_objective": final_obj,
-            "converged": bool(result.converged),
-            "stalled": bool(result.stalled),
-            "n_iters": result.n_iters,
-            "l1_to_fitted_q_gaussian": l1,
-        },
-        status,
-    )
-    return status
+    return status, {"bound_margin": MARGIN_TOL}, {
+        "final_objective": final_obj,
+        "converged": bool(result.converged),
+        "stalled": bool(result.stalled),
+        "n_iters": result.n_iters,
+        "l1_to_fitted_q_gaussian": l1,
+    }
 
 
-def cmd_debruijn(params: dict, glob: dict) -> int:
-    _require_positive(params, ["m", "t_final", "points", "sigma0", "half_width", "n_checks"])
-    if not params["beta"] > 1.0:
-        raise ConfigError("beta must exceed 1")
-    if params["snap_every"] < 0:
-        raise ConfigError("snap_every must be >= 0")
+def cmd_debruijn(params: dict) -> tuple[int, dict, dict]:
     if not 0.0 <= params["t_burn"] < params["t_final"]:
         raise ConfigError("t_burn must lie in [0, t_final)")
 
@@ -491,44 +439,30 @@ def cmd_debruijn(params: dict, glob: dict) -> int:
         m_exp=params["m"],
         beta=params["beta"],
     )
-    q_order = state.q
     reports = diffusion.debruijn_series(
         state, params["t_final"], params["n_checks"], t_burn=params["t_burn"]
     )
 
-    out = _out_dir(glob)
+    out = _out_dir(params)
     rows = [
         (r.t_mid, r.entropy, r.m_q, r.i_beta_q, r.lhs, r.rhs, r.rel_err) for r in reports
     ]
     _write_csv(out / "debruijn_series.csv", ["t", "S_q", "M_q", "I_bq", "lhs", "rhs", "rel_err"], rows)
-
+    # each snapshot is the midpoint state its series row was measured on
     if params["snap_every"] > 0:
-        snap_state = state
-        for idx, r in enumerate(reports):
-            snap_state = diffusion.evolve(snap_state, r.t_mid)
-            if idx % params["snap_every"] == 0:
-                snap_state.density.save_json(out / f"debruijn_snapshot_{idx:03d}.json")
+        for idx in range(0, len(reports), params["snap_every"]):
+            reports[idx].density.save_json(out / f"debruijn_snapshot_{idx:03d}.json")
 
     worst = max(r.rel_err for r in reports)
     status = EXIT_OK if worst <= DEBRUIJN_REL_ERR_TOL else EXIT_BOUND_VIOLATED
-    _write_summary(
-        out / "debruijn_summary.json",
-        "debruijn",
-        params,
-        glob,
-        {"rel_err": DEBRUIJN_REL_ERR_TOL},
-        {
-            "q": q_order,
-            "worst_rel_err": worst,
-            "n_checks": len(reports),
-        },
-        status,
-    )
-    return status
+    return status, {"rel_err": DEBRUIJN_REL_ERR_TOL}, {
+        "q": state.q,
+        "worst_rel_err": worst,
+        "n_checks": len(reports),
+    }
 
 
-def cmd_uncertainty(params: dict, glob: dict) -> int:
-    _require_positive(params, ["grid_points", "half_width", "sigma"])
+def cmd_uncertainty(params: dict) -> tuple[int, dict, dict]:
     try:
         up = uncertainty.UncertaintyParams(
             q=params["q"],
@@ -555,18 +489,7 @@ def cmd_uncertainty(params: dict, glob: dict) -> int:
 
     report = uncertainty.uncertainty_check(psi, up)
     status = EXIT_OK if report.margin >= -MARGIN_TOL else EXIT_BOUND_VIOLATED
-
-    out = _out_dir(glob)
-    _write_summary(
-        out / "uncertainty_summary.json",
-        "uncertainty",
-        params,
-        glob,
-        {"margin": MARGIN_TOL, "saturation_rel": 1e-2},
-        _bound_results(report),
-        status,
-    )
-    return status
+    return status, {"margin": MARGIN_TOL, "saturation_rel": 1e-2}, _bound_results(report)
 
 
 # subcommand -> (handler, help line)
@@ -593,15 +516,15 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, help_line) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_line)
         sp.add_argument("--config", help="flat JSON config file; flags override it")
-        sp.add_argument("--out-dir", dest="out_dir", help="output directory (default qfisher-out)")
-        sp.add_argument("--seed", type=int, help="seed for randomized inputs (default 0)")
-        sp.add_argument("--strict", action="store_true", default=None,
-                        help="escalate numerical-hygiene warnings to errors")
         aliases = FLAG_ALIASES.get(name, {})
-        for key, (typ, _, *choices) in SCHEMAS[name].items():
+        for key, (typ, _, *rule) in SCHEMAS[name].items():
             flag = "--" + key.replace("_", "-")
-            sp.add_argument(flag, *aliases.get(key, ()), dest=key, type=typ,
-                            choices=choices[0] if choices else None)
+            if typ is bool:
+                kind = {"action": "store_true", "default": None}
+            else:
+                choices = rule[0] if rule and isinstance(rule[0], tuple) else None
+                kind = {"type": typ, "choices": choices}
+            sp.add_argument(flag, *aliases.get(key, ()), dest=key, help=FLAG_HELP.get(key), **kind)
     return parser
 
 
@@ -615,16 +538,18 @@ def main(argv=None) -> int:
         code = exc.code if exc.code is not None else 0
         return EXIT_CONFIG if code != 0 else 0
     try:
-        params, glob = _resolve_config(ns, SCHEMAS[ns.subcommand])
+        params = _resolve_config(ns, SCHEMAS[ns.subcommand])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
         with warnings.catch_warnings():
-            if glob["strict"]:
+            if params["strict"]:
                 warnings.simplefilter("error", UserWarning)
-            return COMMANDS[ns.subcommand][0](params, glob)
+            status, tolerances, results = COMMANDS[ns.subcommand][0](params)
+            _write_summary(ns.subcommand, params, tolerances, results, status)
+        return status
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

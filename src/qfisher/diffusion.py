@@ -11,7 +11,8 @@ q = m + 1 - alpha/beta, the Tsallis entropy S_q grows at the rate
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -53,11 +54,14 @@ class DiffusionState:
     def dx(self) -> float:
         return self.density.grid.spacing[0]
 
+    @cached_property
+    def face_slope(self) -> np.ndarray:
+        """D = d(f^m)/dx at the cell faces, computed once for the step and its dt."""
+        return np.diff(self.density.values**self.m_exp) / self.dx
+
 
 def _face_flux(state: DiffusionState) -> np.ndarray:
-    f = state.density.values
-    u = f**state.m_exp
-    d = np.diff(u) / state.dx
+    d = state.face_slope
     # sign(d)*|d|^(beta-1) is |d|^(beta-2)*d without the 0^negative hazard
     return np.sign(d) * np.abs(d) ** (state.beta - 1.0)
 
@@ -69,8 +73,7 @@ def stable_dt(state: DiffusionState, safety: float = 1.0) -> float:
     D = d(f^m)/dx, which reduces to m * f^(m-1) for beta = 2.
     """
     f = state.density.values
-    u = f**state.m_exp
-    d = np.abs(np.diff(u)) / state.dx
+    d = np.abs(state.face_slope)
     f_face = np.maximum(f[:-1], f[1:])
     with np.errstate(divide="ignore"):
         if state.beta == 2.0:
@@ -124,6 +127,7 @@ class DeBruijnReport:
     m_q: float
     i_beta_q: float
     excluded_mass: float
+    density: GridDensity = field(compare=False, repr=False)  # the midpoint state measured
 
 
 def debruijn_check(state: DiffusionState, dt: float | None = None, safety: float = 1.0) -> DeBruijnReport:
@@ -156,6 +160,7 @@ def debruijn_check(state: DiffusionState, dt: float | None = None, safety: float
         m_q=float(mq),
         i_beta_q=float(info),
         excluded_mass=float(excluded_mass),
+        density=s1.density,
     )
 
 

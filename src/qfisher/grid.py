@@ -315,11 +315,6 @@ class GridDensity:
         g = np.gradient(self.values, *self.grid.spacing)
         return list(g) if isinstance(g, (list, tuple)) else [g]
 
-    def with_values(self, values, *, normalize: bool = True, check_boundary: bool = False) -> "GridDensity":
-        return GridDensity.from_values(
-            self.grid, values, normalize=normalize, check_boundary=check_boundary
-        )
-
     def on_shifted_grid(self, delta) -> "GridDensity":
         """Same values with the origin moved to `delta` (pure relabeling)."""
         return GridDensity(self.grid.shifted(delta), self.values)

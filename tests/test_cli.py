@@ -15,12 +15,16 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import qfisher
 from qfisher.cli import main
+from qfisher.densities import tsallis_entropy
+from qfisher.errors import BoundaryMassWarning
+from qfisher.grid import GridDensity
 from qfisher.version import __version__
 
 SUMMARY_KEYS = {
@@ -118,6 +122,56 @@ def test_domain_errors_rejected_before_output(tmp_path, capsys):
     assert main(["qcr-check", "--alpha", "0.5", "--out-dir", str(out)]) == 64
     # q-Gaussian shape parameters outside the admissible set
     assert main(["fisher", "--family", "qgauss", "--alpha", "0.5", "--out-dir", str(out)]) == 64
+    # one schema rule of each kind: positive count, bound to exceed, count >= 0
+    for argv, key in ((["divergence", "--grid-points", "0"], "grid_points"),
+                      (["fisher", "--beta", "1"], "beta"),
+                      (["debruijn", "--snap-every", "-1"], "snap_every")):
+        capsys.readouterr()
+        assert main(argv + ["--out-dir", str(out)]) == 64
+        assert f"key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::qfisher.errors.BoundaryMassWarning")
+@pytest.mark.parametrize("strict, rc", [("false", 64), (False, 0), (True, 1)])
+def test_config_file_strict_must_be_boolean(tmp_path, capsys, strict, rc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"strict": strict}))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["fisher", "--family", "laplace", "--config", str(cfg),
+                     "--out-dir", str(out)]) == rc
+    err = capsys.readouterr().err
+    if rc == 64:
+        assert "key 'strict'" in err
+        assert not out.exists()
+    elif rc == 0:
+        assert any(issubclass(w.category, BoundaryMassWarning) for w in caught)
+    else:  # like --strict: the boundary warning becomes an error
+        assert "boundary" in err
+
+
+@pytest.mark.parametrize(
+    "argv, config, key",
+    [
+        (["divergence"], '{"grid_points": Infinity}', "grid_points"),
+        (["divergence"], '{"beta": NaN}', "beta"),
+        (["divergence"], '{"beta": 1' + "0" * 400 + "}", "beta"),
+        (["minimize", "--tol", "inf"], None, "tol"),
+        (["debruijn", "--t-final", "inf"], None, "t_final"),
+    ],
+    ids=["config-inf-int", "config-nan", "config-int-past-float", "flag-inf-tol",
+         "flag-inf-t-final"],
+)
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, argv, config, key):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 64
+    assert f"key '{key}'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -264,6 +318,21 @@ def test_debruijn_fine_grid_passes(tmp_path):
     lines = (out / "debruijn_series.csv").read_text().splitlines()
     assert lines[0] == "t,S_q,M_q,I_bq,lhs,rhs,rel_err"
     assert len(lines) == 1 + 3
+
+
+def test_debruijn_snapshots_are_the_measured_states(tmp_path):
+    out = tmp_path / "out"
+    assert main(["debruijn", "--points", "512", "--t-final", "0.1", "--m", "1.5",
+                 "--beta", "2.5", "--snap-every", "2", "--out-dir", str(out)]) == 0
+    snaps = [f"debruijn_snapshot_{i:03d}.json" for i in (0, 2, 4, 6)]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        snaps + ["debruijn_series.csv", "debruijn_summary.json"])
+    q = _summary(out, "debruijn_summary.json")["results"]["q"]
+    rows = (out / "debruijn_series.csv").read_text().splitlines()[1:]
+    for idx, name in zip((0, 2, 4, 6), snaps):
+        # the snapshot is the state whose entropy the series row reports
+        density = GridDensity.load_json(out / name)
+        assert repr(float(tsallis_entropy(density, q))) == rows[idx].split(",")[1]
 
 
 def test_debruijn_coarse_grid_reports_violation(tmp_path):
