@@ -22,6 +22,7 @@ finding, not a crash), 64 configuration error, 1 crash.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -33,7 +34,7 @@ import numpy as np
 from . import densities, diffusion, minimizer, uncertainty, zoo
 from .cramer_rao import q_cr_check
 from .divergences import chi_beta_g
-from .errors import ConfigError, NonConvergent, QFisherError
+from .errors import ConfigError, NonConvergent, ParameterError, QFisherError
 from .fisher import (
     chi2_limit_check,
     fisher_matrix,
@@ -202,6 +203,20 @@ def _resolve_config(ns: argparse.Namespace, schema: dict) -> dict:
     return params
 
 
+def _build(cls, params: dict, **keys: str):
+    """`cls` with each field set from its config key; a rule it breaks names those keys."""
+    try:
+        return cls(**{name: params[key] for name, key in keys.items()})
+    except ParameterError as exc:
+        named = [keys[name] for name in exc.names]
+        which = " and ".join(f"'{key}'" for key in named)
+        got = " and ".join(str(params[key]) for key in named)
+        noun = "key" if len(named) == 1 else "keys"
+        raise ConfigError(f"{noun} {which} {exc.rule}, got {got}") from exc
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _line_grid(half_width: float, points: int) -> GridSpec:
     """Line grid on [-half_width, half_width]; one the grid refuses is a config error."""
     try:
@@ -302,10 +317,7 @@ def cmd_divergence(params: dict) -> tuple[int, dict, dict]:
 
 def cmd_fisher(params: dict) -> tuple[int, dict, dict]:
     if params["family"] == "qgauss":
-        try:
-            densities.QGaussianParams(params["q"], params["alpha"], params["gamma"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        _build(densities.QGaussianParams, params, q="q", alpha="alpha", gamma="gamma")
 
     grid = _line_grid(params["half_width"], params["grid_points"])
     if params["family"] == "gauss":
@@ -364,10 +376,7 @@ def _qcr_density(params: dict) -> GridDensity:
 def cmd_qcr_check(params: dict) -> tuple[int, dict, dict]:
     pair = HolderPair.from_alpha(params["alpha"])
     if params["density"] == "qgauss":
-        try:
-            densities.QGaussianParams(params["q"], params["alpha"], params["gamma"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        _build(densities.QGaussianParams, params, q="q", alpha="alpha", gamma="gamma")
     # builds or loads before touching out_dir, so bad inputs leave no files
     g = _qcr_density(params)
     report = q_cr_check(g, pair, params["q"], params["p"])
@@ -382,16 +391,8 @@ def cmd_qcr_check(params: dict) -> tuple[int, dict, dict]:
 
 
 def cmd_minimize(params: dict) -> tuple[int, dict, dict]:
-    try:
-        cfg = minimizer.MinimizationConfig(
-            q=params["q"],
-            alpha=params["alpha"],
-            norm_p=params["p"],
-            max_iters=params["iters"],
-            tol=params["tol"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = _build(minimizer.MinimizationConfig, params, q="q", alpha="alpha", norm_p="p",
+                 max_iters="iters", tol="tol")
 
     grid = _line_grid(params["half_width"], params["grid_points"])
     if params["init"] == "mixture":
@@ -445,9 +446,11 @@ def cmd_debruijn(params: dict) -> tuple[int, dict, dict]:
 
     out = _out_dir(params)
     rows = [
-        (r.t_mid, r.entropy, r.m_q, r.i_beta_q, r.lhs, r.rhs, r.rel_err) for r in reports
+        (r.t_mid, r.entropy, r.m_q, r.i_beta_q, r.lhs, r.rhs, r.rel_err, r.excluded_mass)
+        for r in reports
     ]
-    _write_csv(out / "debruijn_series.csv", ["t", "S_q", "M_q", "I_bq", "lhs", "rhs", "rel_err"], rows)
+    _write_csv(out / "debruijn_series.csv",
+               ["t", "S_q", "M_q", "I_bq", "lhs", "rhs", "rel_err", "excluded_mass"], rows)
     # each snapshot is the midpoint state its series row was measured on
     if params["snap_every"] > 0:
         for idx in range(0, len(reports), params["snap_every"]):
@@ -459,20 +462,14 @@ def cmd_debruijn(params: dict) -> tuple[int, dict, dict]:
         "q": state.q,
         "worst_rel_err": worst,
         "n_checks": len(reports),
+        # every state of the flow shares the counters of its start
+        "counters": dataclasses.asdict(state.counters),
     }
 
 
 def cmd_uncertainty(params: dict) -> tuple[int, dict, dict]:
-    try:
-        up = uncertainty.UncertaintyParams(
-            q=params["q"],
-            beta=params["beta"],
-            gamma_exp=params["gamma"],
-            theta_exp=params["theta"],
-            dims=1,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    up = _build(uncertainty.UncertaintyParams, params, q="q", beta="beta", gamma_exp="gamma",
+                theta_exp="theta")
 
     loaded = None
     if params["psi"] == "file":

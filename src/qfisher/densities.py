@@ -13,6 +13,7 @@ from .errors import (
     GridTooCoarse,
     IncompatibleFactor,
     NonIntegrable,
+    ParameterError,
     TruncationWarning,
 )
 from .grid import GridDensity, GridSpec, boundary_abs_max, lp_norm
@@ -39,9 +40,9 @@ class QGaussianParams:
         if not (self.q > 0.0 and np.isfinite(self.q)):
             raise NonIntegrable("q must be a positive real")
         if not (self.alpha >= 1.0 and np.isfinite(self.alpha)):
-            raise ValueError("alpha must be >= 1")
+            raise ParameterError(("alpha",), "must be >= 1")
         if not (self.gamma > 0.0 and np.isfinite(self.gamma)):
-            raise ValueError("gamma must be positive")
+            raise ParameterError(("gamma",), "must be positive")
         if self.dims < 1:
             raise ValueError("dims must be >= 1")
         if self.q <= 1.0 - self.alpha / self.dims:

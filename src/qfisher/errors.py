@@ -38,7 +38,20 @@ class SingularFisherMatrix(QFisherError, RuntimeError):
 
 
 class UnstableStep(QFisherError, RuntimeError):
-    """Explicit diffusion step produced negative density values."""
+    """A diffusion step cannot proceed.
+
+    Raised when an explicit step goes negative (an RKL2 super step that does
+    is first redone with explicit steps), or when a flat state sets no step size.
+    """
+
+
+class ParameterError(QFisherError, ValueError):
+    """A parameter breaks its rule; `names` are the parameters the rule involves."""
+
+    def __init__(self, names: tuple[str, ...], rule: str):
+        super().__init__(f"{' and '.join(names)} {rule}")
+        self.names = names
+        self.rule = rule
 
 
 class ConfigError(QFisherError, ValueError):

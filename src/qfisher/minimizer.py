@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ParameterError
 from .grid import GridDensity, HolderPair, dual_exponent, lp_norm, support_floor
 
 VALUE_FLOOR = 1e-14
@@ -41,9 +42,9 @@ class MinimizationConfig:
     def __post_init__(self):
         HolderPair.from_alpha(self.alpha)  # validates alpha > 1
         if not self.q > 0.0:
-            raise ValueError("q must be positive")
+            raise ParameterError(("q",), "must be positive")
         if not 1.0 < self.norm_p < np.inf:
-            raise ValueError("norm_p must lie strictly between 1 and infinity")
+            raise ParameterError(("norm_p",), "must lie strictly between 1 and infinity")
 
     @property
     def beta(self) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .cramer_rao import BoundReport
 from .densities import QGaussianParams, escort, m_q_functional, make_q_gaussian
-from .errors import AliasingWarning, BoundaryMassWarning
+from .errors import AliasingWarning, BoundaryMassWarning, ParameterError
 from .grid import GridDensity, GridSpec, boundary_abs_max
 
 L2_NORM_TOL = 1e-9
@@ -67,13 +67,14 @@ class UncertaintyParams:
 
     def __post_init__(self):
         if not self.q > 0.0:
-            raise ValueError("q must be positive")
+            raise ParameterError(("q",), "must be positive")
         if not self.beta > 1.0:
-            raise ValueError("beta must exceed 1")
+            raise ParameterError(("beta",), "must exceed 1")
         if not self.beta * (self.q - 1.0) + 1.0 > 0.0:
-            raise ValueError("beta(q-1)+1 must be positive for the escort order k")
-        if self.gamma_exp < 2.0 or self.theta_exp < 2.0:
-            raise ValueError("moment exponents gamma and theta must be at least 2")
+            raise ParameterError(("q", "beta"), "must make beta(q-1)+1 positive for the escort order k")
+        for name in ("gamma_exp", "theta_exp"):
+            if getattr(self, name) < 2.0:
+                raise ParameterError((name,), "must be at least 2")
         if self.dims < 1:
             raise ValueError("dims must be at least 1")
 

@@ -12,6 +12,7 @@ contract: 0 bounds hold, 2 a bound is violated, 64 configuration error,
 import importlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -129,6 +130,27 @@ def test_domain_errors_rejected_before_output(tmp_path, capsys):
         capsys.readouterr()
         assert main(argv + ["--out-dir", str(out)]) == 64
         assert f"key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (["fisher", "--family", "qgauss", "--alpha", "0.5"], ["alpha"]),
+        (["qcr-check", "--gamma", "-1"], ["gamma"]),
+        # the schema rule on p stands in front of the minimizer's own check
+        (["minimize", "--p", "1"], ["p"]),
+        (["uncertainty", "--gamma", "1"], ["gamma"]),
+        (["uncertainty", "--q", "0.4"], ["q", "beta"]),
+    ],
+    ids=["fisher", "qcr-check", "minimize", "uncertainty", "uncertainty-joint"],
+)
+def test_parameter_errors_name_their_config_keys(tmp_path, capsys, argv, keys):
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("config error: key")
+    assert re.findall(r"'(\w+)'", err) == keys
     assert not out.exists()
 
 
@@ -316,8 +338,27 @@ def test_debruijn_fine_grid_passes(tmp_path):
     s = _summary(out, "debruijn_summary.json")
     assert s["results"]["worst_rel_err"] <= 2e-2
     lines = (out / "debruijn_series.csv").read_text().splitlines()
-    assert lines[0] == "t,S_q,M_q,I_bq,lhs,rhs,rel_err"
+    assert lines[0] == "t,S_q,M_q,I_bq,lhs,rhs,rel_err,excluded_mass"
     assert len(lines) == 1 + 3
+
+
+def test_debruijn_summary_counts_the_solver_work(tmp_path):
+    argv = ["debruijn", "--points", "512", "--t-final", "0.05", "--n-checks", "3",
+            "--t-burn", "0.01"]
+    runs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert main(argv + ["--out-dir", str(out)]) == 0
+        runs.append((_summary(out, "debruijn_summary.json")["results"],
+                     (out / "debruijn_series.csv").read_text()))
+    assert runs[0] == runs[1]
+    c = runs[0][0]["counters"]
+    assert set(c) == {"rhs_evals", "super_steps", "explicit_fallbacks",
+                      "dt_explicit_min", "dt_explicit_max"}
+    # a super step takes at least 3 evaluations, and so does each identity check
+    assert c["super_steps"] > 0 and c["explicit_fallbacks"] == 0
+    assert c["rhs_evals"] >= 3 * c["super_steps"] + 3 * 3
+    assert 0.0 < c["dt_explicit_min"] <= c["dt_explicit_max"]
 
 
 def test_debruijn_snapshots_are_the_measured_states(tmp_path):

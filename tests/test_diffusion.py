@@ -1,5 +1,7 @@
 """Nonlinear diffusion: conservation, classical limits, entropy production."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from qfisher import (
     UnstableStep,
     debruijn_check,
     debruijn_series,
+    diffusion,
     evolve,
     stable_dt,
     step,
@@ -173,3 +176,74 @@ def test_series_validates_n_checks():
     s = _heat_state(points=512)
     with pytest.raises(ValueError):
         debruijn_series(s, t_final=0.01, n_checks=0)
+
+
+def _explicit_loop(state, t_final):
+    while state.t < t_final - 1e-15:
+        state = step(state, min(stable_dt(state), t_final - state.t))
+    return state
+
+
+def _l1(density, values):
+    # against a unit-mass density this is the relative L1 distance
+    return density.integral(np.abs(density.values - values))
+
+
+@pytest.mark.parametrize("sigma0", [0.04, 0.06])
+@pytest.mark.parametrize("m_exp,beta", [(1.0, 2.0), (2.0, 2.0), (1.0, 3.0), (1.5, 2.5)])
+def test_super_steps_agree_with_explicit_steps(m_exp, beta, sigma0):
+    grid = GridSpec.line(-3.0, 3.0, 512)
+    start = DiffusionState(
+        density=zoo.gaussian_density(grid, 0.0, sigma0), t=0.0, m_exp=m_exp, beta=beta
+    )
+    ref = start
+    for t in (0.005, 0.02, 0.1):
+        ref = _explicit_loop(ref, t)
+        out = evolve(start, t)
+        assert out.t == t
+        assert _l1(out.density, ref.density.values) <= 5e-3
+
+
+@pytest.mark.parametrize("t, bound", [(0.005, 2e-3), (0.02, 1e-3), (0.1, 5e-4)])
+def test_sharp_heat_start_tracks_exact_gaussian(t, bound):
+    # RKL2 damps the stiff modes of a sharp start only weakly; the cap on
+    # each super step's span keeps the error at the explicit solver's level
+    s = _heat_state(sigma0=0.04, points=512)
+    out = evolve(s, t)
+    (x,) = out.density.grid.axes()
+    var = 0.04**2 + 2.0 * t
+    exact = np.exp(-0.5 * x**2 / var) / np.sqrt(2.0 * np.pi * var)
+    assert _l1(out.density, exact) <= bound
+
+
+def test_negative_super_step_is_redone_explicitly(monkeypatch):
+    # a one-node porous-medium spike with uncapped 100-stage super steps
+    # drives a super step negative; that interval is redone explicitly
+    monkeypatch.setattr(diffusion, "RKL2_MAX_STAGES", 100)
+    monkeypatch.setattr(diffusion, "RKL2_MAX_CHANGE", math.inf)
+    grid = GridSpec.line(-1.0, 1.0, 256)
+    spike = np.zeros(256)
+    spike[128] = 1.0
+
+    def start():
+        dens = GridDensity.from_values(grid, spike, check_boundary=False)
+        return DiffusionState(density=dens, t=0.0, m_exp=2.0, beta=2.0)
+
+    s = start()
+    out = evolve(s, 2e-4)
+    assert s.counters.super_steps >= 1
+    assert s.counters.explicit_fallbacks >= 1
+    assert out.density.values.min() >= 0.0
+    ref = _explicit_loop(start(), 2e-4)
+    np.testing.assert_allclose(out.density.values, ref.density.values, rtol=0.0, atol=1e-12)
+
+
+def test_super_steps_cut_flux_evaluations():
+    s = _heat_state(sigma0=0.2, points=4096, half=2.0)
+    evolve(s, 0.008)
+    c = s.counters
+    # the heat-flow CFL step does not depend on the state
+    assert c.dt_explicit_min == c.dt_explicit_max
+    explicit_steps = math.ceil(0.008 / c.dt_explicit_max)
+    assert c.super_steps > 0 and c.explicit_fallbacks == 0
+    assert c.rhs_evals <= explicit_steps / 4
