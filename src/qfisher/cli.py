@@ -57,9 +57,10 @@ DPI_MARGIN_TOL = 1e-9
 DEBRUIJN_REL_ERR_TOL = 2e-2
 
 # key -> (python type, default[, rule]); None default means "required
-# unless unused".  The rule is a choices tuple or a lower bound the value
-# must exceed.  Each key is also the flag --key with "_" spelled "-"; a bool
-# key's flag switches it on.  COMMON_SCHEMA holds the keys of every subcommand.
+# unless unused", or for fisher's box keys "sized for the family".  The rule
+# is a choices tuple or a lower bound the value must exceed.  Each key is also
+# the flag --key with "_" spelled "-"; a bool key's flag switches it on.
+# COMMON_SCHEMA holds the keys of every subcommand.
 COMMON_SCHEMA = {
     "out_dir": (str, "qfisher-out"),
     "seed": (int, 0),
@@ -82,8 +83,8 @@ SUBCOMMAND_SCHEMAS = {
         "q": (float, 1.0, 0.0),
         "p": (float, 2.0, 1.0),
         "family": (str, "gauss", ("gauss", "laplace", "qgauss")),
-        "grid_points": (int, 2048, 0),
-        "half_width": (float, 12.0, 0.0),
+        "grid_points": (int, None, 0),  # None = FISHER_BOX[family]
+        "half_width": (float, None, 0.0),
         "sigma": (float, 1.0, 0.0),
         "eps": (float, 0.005, 0.0),
         "alpha": (float, 2.0),
@@ -134,6 +135,14 @@ SUBCOMMAND_SCHEMAS = {
     },
 }
 SCHEMAS = {name: {**COMMON_SCHEMA, **keys} for name, keys in SUBCOMMAND_SCHEMAS.items()}
+# fisher's box when no flag or file sets it: the Laplace tail exp(-|x|) only
+# falls under the 1e-10 x max boundary rule past ln(1e10) ~ 23.1, and 4096
+# points keep the spacing of the 12.0 / 2048 box the other families use
+FISHER_BOX = {
+    "gauss": {"half_width": 12.0, "grid_points": 2048},
+    "laplace": {"half_width": 24.0, "grid_points": 4096},
+    "qgauss": {"half_width": 12.0, "grid_points": 2048},
+}
 
 
 def _load_config_file(path: str) -> dict:
@@ -198,7 +207,7 @@ def _resolve_config(ns: argparse.Namespace, schema: dict) -> dict:
             params[key] = _coerce(key, file_cfg[key], typ)
         else:
             params[key] = default
-        if rule:
+        if rule and params[key] is not None:
             _check_rule(key, params[key], rule[0])
     return params
 
@@ -316,6 +325,10 @@ def cmd_divergence(params: dict) -> tuple[int, dict, dict]:
 
 
 def cmd_fisher(params: dict) -> tuple[int, dict, dict]:
+    # filled in place, so the summary echoes the box that was used
+    for key, value in FISHER_BOX[params["family"]].items():
+        if params[key] is None:
+            params[key] = value
     if params["family"] == "qgauss":
         _build(densities.QGaussianParams, params, q="q", alpha="alpha", gamma="gamma")
 
@@ -503,7 +516,13 @@ COMMANDS = {
 FLAG_ALIASES = {"fisher": {"grid_points": ("--grid",)}}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The qfisher parser; with `only`, just that subcommand gets its flags.
+
+    Argparse hands everything after a subcommand's name to that subparser
+    alone, so a parser for `only` parses an argv led by `only` exactly as
+    the full parser does, and skips building the other flags.
+    """
     parser = argparse.ArgumentParser(
         prog="qfisher",
         description="Generalized Fisher information, Cramer-Rao bounds, and their saturation checks.",
@@ -512,6 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (_, help_line) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_line)
+        if only is not None and name != only:
+            continue
         sp.add_argument("--config", help="flat JSON config file; flags override it")
         aliases = FLAG_ALIASES.get(name, {})
         for key, (typ, _, *rule) in SCHEMAS[name].items():
@@ -526,7 +547,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # an argv led by a subcommand name goes to that subparser; anything else
+    # (--help, --version, no or an unknown subcommand) needs the full parser
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:

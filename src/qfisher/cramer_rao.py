@@ -231,7 +231,7 @@ def covariance_bound_check(
 
 def _norm_gradient_field(grid, norm_p: float) -> list[np.ndarray]:
     """Components of grad ||x||_p, zero at the origin."""
-    mesh = grid.mesh()
+    mesh = grid.open_mesh()
     r = grid.radius(norm_p)
     safe = np.where(r > 0.0, r, 1.0)
     if norm_p == 2.0:

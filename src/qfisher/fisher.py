@@ -317,8 +317,7 @@ def q_gaussian_location_family(grid: GridSpec, q: float, alpha: float, gamma: fl
     params = QGaussianParams(q=q, alpha=alpha, gamma=gamma, dims=grid.dims)
 
     def build(theta: np.ndarray) -> GridDensity:
-        mesh = grid.mesh()
-        r = lp_norm([x - t for x, t in zip(mesh, theta)], params.norm_p)
+        r = lp_norm([x - t for x, t in zip(grid.open_mesh(), theta)], params.norm_p)
         vals = q_exponential_shape(params, r)
         return GridDensity.from_values(grid, vals, normalize=True, check_boundary=False)
 

@@ -12,7 +12,7 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -77,13 +77,26 @@ class GridSpec:
         """Coordinate arrays broadcast to the full grid shape (ij indexing)."""
         return list(np.meshgrid(*self.axes(), indexing="ij"))
 
+    def open_mesh(self) -> list[np.ndarray]:
+        """Axis a as a read-only view of shape (1, .., points[a], .., 1).
+
+        Pointwise arithmetic on these broadcasts to the full grid and gives
+        the same values as on `mesh()`, without a grid-sized array per axis.
+        """
+        return list(np.meshgrid(*self.axes(), indexing="ij", sparse=True, copy=False))
+
     def trap_weights(self) -> np.ndarray:
         """Trapezoid quadrature weights, shape == grid shape."""
         return _trap_weights(self)
 
     def radius(self, norm_p: float = 2.0) -> np.ndarray:
-        """Field of ||x||_p over the grid."""
-        return lp_norm(self.mesh(), norm_p)
+        """Field of ||x||_p over the grid: a new, writable array of the grid shape.
+
+        Built from `open_mesh()`, so it equals `lp_norm(self.mesh(), norm_p)`
+        bit for bit.  It is recomputed on every call: a cached field would
+        keep a grid-sized array alive between calls.
+        """
+        return lp_norm(self.open_mesh(), norm_p)
 
     def shifted(self, delta) -> "GridSpec":
         """Translate the coordinate frame by -delta (new origin at delta)."""
@@ -116,19 +129,25 @@ def _trap_weights(spec: GridSpec) -> np.ndarray:
 
 
 def lp_norm(components, p: float) -> np.ndarray:
-    """||v||_p applied pointwise to a list of component arrays."""
+    """||v||_p applied pointwise to a list of component arrays.
+
+    The components may be any arrays that broadcast together (for example
+    `GridSpec.open_mesh()`); the result has their broadcast shape.  They are
+    folded left to right with binary ufuncs, which is the order a reduction
+    over stacked full-size components takes, so both give the same bits.
+    """
     comps = [np.abs(np.asarray(c, dtype=float)) for c in components]
     if len(comps) == 1:
         return comps[0]
     if p == np.inf:
-        return np.maximum.reduce(comps)
+        return reduce(np.maximum, comps)
     if p < 1.0:
         raise ValueError("p-norm needs p >= 1")
     if p == 1.0:
-        return np.add.reduce(comps)
+        return reduce(np.add, comps)
     if p == 2.0:
-        return np.sqrt(np.add.reduce([c * c for c in comps]))
-    return np.add.reduce([c**p for c in comps]) ** (1.0 / p)
+        return np.sqrt(reduce(np.add, [c * c for c in comps]))
+    return reduce(np.add, [c**p for c in comps]) ** (1.0 / p)
 
 
 def boundary_abs_max(values) -> float:

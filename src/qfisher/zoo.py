@@ -17,9 +17,8 @@ ENVELOPE_SIGMA_FRACTION = 1.0 / 5.5
 
 
 def _envelope(grid: GridSpec) -> np.ndarray:
-    e = np.zeros(grid.shape)
-    mesh = grid.mesh()
-    for ax, x in enumerate(mesh):
+    e = 0.0
+    for ax, x in enumerate(grid.open_mesh()):
         c = 0.5 * (grid.lo[ax] + grid.hi[ax])
         half = 0.5 * (grid.hi[ax] - grid.lo[ax])
         s = ENVELOPE_SIGMA_FRACTION * half
@@ -29,11 +28,10 @@ def _envelope(grid: GridSpec) -> np.ndarray:
 
 def _smooth_field(grid: GridSpec, rng: np.random.Generator, n_modes: int) -> np.ndarray:
     field = np.zeros(grid.shape)
-    mesh = grid.mesh()
+    mesh = grid.open_mesh()
     for _ in range(n_modes):
         amp = rng.normal(0.0, 1.0) / np.sqrt(n_modes)
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        arg = np.full(grid.shape, phase)
+        arg = rng.uniform(0.0, 2.0 * np.pi)  # the phase
         for ax, x in enumerate(mesh):
             span = grid.hi[ax] - grid.lo[ax]
             freq = rng.uniform(0.5, 3.0) * 2.0 * np.pi / span
@@ -65,8 +63,8 @@ def gaussian_density(grid: GridSpec, mean=0.0, sigma=1.0) -> GridDensity:
     sigma = np.broadcast_to(np.asarray(sigma, dtype=float), (grid.dims,))
     if np.any(sigma <= 0.0):
         raise ValueError("sigma must be positive")
-    expo = np.zeros(grid.shape)
-    for ax, x in enumerate(grid.mesh()):
+    expo = 0.0
+    for ax, x in enumerate(grid.open_mesh()):
         expo = expo + ((x - mean[ax]) / sigma[ax]) ** 2
     return GridDensity.from_values(grid, np.exp(-0.5 * expo), normalize=True)
 

@@ -9,7 +9,9 @@ contract: 0 bounds hold, 2 a bound is violated, 64 configuration error,
 1 crash.
 """
 
+import contextlib
 import importlib
+import io
 import json
 import os
 import re
@@ -22,7 +24,7 @@ from pathlib import Path
 import pytest
 
 import qfisher
-from qfisher.cli import main
+from qfisher.cli import COMMANDS, build_parser, main
 from qfisher.densities import tsallis_entropy
 from qfisher.errors import BoundaryMassWarning
 from qfisher.grid import GridDensity
@@ -81,6 +83,75 @@ def test_missing_subcommand_is_config_error(capsys):
 
 def test_unknown_flag_is_config_error(capsys):
     assert main(["fisher", "--no-such-flag", "1"]) == 64
+
+
+def _parse_output(parse, argv):
+    """(exit code, stdout, stderr) of one argparse run over argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parse(argv)
+            code = None
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# per subcommand: a value its parser refuses (a bad choice where it has one)
+BAD_VALUE = {
+    "divergence": ["--beta", "x"],
+    "fisher": ["--family", "nope"],
+    "qcr-check": ["--density", "nope"],
+    "minimize": ["--init", "nope"],
+    "debruijn": ["--points", "1.5"],
+    "uncertainty": ["--psi", "nope"],
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(COMMANDS))
+def test_one_subcommand_parser_reads_like_the_full_parser(subcommand):
+    full = build_parser()
+    for argv in ([subcommand, "--help"], [subcommand, "--bogus"],
+                 [subcommand, *BAD_VALUE[subcommand]]):
+        expected = _parse_output(full.parse_args, argv)
+        assert expected[0] in (0, 2) and expected[1] + expected[2]
+        assert _parse_output(build_parser(subcommand).parse_args, argv) == expected
+        # main builds the one-subcommand parser and maps usage errors to 64
+        code, out, err = _parse_output(main, argv)
+        assert (out, err) == expected[1:]
+
+
+def test_top_level_help_and_version_are_unchanged(capsys):
+    assert main(["--help"]) == 0
+    listing = capsys.readouterr().out
+    assert all(name in listing for name in COMMANDS)
+    assert listing == build_parser().format_help()
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out == f"qfisher {__version__}\n"
+
+
+@pytest.mark.parametrize("subcommand", sorted(COMMANDS))
+def test_every_default_config_passes_strict(tmp_path, subcommand):
+    # --strict turns every hygiene warning into an error (exit 1)
+    assert main([subcommand, "--strict", "--out-dir", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.filterwarnings("ignore::qfisher.errors.BoundaryMassWarning")
+def test_fisher_box_is_sized_per_family(tmp_path):
+    boxes = {}
+    for name, family, extra in [("gauss", "gauss", []), ("laplace", "laplace", []),
+                                ("laplace12", "laplace", ["--half-width", "12"])]:
+        out = tmp_path / name
+        assert main(["fisher", "--family", family, *extra, "--out-dir", str(out)]) == 0
+        summary = _summary(out, "fisher_summary.json")
+        echo = summary["config_echo"]
+        boxes[name] = (echo["half_width"], echo["grid_points"], summary["results"]["value"])
+    assert boxes["gauss"][:2] == (12.0, 2048)
+    assert boxes["laplace"][:2] == (24.0, 4096)
+    # a flag sets its own key only; the other keeps the family's size
+    assert boxes["laplace12"][:2] == (12.0, 4096)
+    # the smoothed kink (eps = 0.005) keeps I just under the Laplace value 1
+    assert boxes["laplace"][2] == pytest.approx(0.98838, abs=1e-5)
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
@@ -158,7 +229,8 @@ def test_parameter_errors_name_their_config_keys(tmp_path, capsys, argv, keys):
 @pytest.mark.parametrize("strict, rc", [("false", 64), (False, 0), (True, 1)])
 def test_config_file_strict_must_be_boolean(tmp_path, capsys, strict, rc):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"strict": strict}))
+    # a Laplace box of half-width 12 leaves boundary density 3.1e-6, which warns
+    cfg.write_text(json.dumps({"strict": strict, "half_width": 12.0, "grid_points": 2048}))
     out = tmp_path / "out"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

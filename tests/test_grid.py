@@ -64,6 +64,45 @@ def test_lp_norm_against_numpy():
         np.testing.assert_allclose(lp_norm(v, p), expect, rtol=1e-12)
 
 
+RADIUS_GRIDS = [
+    GridSpec.line(-3.0, 5.0, 101),
+    GridSpec.box(-2.0, 2.0, 65, 2),
+    GridSpec((-1.0, -4.0), (3.0, 0.5), (41, 23)),  # asymmetric box, unequal axes
+    GridSpec((-1.0, -2.0, -3.0), (2.0, 1.0, 0.5), (11, 13, 7)),
+]
+
+
+@pytest.mark.parametrize("grid", RADIUS_GRIDS, ids=lambda g: f"{g.dims}d-{g.points}")
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])
+def test_radius_equals_lp_norm_of_the_full_mesh(grid, p):
+    r = grid.radius(p)
+    assert np.array_equal(r, lp_norm(grid.mesh(), p))
+    # a fresh, writable array of the full grid shape on every call
+    assert r.shape == grid.shape and r.flags.writeable
+    r[...] = -1.0
+    assert np.array_equal(grid.radius(p), lp_norm(grid.mesh(), p))
+    assert all(not np.shares_memory(r, ax) for ax in grid.axes())
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])
+def test_lp_norm_accepts_broadcastable_components(p):
+    grid = RADIUS_GRIDS[3]
+    shifted = [x - 0.25 for x in grid.open_mesh()]
+    assert [x.ndim for x in shifted] == [3, 3, 3]
+    assert all(x.size == n for x, n in zip(shifted, grid.points))
+    full = [x - 0.25 for x in grid.mesh()]
+    assert np.array_equal(lp_norm(shifted, p), lp_norm(full, p))
+    # the same bits as one reduction over the stacked full-size components
+    stacked = np.abs(np.stack(full))
+    if p == np.inf:
+        expect = np.maximum.reduce(stacked)
+    elif p == 2.0:
+        expect = np.sqrt(np.add.reduce(stacked * stacked))
+    else:
+        expect = np.add.reduce(stacked**p) ** (1.0 / p)
+    assert np.array_equal(lp_norm(shifted, p), expect)
+
+
 def test_dual_exponent_pairs():
     assert dual_exponent(2.0) == pytest.approx(2.0)
     assert dual_exponent(1.5) == pytest.approx(3.0)
