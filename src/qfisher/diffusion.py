@@ -10,10 +10,11 @@ Aslam, J. Comput. Phys. 257, 2014): s stages span up to (s^2+s-2)/4 CFL
 steps.  RKL2 damps stiff modes weakly, so a super step never spans more
 than the time in which the fastest node moves by RKL2_MAX_CHANGE of max f,
 and one that goes negative is redone with explicit steps.  `step` is the
-explicit Euler step, and the identity check takes two of them.  Along the
-flow, with alpha the Holder conjugate of beta and q = m + 1 - alpha/beta,
-the Tsallis entropy S_q grows at the rate
-(m/q)^(beta-1) M_q[f]^beta I_{beta,q}[f].
+explicit Euler step.  Along the flow, with alpha the Holder conjugate of
+beta and q = m + 1 - alpha/beta, the Tsallis entropy S_q grows at the rate
+(m/q)^(beta-1) M_q[f]^beta I_{beta,q}[f].  `debruijn_check` takes the left
+side exactly on the semi-discrete flow, at the state itself: dS_q/dt is the
+node sum of s'(f) L(f) h, one flux evaluation and no time step.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .densities import m_q_functional, tsallis_entropy
+from .densities import Q_ONE_EPS, m_q_functional, tsallis_entropy
 from .errors import UnstableStep
 from .fisher import q_fisher
 from .grid import GridDensity, support_floor
@@ -95,8 +96,8 @@ def _flux_divergence(f, dx, m_exp, beta):
     return div, slope
 
 
-def _cfl_dt(f, slope, dx, m_exp, beta, safety):
-    """safety * 0.4 * dx^2 / max over faces of the linearized diffusivity."""
+def _cfl_dt(f, slope, dx, m_exp, beta):
+    """0.4 * dx^2 / max over faces of the linearized diffusivity."""
     d = np.abs(slope)
     f_face = np.maximum(f[:-1], f[1:])
     with np.errstate(divide="ignore"):
@@ -107,11 +108,15 @@ def _cfl_dt(f, slope, dx, m_exp, beta, safety):
             if dtop <= 0.0:
                 raise UnstableStep("flat state has no gradient scale to set the step")
             grad_part = np.maximum(d, 1e-12 * dtop) ** (beta - 2.0)
-    diffusivity = (beta - 1.0) * grad_part * m_exp * f_face ** (m_exp - 1.0)
+        # f_face = 0 with m < 1 gives inf, which the check below rejects
+        diffusivity = (beta - 1.0) * grad_part * m_exp * f_face ** (m_exp - 1.0)
     dmax = float(diffusivity.max())
+    if not math.isfinite(dmax):
+        raise UnstableStep("m < 1 needs positive values at every node: "
+                           "f^(m-1) is infinite where f = 0")
     if dmax <= 0.0:
         raise UnstableStep("flat state has no diffusive scale; nothing to evolve")
-    return safety * CFL_FACTOR * dx**2 / dmax
+    return CFL_FACTOR * dx**2 / dmax
 
 
 def _goes_negative(f) -> bool:
@@ -150,7 +155,7 @@ def _rkl2(f0, l0, tau, stages, dx, m_exp, beta):
     return y
 
 
-def _advance(f, t, t_end, state, safety, super_steps=True):
+def _advance(f, t, t_end, state, super_steps=True):
     """Raw values at t_end from f at t, and the time reached.
 
     With `super_steps` each step is an RKL2 super step (or one explicit step
@@ -160,7 +165,7 @@ def _advance(f, t, t_end, state, safety, super_steps=True):
     while t < t_end - 1e-15:
         lf, slope = _flux_divergence(f, dx, m_exp, beta)
         counters.rhs_evals += 1
-        dt_e = _cfl_dt(f, slope, dx, m_exp, beta, safety)
+        dt_e = _cfl_dt(f, slope, dx, m_exp, beta)
         counters.record_dt(dt_e)
         limit = dt_e
         if super_steps:
@@ -180,13 +185,13 @@ def _advance(f, t, t_end, state, safety, super_steps=True):
             counters.rhs_evals += stages - 1
             if _goes_negative(f_new):
                 counters.explicit_fallbacks += 1
-                f_new, _ = _advance(f, t, t + span, state, safety, super_steps=False)
+                f_new, _ = _advance(f, t, t + span, state, super_steps=False)
             f = np.clip(f_new, 0.0, None)
         t = t_end if span == remaining else t + span
     return f, t
 
 
-def stable_dt(state: DiffusionState, safety: float = 1.0) -> float:
+def stable_dt(state: DiffusionState) -> float:
     """CFL-limited step: 0.4 * dx^2 / max over faces of the linearized diffusivity.
 
     The face diffusivity is (beta-1)|D|^(beta-2) * m * f^(m-1) with
@@ -195,7 +200,7 @@ def stable_dt(state: DiffusionState, safety: float = 1.0) -> float:
     f = state.density.values
     _, slope = _flux_divergence(f, state.dx, state.m_exp, state.beta)
     state.counters.rhs_evals += 1
-    dt = _cfl_dt(f, slope, state.dx, state.m_exp, state.beta, safety)
+    dt = _cfl_dt(f, slope, state.dx, state.m_exp, state.beta)
     state.counters.record_dt(dt)
     return dt
 
@@ -213,66 +218,60 @@ def step(state: DiffusionState, dt: float) -> DiffusionState:
     return replace(state, density=dens, t=state.t + dt)
 
 
-def evolve(state: DiffusionState, t_final: float, safety: float = 1.0) -> DiffusionState:
+def evolve(state: DiffusionState, t_final: float) -> DiffusionState:
     """Advance to t_final in RKL2 super steps, the last one landing on it."""
-    f, t = _advance(state.density.values, state.t, t_final, state, safety)
+    f, t = _advance(state.density.values, state.t, t_final, state)
     dens = GridDensity.from_values(state.density.grid, f, normalize=False, check_boundary=False)
     return replace(state, density=dens, t=t)
 
 
 @dataclass(frozen=True)
 class DeBruijnReport:
-    t_mid: float
-    lhs: float  # centered dS_q/dt
+    t: float
+    lhs: float  # dS_q/dt of the semi-discrete flow
     rhs: float  # (m/q)^(beta-1) M_q^beta I_{beta,q}
     rel_err: float
     entropy: float
     m_q: float
     i_beta_q: float
     excluded_mass: float
-    density: GridDensity = field(compare=False, repr=False)  # the midpoint state measured
+    density: GridDensity = field(compare=False, repr=False)  # the state measured
 
 
-def debruijn_check(state: DiffusionState, dt: float | None = None, safety: float = 1.0) -> DeBruijnReport:
-    """Compare dS_q/dt against the entropy-production functional.
+def debruijn_check(state: DiffusionState) -> DeBruijnReport:
+    """Compare dS_q/dt against the entropy-production functional at `state`.
 
-    Steps twice from `state`; the derivative is the centered difference of
-    S_q across the two steps and the functional is evaluated at the midpoint
-    state.  Cells below the support floor (1e-12 x max) are excluded from the
-    information integral; their mass is reported.
+    The derivative is that of the semi-discrete flow, sum_i h s'(f_i) L(f)_i
+    with s'(f) = q f^(q-1)/(1-q), or -ln f at q = 1 (its constant drops out,
+    as L(f) sums to 0); by summation by parts it equals
+    (q/(q-1)) sum over faces of F Delta(f^(q-1)).  Nodes at or below the
+    support floor (1e-12 x max) get s' = 0; their mass is reported.
     """
-    if dt is None:
-        dt = stable_dt(state, safety)
-    s1 = step(state, dt)
-    s2 = step(s1, dt)
-    q = state.q
-    lhs = (tsallis_entropy(s2.density, q) - tsallis_entropy(state.density, q)) / (2.0 * dt)
-    mq = m_q_functional(s1.density, q)
-    info = q_fisher(s1.density, state.beta, q)
+    f, q = state.density.values, state.q
+    lf, _ = _flux_divergence(f, state.dx, state.m_exp, state.beta)
+    state.counters.rhs_evals += 1
+    on = f > support_floor(f)
+    fs = np.where(on, f, 1.0)
+    ds = -np.log(fs) if abs(q - 1.0) <= Q_ONE_EPS else q / (1.0 - q) * fs ** (q - 1.0)
+    lhs = state.dx * float(np.dot(np.where(on, ds, 0.0), lf))
+    mq = m_q_functional(state.density, q)
+    info = q_fisher(state.density, state.beta, q)
     rhs = (state.m_exp / q) ** (state.beta - 1.0) * mq**state.beta * info
-    rel_err = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-    f = s1.density.values
-    excl = f < support_floor(f)
-    excluded_mass = s1.density.integral(np.where(excl, f, 0.0))
     return DeBruijnReport(
-        t_mid=s1.t,
-        lhs=float(lhs),
+        t=state.t,
+        lhs=lhs,
         rhs=float(rhs),
-        rel_err=float(rel_err),
-        entropy=float(tsallis_entropy(s1.density, q)),
+        rel_err=float(abs(lhs - rhs) / max(abs(rhs), 1e-300)),
+        entropy=float(tsallis_entropy(state.density, q)),
         m_q=float(mq),
         i_beta_q=float(info),
-        excluded_mass=float(excluded_mass),
-        density=s1.density,
+        excluded_mass=float(state.density.integral(np.where(on, 0.0, f))),
+        density=state.density,
     )
 
 
 def debruijn_series(
-    state: DiffusionState,
-    t_final: float,
-    n_checks: int,
-    t_burn: float = 0.0,
-    safety: float = 1.0,
+    state: DiffusionState, t_final: float, n_checks: int, t_burn: float = 0.0
 ) -> list[DeBruijnReport]:
     """Evolve to t_final, running the identity check at n_checks sample times."""
     if n_checks < 1:
@@ -281,6 +280,6 @@ def debruijn_series(
     times = np.linspace(t0, t_final, n_checks)
     out = []
     for tc in times:
-        state = evolve(state, float(tc), safety)
-        out.append(debruijn_check(state, safety=safety))
+        state = evolve(state, float(tc))
+        out.append(debruijn_check(state))
     return out

@@ -135,7 +135,6 @@ class LimitReport:
     steps: tuple[float, ...]
     ratios: np.ndarray  # shape (theta_dim, len(steps))
     limits: np.ndarray  # shape (theta_dim,)
-    converged: bool
 
     @property
     def limit(self) -> float:
@@ -175,7 +174,6 @@ def chi2_limit_check(
     f0 = fam.at(t0)
     ratios = np.zeros((fam.theta_dim, len(steps)))
     limits = np.zeros(fam.theta_dim)
-    converged = True
     for j in range(fam.theta_dim):
         e = np.zeros(fam.theta_dim)
         e[j] = 1.0
@@ -191,9 +189,7 @@ def chi2_limit_check(
                 f"(last change {abs(seq[-1] - seq[-2]) / scale:.2e} relative)"
             )
         limits[j] = _extrapolate_to_zero(np.asarray(steps) ** 2, seq)
-    return LimitReport(
-        beta=float(beta), steps=steps, ratios=ratios, limits=limits, converged=converged
-    )
+    return LimitReport(beta=float(beta), steps=steps, ratios=ratios, limits=limits)
 
 
 def q_fisher(g: GridDensity, beta: float, q: float, norm_p: float = 2.0) -> float:

@@ -87,7 +87,7 @@ class GridSpec:
 
     def trap_weights(self) -> np.ndarray:
         """Trapezoid quadrature weights, shape == grid shape."""
-        return _trap_weights(self)
+        return _trap_weights(self.spacing, self.points)
 
     def radius(self, norm_p: float = 2.0) -> np.ndarray:
         """Field of ||x||_p over the grid: a new, writable array of the grid shape.
@@ -116,14 +116,15 @@ def _axes(spec: GridSpec) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
+# keyed on what the weights depend on, so shifted copies of a grid share them
 @lru_cache(maxsize=64)
-def _trap_weights(spec: GridSpec) -> np.ndarray:
+def _trap_weights(spacing: tuple[float, ...], points: tuple[int, ...]) -> np.ndarray:
     w = np.array([1.0])
-    for h, n in zip(spec.spacing, spec.points):
+    for h, n in zip(spacing, points):
         w1 = np.full(n, h)
         w1[0] = w1[-1] = h / 2.0
         w = np.multiply.outer(w, w1)
-    w = w.reshape(spec.shape)
+    w = w.reshape(points)
     w.setflags(write=False)
     return w
 

@@ -11,9 +11,9 @@ import numpy as np
 
 from .grid import GridDensity, GridSpec
 
-# Envelope half-width as a fraction of the grid half-extent; exp(-5.5^2) ~ 7e-14
+# Envelope half-width as a fraction of the grid half-extent; exp(-6^2) ~ 2e-16
 # at the boundary keeps every zoo member boundary-negligible.
-ENVELOPE_SIGMA_FRACTION = 1.0 / 5.5
+ENVELOPE_SIGMA_FRACTION = 1.0 / 6.0
 
 
 def _envelope(grid: GridSpec) -> np.ndarray:

@@ -19,6 +19,7 @@ from qfisher import (
     tsallis_entropy,
     zoo,
 )
+from qfisher.grid import support_floor
 
 
 def _heat_state(sigma0=0.3, points=2048, half=3.0):
@@ -116,6 +117,17 @@ def test_flat_state_has_no_stable_scale():
     np.testing.assert_array_equal(step(s2, dt).density.values, flat.values)
 
 
+def test_fast_diffusion_needs_positive_values():
+    # for m < 1 the diffusivity m f^(m-1) is infinite where f = 0, so no
+    # step can be stable on a compactly supported state
+    grid = GridSpec.line(-2.0, 2.0, 256)
+    (x,) = grid.axes()
+    dens = GridDensity.from_values(grid, np.maximum(1.0 - x**2, 0.0), check_boundary=False)
+    s = DiffusionState(density=dens, t=0.0, m_exp=0.5, beta=2.0)
+    with pytest.raises(UnstableStep, match="m < 1"):
+        stable_dt(s)
+
+
 def test_porous_medium_self_similar_spreading():
     # m = 2, beta = 2 is the porous medium flow; the compact self-similar
     # profile c - x^2/(12 t^(2/3)) scaled by t^(-1/3) propagates in shape
@@ -143,8 +155,8 @@ def test_debruijn_heat_case_is_sharp():
     s = evolve(s, 0.004)
     rep = debruijn_check(s)
     assert rep.rel_err < 1e-6
-    sigma_mid_sq = sigma0**2 + 2.0 * rep.t_mid
-    assert rep.rhs == pytest.approx(1.0 / sigma_mid_sq, rel=1e-6)
+    sigma_t_sq = sigma0**2 + 2.0 * rep.t
+    assert rep.rhs == pytest.approx(1.0 / sigma_t_sq, rel=1e-6)
     assert rep.excluded_mass < 1e-12
 
 
@@ -156,7 +168,7 @@ def test_debruijn_identity_along_flow(m_exp, beta):
     )
     reports = debruijn_series(s, t_final=0.008, n_checks=3, t_burn=0.002)
     assert len(reports) == 3
-    assert all(b.t_mid > a.t_mid for a, b in zip(reports, reports[1:]))
+    assert all(b.t > a.t for a, b in zip(reports, reports[1:]))
     worst = max(r.rel_err for r in reports)
     assert worst < 1e-3
 
@@ -170,6 +182,38 @@ def test_debruijn_rel_err_shrinks_under_refinement():
         errs.append(debruijn_check(s).rel_err)
     assert errs[1] < errs[0]
     assert errs[2] < errs[1]
+
+
+@pytest.mark.parametrize("m_exp,beta", [(1.0, 2.0), (2.0, 2.0), (1.0, 3.0), (1.5, 2.5)])
+def test_debruijn_lhs_is_the_exact_entropy_rate(m_exp, beta):
+    grid = GridSpec.line(-3.0, 3.0, 512)
+    s = DiffusionState(
+        density=zoo.gaussian_density(grid, 0.0, 0.04), t=0.0, m_exp=m_exp, beta=beta
+    )
+    s = evolve(s, 0.01)
+    f, q = s.density.values, s.q
+    lhs = debruijn_check(s).lhs
+    lf, slope = diffusion._flux_divergence(f, s.dx, m_exp, beta)
+    # summation by parts: sum_i h s'(f_i) L(f)_i equals minus the face sum
+    # of F Delta s'(f), i.e. (q/(q-1)) sum F Delta f^(q-1), or sum F Delta ln f
+    # at q = 1; nodes at or below the support floor carry s' = 0 on both sides
+    flux = np.sign(slope) * np.abs(slope) ** (beta - 1.0)
+    on = f > support_floor(f)
+    fs = np.where(on, f, 1.0)
+    if q == 1.0:
+        face_sum = np.sum(flux * np.diff(np.where(on, np.log(fs), 0.0)))
+    else:
+        face_sum = q / (q - 1.0) * np.sum(flux * np.diff(np.where(on, fs ** (q - 1.0), 0.0)))
+    assert lhs == pytest.approx(face_sum, rel=1e-13)
+
+    # and a centered difference of S_q along +-tau L(f) recovers it
+    def entropy(values):
+        dens = GridDensity.from_values(grid, values, normalize=False, check_boundary=False)
+        return tsallis_entropy(dens, q)
+
+    tau = 1e-7
+    rate = (entropy(f + tau * lf) - entropy(f - tau * lf)) / (2.0 * tau)
+    assert lhs == pytest.approx(rate, rel=1e-8)
 
 
 def test_series_validates_n_checks():

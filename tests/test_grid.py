@@ -3,9 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from qfisher import GridDensity, GridSpec, HolderPair, dual_exponent, lp_norm, moment
+from qfisher import (
+    GridDensity,
+    GridSpec,
+    HolderPair,
+    dual_exponent,
+    functional_cr_check,
+    lp_norm,
+    moment,
+    zoo,
+)
 from qfisher.errors import BoundaryMassWarning, NonIntegrable, TruncationWarning
-from qfisher.grid import interior_support
+from qfisher.grid import _trap_weights, interior_support
 from qfisher.uncertainty import WaveFunction, fourier_transform
 
 
@@ -32,6 +41,18 @@ def test_trap_weights_match_explicit_trapezoid_sum():
     f = np.cos(x) ** 2 + 0.3
     explicit = (0.5 * (f[1:] + f[:-1]) * np.diff(x)).sum()
     assert float((g.trap_weights() * f).sum()) == pytest.approx(explicit, rel=1e-14)
+
+
+def test_shifted_grids_share_trap_weights():
+    # relabeling onto a shifted grid keeps the spacing, so the weights cache
+    # holds one entry for the grid and all its shifted copies
+    grid = GridSpec.box(-6.0, 6.0, 129, 2)
+    means = [(0.3, -0.2), (-0.7, 0.45), (1.1, 0.05), (-0.25, -0.9), (0.6, 0.8)]
+    dens = [zoo.gaussian_density(grid, m, 0.7) for m in means]
+    _trap_weights.cache_clear()
+    for d in dens:
+        functional_cr_check(d, d, HolderPair.from_alpha(2.0))
+    assert _trap_weights.cache_info().currsize == 1
 
 
 def test_trap_weights_2d_separable():
