@@ -13,7 +13,8 @@ same way from either.  `fisher` also accepts `--grid` for `--grid-points`;
 rejected and every parameter is validated before any output file is
 created, so a bad config never leaves partial artifacts behind.  Each
 handler returns its status, tolerances and results, and `main` writes the
-`<subcommand>_summary.json` from them.
+`<subcommand>_summary.json` from them, with the warnings the run raised
+(each also printed to stderr as one `warning: <Category>: <message>` line).
 
 Exit codes: 0 all checked inequalities hold, 2 a bound is violated (a
 finding, not a crash), 64 configuration error, 1 crash.
@@ -27,6 +28,7 @@ import json
 import math
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -263,7 +265,7 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
 
 
 def _write_summary(subcommand: str, params: dict, tolerances: dict, results: dict,
-                   exit_status: int) -> None:
+                   exit_status: int, warned: list[dict]) -> None:
     payload = {
         "tool_version": __version__,
         "subcommand": subcommand,
@@ -271,6 +273,7 @@ def _write_summary(subcommand: str, params: dict, tolerances: dict, results: dic
         "tolerances": tolerances,
         "results": results,
         "exit_status": exit_status,
+        "warnings": warned,
     }
     path = _out_dir(params) / f"{subcommand.replace('-', '_')}_summary.json"
     with open(path, "w", newline="\n") as fh:
@@ -546,6 +549,12 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _grouped_warnings(caught) -> list[dict]:
+    """Recorded warnings as {category, message, count}, in first-seen order."""
+    counts = Counter((w.category.__name__, str(w.message)) for w in caught)
+    return [{"category": c, "message": m, "count": n} for (c, m), n in counts.items()]
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # an argv led by a subcommand name goes to that subparser; anything else
@@ -565,11 +574,14 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
-        with warnings.catch_warnings():
+        # "always": the summary counts every occurrence, not one per code line
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             if params["strict"]:
                 warnings.simplefilter("error", UserWarning)
             status, tolerances, results = COMMANDS[ns.subcommand][0](params)
-            _write_summary(ns.subcommand, params, tolerances, results, status)
+            _write_summary(ns.subcommand, params, tolerances, results, status,
+                           _grouped_warnings(caught))
         return status
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -580,6 +592,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # crash, not a finding
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CRASH
+    finally:  # after the error line, which stays the first line of stderr
+        for w in _grouped_warnings(caught):
+            print(f"warning: {w['category']}: {w['message']}", file=sys.stderr)
 
 
 def entry() -> None:

@@ -16,7 +16,7 @@ import numpy as np
 from .densities import escort, moment
 from .errors import JacobianSingular, SingularFisherMatrix
 from .fisher import ParametricFamily, _as_theta, _gradient_on, fisher_matrix, q_fisher
-from .grid import GridDensity, HolderPair, dual_exponent, interior_support, lp_norm
+from .grid import GridDensity, HolderPair, dual_exponent, lp_norm, support_floor
 from .sampling import sample_density
 
 SATURATION_REL_TOL = 1e-2
@@ -249,7 +249,7 @@ def _equality_field_fit(
     r = g.grid.radius(norm_p)
     dr = _norm_gradient_field(g.grid, norm_p)
     v = [g.values * r ** (alpha - 1.0) * c for c in dr]
-    w = g.grid.trap_weights() * interior_support(g.values)
+    w = g.grid.trap_weights() * (g.values > support_floor(g.values))
     num = sum(float((w * gf * vi).sum()) for gf, vi in zip(grad_f, v))
     den = sum(float((w * vi * vi).sum()) for vi in v)
     base = sum(float((w * gf * gf).sum()) for gf in grad_f)

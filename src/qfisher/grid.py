@@ -22,8 +22,6 @@ from .errors import BoundaryMassWarning, NonIntegrable, SupportMismatch
 BOUNDARY_REL_TOL = 1e-10
 # Values at or below this fraction of the maximum lie outside a density's support.
 SUPPORT_REL_TOL = 1e-12
-# Cells stripped from the edge of a compact support before quadrature.
-EDGE_EXCLUSION_CELLS = 2
 
 
 @dataclass(frozen=True)
@@ -162,32 +160,6 @@ def boundary_abs_max(values) -> float:
 def support_floor(values: np.ndarray) -> float:
     """Value at or below which a node lies outside the support of `values`."""
     return max(SUPPORT_REL_TOL * float(values.max()), 1e-300)
-
-
-def _erode_support(mask: np.ndarray, iterations: int) -> np.ndarray:
-    """Shrink a mask; cells beyond the domain edge count as inside."""
-    m = mask
-    for _ in range(iterations):
-        p = np.pad(m, 1, mode="constant", constant_values=True)
-        center = tuple(slice(1, -1) for _ in range(m.ndim))
-        out = m.copy()
-        for ax in range(m.ndim):
-            lo = list(center)
-            hi = list(center)
-            lo[ax] = slice(0, -2)
-            hi[ax] = slice(2, None)
-            out = out & p[tuple(lo)] & p[tuple(hi)]
-        m = out
-    return m
-
-
-def interior_support(values: np.ndarray) -> np.ndarray:
-    """Support mask of `values`, less EDGE_EXCLUSION_CELLS cells at a compact
-    support's edge, where one-sided stencil kinks would enter the sum."""
-    mask = values > support_floor(values)
-    if not np.all(mask):
-        mask = _erode_support(mask, EDGE_EXCLUSION_CELLS)
-    return mask
 
 
 def dual_exponent(p: float) -> float:

@@ -18,7 +18,6 @@ import re
 import shutil
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -26,7 +25,6 @@ import pytest
 import qfisher
 from qfisher.cli import COMMANDS, build_parser, main
 from qfisher.densities import tsallis_entropy
-from qfisher.errors import BoundaryMassWarning
 from qfisher.grid import GridDensity
 from qfisher.version import __version__
 
@@ -37,6 +35,7 @@ SUMMARY_KEYS = {
     "tolerances",
     "results",
     "exit_status",
+    "warnings",
 }
 
 
@@ -65,11 +64,34 @@ def test_console_script_installed():
     module, _, attr = target.partition(":")
     assert callable(getattr(importlib.import_module(module), attr))
 
-    # the child must import the same qfisher as this test, however pytest was started
+    _assert_prints_version([sys.executable, "-m", "qfisher", "--version"], env=_child_env())
+
+
+def _child_env() -> dict:
+    """Environment in which a child process imports the same qfisher as this test,
+    however pytest was started."""
     package_root = str(Path(qfisher.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    _assert_prints_version([sys.executable, "-m", "qfisher", "--version"], env=env)
+    return env
+
+
+def test_warnings_print_one_line_each_and_are_listed_in_the_summary(tmp_path):
+    # a Laplace box of half-width 12 leaves boundary density 3.1e-6, which warns
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qfisher", "fisher", "--family", "laplace", "--half-width",
+         "12", "--grid-points", "2048", "--out-dir", str(out)],
+        capture_output=True, text=True, timeout=120, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert ".py:" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines and all(line.startswith("warning: BoundaryMassWarning: ") for line in lines)
+    listed = _summary(out, "fisher_summary.json")["warnings"]
+    assert [w["category"] for w in listed] == ["BoundaryMassWarning"] * len(lines)
+    assert [f"warning: {w['category']}: {w['message']}" for w in listed] == lines
+    assert all(w["count"] >= 1 for w in listed)
 
 
 @pytest.mark.skipif(shutil.which("qfisher") is None, reason="qfisher console script not installed")
@@ -136,7 +158,6 @@ def test_every_default_config_passes_strict(tmp_path, subcommand):
     assert main([subcommand, "--strict", "--out-dir", str(tmp_path / "out")]) == 0
 
 
-@pytest.mark.filterwarnings("ignore::qfisher.errors.BoundaryMassWarning")
 def test_fisher_box_is_sized_per_family(tmp_path):
     boxes = {}
     for name, family, extra in [("gauss", "gauss", []), ("laplace", "laplace", []),
@@ -225,23 +246,22 @@ def test_parameter_errors_name_their_config_keys(tmp_path, capsys, argv, keys):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::qfisher.errors.BoundaryMassWarning")
 @pytest.mark.parametrize("strict, rc", [("false", 64), (False, 0), (True, 1)])
 def test_config_file_strict_must_be_boolean(tmp_path, capsys, strict, rc):
     cfg = tmp_path / "cfg.json"
     # a Laplace box of half-width 12 leaves boundary density 3.1e-6, which warns
     cfg.write_text(json.dumps({"strict": strict, "half_width": 12.0, "grid_points": 2048}))
     out = tmp_path / "out"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(["fisher", "--family", "laplace", "--config", str(cfg),
-                     "--out-dir", str(out)]) == rc
+    assert main(["fisher", "--family", "laplace", "--config", str(cfg),
+                 "--out-dir", str(out)]) == rc
     err = capsys.readouterr().err
     if rc == 64:
         assert "key 'strict'" in err
         assert not out.exists()
-    elif rc == 0:
-        assert any(issubclass(w.category, BoundaryMassWarning) for w in caught)
+    elif rc == 0:  # main records the warning, prints it and lists it in the summary
+        assert "warning: BoundaryMassWarning: boundary density" in err
+        listed = _summary(out, "fisher_summary.json")["warnings"]
+        assert any(w["category"] == "BoundaryMassWarning" for w in listed)
     else:  # like --strict: the boundary warning becomes an error
         assert "boundary" in err
 
@@ -485,7 +505,6 @@ def test_uncertainty_saturating_profile(tmp_path):
     assert abs(s["results"]["margin"]) <= 1e-6 * s["results"]["rhs"]
 
 
-@pytest.mark.filterwarnings("ignore::qfisher.errors.BoundaryMassWarning")
 def test_strict_escalates_hygiene_warnings(tmp_path, capsys):
     # sigma 1.9 on the default box leaves just enough boundary mass to warn
     args = ["uncertainty", "--sigma", "1.9"]

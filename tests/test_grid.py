@@ -14,7 +14,7 @@ from qfisher import (
     zoo,
 )
 from qfisher.errors import BoundaryMassWarning, NonIntegrable, TruncationWarning
-from qfisher.grid import _trap_weights, interior_support
+from qfisher.grid import _trap_weights
 from qfisher.uncertainty import WaveFunction, fourier_transform
 
 
@@ -243,11 +243,3 @@ def test_boundary_checks_scan_every_axis():
     with pytest.warns(BoundaryMassWarning):
         fourier_transform(WaveFunction.from_values(grid, np.sqrt(vals)))
 
-
-def test_interior_support_erodes_only_compact_support():
-    full = np.exp(-np.linspace(-3.0, 3.0, 31) ** 2)
-    assert interior_support(full).all()
-    compact = np.zeros(31)
-    compact[10:21] = 1.0
-    mask = interior_support(compact)
-    assert np.flatnonzero(mask).tolist() == list(range(12, 19))
