@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import densities, diffusion, minimizer, uncertainty, zoo
+from . import cramer_rao, densities, diffusion, fisher, minimizer, uncertainty, zoo
 from .cramer_rao import q_cr_check
 from .divergences import chi_beta_g
 from .errors import ConfigError, NonConvergent, ParameterError, QFisherError
@@ -360,7 +360,7 @@ def cmd_fisher(params: dict) -> tuple[int, dict, dict]:
         except NonConvergent as exc:
             limit_check = {"converged": False, "error": str(exc)}
 
-    return EXIT_OK, {"limit_cauchy_tol": 1e-2}, {
+    return EXIT_OK, {"limit_cauchy_tol": fisher.LIMIT_CAUCHY_TOL}, {
         "value": q_value,
         "family_value": family_value,
         "limit_check": limit_check,
@@ -403,7 +403,9 @@ def cmd_qcr_check(params: dict) -> tuple[int, dict, dict]:
         ["q", "alpha", "lhs", "rhs", "margin", "saturated"],
         [(params["q"], params["alpha"], report.lhs, report.rhs, report.margin, report.saturated)],
     )
-    return status, {"margin": MARGIN_TOL, "saturation_rel": 1e-2}, _bound_results(report)
+    # q_cr_check calls a density saturated by its equality-field fit
+    tolerances = {"margin": MARGIN_TOL, "saturation_rel": cramer_rao.FIELD_FIT_TOL}
+    return status, tolerances, _bound_results(report)
 
 
 def cmd_minimize(params: dict) -> tuple[int, dict, dict]:
@@ -502,7 +504,8 @@ def cmd_uncertainty(params: dict) -> tuple[int, dict, dict]:
 
     report = uncertainty.uncertainty_check(psi, up)
     status = EXIT_OK if report.margin >= -MARGIN_TOL else EXIT_BOUND_VIOLATED
-    return status, {"margin": MARGIN_TOL, "saturation_rel": 1e-2}, _bound_results(report)
+    tolerances = {"margin": MARGIN_TOL, "saturation_rel": cramer_rao.SATURATION_REL_TOL}
+    return status, tolerances, _bound_results(report)
 
 
 # subcommand -> (handler, help line)

@@ -15,7 +15,8 @@ import numpy as np
 
 from .densities import escort, moment
 from .errors import JacobianSingular, SingularFisherMatrix
-from .fisher import ParametricFamily, _as_theta, _gradient_on, fisher_matrix, q_fisher
+from .fisher import (ParametricFamily, _as_theta, _gradient_on, central_difference,
+                     fisher_matrix, q_fisher)
 from .grid import GridDensity, HolderPair, dual_exponent, lp_norm, support_floor
 from .sampling import sample_density
 
@@ -62,7 +63,6 @@ class EstimationProblem:
     pair: HolderPair
     m_dim: int = 1
     norm_p: float = 2.0
-    fd_step: float = 1e-3
 
     def statistic_on_grid(self) -> np.ndarray:
         return self._eval_statistic(self.g.grid.mesh())
@@ -92,21 +92,14 @@ class EstimationProblem:
         return j
 
     def bias_derivative(self, theta) -> np.ndarray:
-        """G with G_kj = d E_{f_theta}[T_k] / d theta_j, by symmetric differences."""
-        t0 = _as_theta(theta, self.fam.theta_dim)
+        """G with G_kj = d E_{f_theta}[T_k] / d theta_j, by `central_difference`."""
         t_field = self.statistic_on_grid()
-        out = np.zeros((self.m_dim, self.fam.theta_dim))
-        for j in range(self.fam.theta_dim):
-            e = np.zeros_like(t0)
-            e[j] = 1.0
-            step = self.fd_step * max(1.0, abs(t0[j]))
-            up = self.fam.at(t0 + step * e)
-            dn = self.fam.at(t0 - step * e)
-            for k in range(self.m_dim):
-                out[k, j] = (up.expectation(t_field[k]) - dn.expectation(t_field[k])) / (
-                    2.0 * step
-                )
-        return out
+
+        def means_at(th):
+            f = self.fam.at(th)
+            return np.array([f.expectation(tk) for tk in t_field])
+
+        return np.stack(central_difference(means_at, _as_theta(theta, self.fam.theta_dim)), axis=1)
 
 
 def _error_moment(prob: EstimationProblem, theta) -> float:
@@ -169,12 +162,7 @@ def matrix_cr_check(prob: EstimationProblem, theta) -> BoundReport:
     t0 = _as_theta(theta, prob.fam.theta_dim)
     lhs = _error_moment(prob, t0)
     info = fisher_matrix(prob.fam, prob.g, t0).entries
-    grad_h = np.zeros(prob.fam.theta_dim)
-    for j in range(prob.fam.theta_dim):
-        e = np.zeros_like(t0)
-        e[j] = 1.0
-        step = prob.fd_step * max(1.0, abs(t0[j]))
-        grad_h[j] = (prob.h_at(t0 + step * e)[0] - prob.h_at(t0 - step * e)[0]) / (2.0 * step)
+    grad_h = np.array(central_difference(lambda th: prob.h_at(th)[0], t0))
     sol = _solve_fisher(info, grad_h)
     rhs = float(np.sqrt(max(grad_h @ sol, 0.0)))
     return BoundReport.make(lhs, rhs)

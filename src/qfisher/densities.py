@@ -20,6 +20,8 @@ from .grid import GridDensity, GridSpec, boundary_abs_max, lp_norm
 
 # q values closer to 1 than this are treated as the stretched-Gaussian limit.
 Q_ONE_EPS = 1e-12
+# share of the alpha-moment that suggested_half_extent leaves outside the box
+MOMENT_TAIL_REL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -121,8 +123,8 @@ def make_q_gaussian(p: QGaussianParams, grid: GridSpec) -> GridDensity:
     return GridDensity.from_values(grid, vals, normalize=True, check_boundary=not p.compact_support)
 
 
-def suggested_half_extent(p: QGaussianParams, rel_tail: float = 1e-9) -> float:
-    """Half-width that keeps alpha-moment truncation below rel_tail and the
+def suggested_half_extent(p: QGaussianParams) -> float:
+    """Half-width that keeps alpha-moment truncation below MOMENT_TAIL_REL and the
     boundary density below the warning threshold.
 
     For q < 1 the moment integrand decays like r^(alpha*q/(q-1)), so the
@@ -134,9 +136,9 @@ def suggested_half_extent(p: QGaussianParams, rel_tail: float = 1e-9) -> float:
     if p.compact_support:
         return 1.05 * p.support_radius
     if abs(p.q - 1.0) <= Q_ONE_EPS:
-        return max(8.0, 1.3 * np.log(1.0 / rel_tail) ** (1.0 / p.alpha)) * p.scale
+        return max(8.0, 1.3 * np.log(1.0 / MOMENT_TAIL_REL) ** (1.0 / p.alpha)) * p.scale
     one_m_q = 1.0 - p.q
-    growth_moment = rel_tail ** (-one_m_q / (p.alpha * p.q + p.q - 1.0))
+    growth_moment = MOMENT_TAIL_REL ** (-one_m_q / (p.alpha * p.q + p.q - 1.0))
     growth_boundary = (((0.5e-10) ** -one_m_q - 1.0) / one_m_q) ** (1.0 / p.alpha)
     return max(8.0, growth_moment, growth_boundary) * p.scale
 

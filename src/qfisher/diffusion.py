@@ -107,7 +107,12 @@ def _cfl_dt(f, slope, dx, m_exp, beta):
             dtop = float(d.max())
             if dtop <= 0.0:
                 raise UnstableStep("flat state has no gradient scale to set the step")
-            grad_part = np.maximum(d, 1e-12 * dtop) ** (beta - 2.0)
+            floor = 1e-12 * dtop
+            # for beta < 2, |D|^(beta-2) on a flat face drives the step to 0
+            if beta < 2.0 and float(d.min()) <= floor:
+                raise UnstableStep(f"beta < 2 needs every face slope above 1e-12 x the largest; "
+                                   f"{np.count_nonzero(d <= floor)} of {d.size} are not")
+            grad_part = np.maximum(d, floor) ** (beta - 2.0)
         # f_face = 0 with m < 1 gives inf, which the check below rejects
         diffusivity = (beta - 1.0) * grad_part * m_exp * f_face ** (m_exp - 1.0)
     dmax = float(diffusivity.max())

@@ -17,6 +17,12 @@ from .divergences import chi_beta_g
 from .errors import NonConvergent, SupportMismatch
 from .grid import GridDensity, GridSpec, dual_exponent, lp_norm, support_floor
 
+# central_difference steps by FD_STEP * max(1, |theta_j|)
+FD_STEP = 1e-3
+# chi2_limit_check's steps t, and the most its last two ratios may differ by
+LIMIT_STEPS = (0.2, 0.1, 0.05)
+LIMIT_CAUCHY_TOL = 1e-2
+
 
 @dataclass(frozen=True)
 class ParametricFamily:
@@ -24,14 +30,13 @@ class ParametricFamily:
 
     kind "translation" promises f(x; theta) = f0(x - theta) with theta_dim
     equal to the grid dimension, so theta-derivatives reduce to spatial ones.
-    kind "generic" differentiates density_at by symmetric differences in
+    kind "generic" differentiates density_at by `central_difference` in
     theta with one Richardson pass.
     """
 
     density_at: Callable[[np.ndarray], GridDensity]
     theta_dim: int
     kind: str = "translation"
-    fd_step: float = 1e-3
 
     def __post_init__(self):
         if self.kind not in ("translation", "generic"):
@@ -50,6 +55,19 @@ def _as_theta(theta, dim: int) -> np.ndarray:
     return t
 
 
+def central_difference(fn: Callable[[np.ndarray], np.ndarray], theta: np.ndarray,
+                       scale: float = 1.0) -> list:
+    """[(fn(theta + s e_j) - fn(theta - s e_j)) / (2 s) for each component j]
+    with s = FD_STEP * max(1, |theta_j|) * scale."""
+    out = []
+    for j in range(len(theta)):
+        e = np.zeros(len(theta))
+        e[j] = 1.0
+        s = FD_STEP * max(1.0, abs(theta[j])) * scale
+        out.append((fn(theta + s * e) - fn(theta - s * e)) / (2.0 * s))
+    return out
+
+
 def theta_gradient(fam: ParametricFamily, theta) -> tuple[GridDensity, np.ndarray]:
     """Density at theta and d f / d theta_j, stacked over components."""
     t = _as_theta(theta, fam.theta_dim)
@@ -59,20 +77,13 @@ def theta_gradient(fam: ParametricFamily, theta) -> tuple[GridDensity, np.ndarra
             raise ValueError("translation family needs theta_dim == grid dims")
         grads = np.stack([-a for a in d.spatial_gradient()])
         return d, grads
-    comps = []
-    for j in range(fam.theta_dim):
-        e = np.zeros(fam.theta_dim)
-        e[j] = 1.0
-        h = fam.fd_step * max(1.0, abs(t[j]))
 
-        def diff(step):
-            up = fam.at(t + step * e).values
-            dn = fam.at(t - step * e).values
-            return (up - dn) / (2.0 * step)
+    def values_at(th):
+        return fam.at(th).values
 
-        d1, d2 = diff(h), diff(h / 2.0)
-        comps.append((4.0 * d2 - d1) / 3.0)
-    return d, np.stack(comps)
+    # one Richardson pass over the step and half of it
+    d1, d2 = central_difference(values_at, t), central_difference(values_at, t, 0.5)
+    return d, np.stack([(4.0 * b - a) / 3.0 for a, b in zip(d1, d2)])
 
 
 def _gradient_on(fam: ParametricFamily, g: GridDensity, theta) -> np.ndarray:
@@ -150,45 +161,35 @@ def _extrapolate_to_zero(u: np.ndarray, v: np.ndarray) -> float:
     return t[0]
 
 
-def chi2_limit_check(
-    fam: ParametricFamily,
-    g: GridDensity,
-    theta,
-    beta: float,
-    steps=(0.2, 0.1, 0.05),
-    cauchy_tol: float = 1e-2,
-) -> LimitReport:
+def chi2_limit_check(fam: ParametricFamily, g: GridDensity, theta, beta: float) -> LimitReport:
     """Realize the Fisher functional as lim chi_g^beta(f_{theta+t}, f_theta)/|t|^beta.
 
+    The ratios at the LIMIT_STEPS are extrapolated to t = 0; the last two
+    must agree within LIMIT_CAUCHY_TOL (relative) or NonConvergent is raised.
     The +t and -t one-sided ratios are averaged, which makes the result an
     even function of the step for every family and cancels odd-order error
     terms; extrapolation to t = 0 is polynomial in t^2.
     """
     t0 = _as_theta(theta, fam.theta_dim)
-    steps = tuple(float(s) for s in steps)
-    if len(steps) < 2 or any(s <= 0.0 for s in steps):
-        raise ValueError("need at least two positive steps")
-    if any(b >= a for a, b in zip(steps, steps[1:])):
-        raise ValueError("steps must be strictly decreasing")
     f0 = fam.at(t0)
-    ratios = np.zeros((fam.theta_dim, len(steps)))
+    ratios = np.zeros((fam.theta_dim, len(LIMIT_STEPS)))
     limits = np.zeros(fam.theta_dim)
     for j in range(fam.theta_dim):
         e = np.zeros(fam.theta_dim)
         e[j] = 1.0
-        for k, s in enumerate(steps):
+        for k, s in enumerate(LIMIT_STEPS):
             up = chi_beta_g(fam.at(t0 + s * e), f0, g, beta).value
             dn = chi_beta_g(fam.at(t0 - s * e), f0, g, beta).value
             ratios[j, k] = 0.5 * (up + dn) / s**beta
         seq = ratios[j]
         scale = max(abs(seq[-1]), 1e-300)
-        if abs(seq[-1] - seq[-2]) > cauchy_tol * scale:
+        if abs(seq[-1] - seq[-2]) > LIMIT_CAUCHY_TOL * scale:
             raise NonConvergent(
-                f"component {j}: ratio sequence is not Cauchy at {cauchy_tol:g} "
+                f"component {j}: ratio sequence is not Cauchy at {LIMIT_CAUCHY_TOL:g} "
                 f"(last change {abs(seq[-1] - seq[-2]) / scale:.2e} relative)"
             )
-        limits[j] = _extrapolate_to_zero(np.asarray(steps) ** 2, seq)
-    return LimitReport(beta=float(beta), steps=steps, ratios=ratios, limits=limits)
+        limits[j] = _extrapolate_to_zero(np.asarray(LIMIT_STEPS) ** 2, seq)
+    return LimitReport(beta=float(beta), steps=LIMIT_STEPS, ratios=ratios, limits=limits)
 
 
 def gradient_adjoint(v: np.ndarray, axis: int, h: float) -> np.ndarray:

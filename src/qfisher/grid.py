@@ -134,6 +134,8 @@ def lp_norm(components, p: float) -> np.ndarray:
     `GridSpec.open_mesh()`); the result has their broadcast shape.  They are
     folded left to right with binary ufuncs, which is the order a reduction
     over stacked full-size components takes, so both give the same bits.
+    numpy takes an array (not a 0-d scalar) to the power 1.0, 2.0 or 0.5 as
+    a copy, `square` or `sqrt`, so p = 1 and p = 2 need no branch of their own.
     """
     comps = [np.abs(np.asarray(c, dtype=float)) for c in components]
     if len(comps) == 1:
@@ -142,10 +144,6 @@ def lp_norm(components, p: float) -> np.ndarray:
         return reduce(np.maximum, comps)
     if p < 1.0:
         raise ValueError("p-norm needs p >= 1")
-    if p == 1.0:
-        return reduce(np.add, comps)
-    if p == 2.0:
-        return np.sqrt(reduce(np.add, [c * c for c in comps]))
     return reduce(np.add, [c**p for c in comps]) ** (1.0 / p)
 
 
@@ -219,7 +217,6 @@ class GridDensity:
         *,
         normalize: bool = True,
         check_boundary: bool = True,
-        strict: bool = False,
     ) -> "GridDensity":
         """Validate, optionally renormalize, and wrap raw grid values.
 
@@ -254,8 +251,6 @@ class GridDensity:
                     f"boundary density {b:.3e} exceeds {BOUNDARY_REL_TOL:.0e} x max; "
                     "widen the grid or pass check_boundary=False for compact support"
                 )
-                if strict:
-                    raise ValueError(msg)
                 warnings.warn(msg, BoundaryMassWarning, stacklevel=2)
         return d
 

@@ -187,25 +187,24 @@ def uncertainty_check(psi: WaveFunction, p: UncertaintyParams) -> BoundReport:
     )
 
 
-def saturating_wavefunction(grid: GridSpec, p: UncertaintyParams, gamma: float | None = None) -> WaveFunction:
+def saturating_wavefunction(grid: GridSpec, p: UncertaintyParams) -> WaveFunction:
     """Equality case of the bound: |psi|^k is a generalized Gaussian of order q.
 
     Builds the alpha = 2 generalized Gaussian with the params' q and returns
     its (1/k)-th power, L2-normalized.  At q = 1 this is the plain Gaussian.
+    Dilations leave the product invariant, so its scale gamma is chosen from
+    the box: |psi| = shape^(1/k) decays below 1e-9 of its peak inside it.
     """
-    if gamma is None:
-        # dilations leave the product invariant, so the scale is free; pick it
-        # so |psi| = shape^(1/k) decays below 1e-9 of its peak inside the box
-        half = min((hi - lo) / 2.0 for lo, hi in zip(grid.lo, grid.hi))
-        eps = 1e-9
-        if p.q > 1.0:
-            # compact support radius 1/sqrt(gamma (q-1)); keep it inside the box
-            gamma = 1.0 / ((p.q - 1.0) * (0.6 * half) ** 2)
-        elif p.q == 1.0:
-            gamma = p.k * math.log(1.0 / eps) / (0.8 * half) ** 2
-        else:
-            one_m_q = 1.0 - p.q
-            gamma = (eps ** (-p.k * one_m_q) - 1.0) / (one_m_q * (0.8 * half) ** 2)
+    half = min((hi - lo) / 2.0 for lo, hi in zip(grid.lo, grid.hi))
+    eps = 1e-9
+    if p.q > 1.0:
+        # compact support radius 1/sqrt(gamma (q-1)); keep it inside the box
+        gamma = 1.0 / ((p.q - 1.0) * (0.6 * half) ** 2)
+    elif p.q == 1.0:
+        gamma = p.k * math.log(1.0 / eps) / (0.8 * half) ** 2
+    else:
+        one_m_q = 1.0 - p.q
+        gamma = (eps ** (-p.k * one_m_q) - 1.0) / (one_m_q * (0.8 * half) ** 2)
     shape_params = QGaussianParams(q=p.q, alpha=2.0, gamma=gamma, dims=grid.dims)
     dens = make_q_gaussian(shape_params, grid)
     return WaveFunction.from_values(grid, dens.values ** (1.0 / p.k), normalize=True)

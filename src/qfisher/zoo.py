@@ -26,11 +26,11 @@ def _envelope(grid: GridSpec) -> np.ndarray:
     return np.exp(-e)
 
 
-def _smooth_field(grid: GridSpec, rng: np.random.Generator, n_modes: int) -> np.ndarray:
+def _smooth_field(grid: GridSpec, rng: np.random.Generator, modes: int) -> np.ndarray:
     field = np.zeros(grid.shape)
     mesh = grid.open_mesh()
-    for _ in range(n_modes):
-        amp = rng.normal(0.0, 1.0) / np.sqrt(n_modes)
+    for _ in range(modes):
+        amp = rng.normal(0.0, 1.0) / np.sqrt(modes)
         arg = rng.uniform(0.0, 2.0 * np.pi)  # the phase
         for ax, x in enumerate(mesh):
             span = grid.hi[ax] - grid.lo[ax]
@@ -40,10 +40,10 @@ def _smooth_field(grid: GridSpec, rng: np.random.Generator, n_modes: int) -> np.
     return field
 
 
-def random_density(grid: GridSpec, seed: int, n_modes: int = 6) -> GridDensity:
-    """Strictly positive, smooth, boundary-negligible random density."""
+def random_density(grid: GridSpec, seed: int) -> GridDensity:
+    """Strictly positive, smooth, boundary-negligible random density of 6 modes."""
     rng = np.random.default_rng(seed)
-    field = _smooth_field(grid, rng, n_modes)
+    field = _smooth_field(grid, rng, 6)
     vals = np.logaddexp(0.0, 3.0 * field) * _envelope(grid)
     return GridDensity.from_values(grid, vals, normalize=True)
 
@@ -99,13 +99,13 @@ def mixture_density(grid: GridSpec, centers, sigmas, weights) -> GridDensity:
     return GridDensity.from_values(grid, vals, normalize=True)
 
 
-def random_wavefunction(grid: GridSpec, seed: int, n_modes: int = 5):
-    """Complex smooth random field with Gaussian envelope, L2-normalized values.
+def random_wavefunction(grid: GridSpec, seed: int):
+    """Complex smooth random field of 5 modes per part with Gaussian envelope.
 
     Returned as raw complex values; wrap with uncertainty.WaveFunction.
     """
     rng = np.random.default_rng(seed)
-    re = _smooth_field(grid, rng, n_modes)
-    im = _smooth_field(grid, rng, n_modes)
+    re = _smooth_field(grid, rng, 5)
+    im = _smooth_field(grid, rng, 5)
     vals = (1.0 + 0.5 * re + 0.5j * im) * _envelope(grid)
     return vals

@@ -158,6 +158,25 @@ def test_every_default_config_passes_strict(tmp_path, subcommand):
     assert main([subcommand, "--strict", "--out-dir", str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize("subcommand,module,name,key", [
+    ("fisher", "fisher", "LIMIT_CAUCHY_TOL", "limit_cauchy_tol"),
+    ("qcr-check", "cramer_rao", "FIELD_FIT_TOL", "saturation_rel"),
+    ("uncertainty", "cramer_rao", "SATURATION_REL_TOL", "saturation_rel"),
+])
+def test_summary_tolerance_is_the_constant_applied(tmp_path, monkeypatch, subcommand, module,
+                                                   name, key):
+    mod = importlib.import_module(f"qfisher.{module}")
+    out = tmp_path / "default"
+    assert main([subcommand, "--out-dir", str(out)]) == 0
+    summary_name = f"{subcommand.replace('-', '_')}_summary.json"
+    assert _summary(out, summary_name)["tolerances"][key] == getattr(mod, name)
+    # the summary follows the constant the library reads, not a copy of it
+    monkeypatch.setattr(mod, name, 0.02)
+    out = tmp_path / "patched"
+    assert main([subcommand, "--out-dir", str(out)]) == 0
+    assert _summary(out, summary_name)["tolerances"][key] == 0.02
+
+
 def test_fisher_box_is_sized_per_family(tmp_path):
     boxes = {}
     for name, family, extra in [("gauss", "gauss", []), ("laplace", "laplace", []),
@@ -479,6 +498,17 @@ def test_debruijn_coarse_grid_reports_violation(tmp_path):
     s = _summary(out, "debruijn_summary.json")
     assert s["exit_status"] == 2
     assert s["results"]["worst_rel_err"] > 2e-2
+
+
+def test_debruijn_beta_below_2_on_flat_faces_is_an_error(tmp_path, capsys):
+    # the default start has flat faces, where |D|^(beta-2) leaves no usable
+    # step; the run stops at once instead of crawling in vanishing steps
+    rc = main(["debruijn", "--beta", "1.5", "--points", "256", "--t-final", "0.05",
+               "--n-checks", "2", "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error:")] == err[:1]
+    assert "beta < 2" in err[0]
 
 
 def test_debruijn_fast_diffusion_on_zero_tails_is_an_error(tmp_path, capsys):

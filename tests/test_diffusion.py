@@ -117,6 +117,23 @@ def test_flat_state_has_no_stable_scale():
     np.testing.assert_array_equal(step(s2, dt).density.values, flat.values)
 
 
+def test_slow_p_laplacian_needs_no_flat_face():
+    # for beta < 2 the diffusivity |D|^(beta-2) diverges where a face is
+    # flat, so the CFL step is refused rather than shrunk towards 0; the
+    # 0.05-wide start on [-3, 3] underflows in its tails and, at an even
+    # node count, has a zero slope at its central face
+    grid = GridSpec.line(-3.0, 3.0, 256)
+    s = DiffusionState(density=zoo.gaussian_density(grid, 0.0, 0.05), t=0.0, m_exp=1.0, beta=1.5)
+    with pytest.raises(UnstableStep, match="223 of 255"):
+        stable_dt(s)
+    # a start whose every face has slope keeps a usable step
+    grid = GridSpec.line(-3.0, 3.0, 255)
+    values = np.exp(-0.5 * grid.axes()[0] ** 2)
+    dens = GridDensity.from_values(grid, values, check_boundary=False)
+    s = DiffusionState(density=dens, t=0.0, m_exp=1.0, beta=1.5)
+    assert stable_dt(s) == pytest.approx(3.07e-5, rel=1e-2)
+
+
 def test_fast_diffusion_needs_positive_values():
     # for m < 1 the diffusivity m f^(m-1) is infinite where f = 0, so no
     # step can be stable on a compactly supported state
