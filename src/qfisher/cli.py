@@ -214,16 +214,22 @@ def _resolve_config(ns: argparse.Namespace, schema: dict) -> dict:
     return params
 
 
+def _key_error(exc: ParameterError, params: dict, keys: dict) -> ConfigError:
+    """The config error for a broken parameter rule, naming the config keys
+    (`keys` maps library parameter names to them)."""
+    named = [keys[name] for name in exc.names]
+    which = " and ".join(f"'{key}'" for key in named)
+    got = " and ".join(str(params[key]) for key in named)
+    noun = "key" if len(named) == 1 else "keys"
+    return ConfigError(f"{noun} {which} {exc.rule}, got {got}")
+
+
 def _build(cls, params: dict, **keys: str):
     """`cls` with each field set from its config key; a rule it breaks names those keys."""
     try:
         return cls(**{name: params[key] for name, key in keys.items()})
     except ParameterError as exc:
-        named = [keys[name] for name in exc.names]
-        which = " and ".join(f"'{key}'" for key in named)
-        got = " and ".join(str(params[key]) for key in named)
-        noun = "key" if len(named) == 1 else "keys"
-        raise ConfigError(f"{noun} {which} {exc.rule}, got {got}") from exc
+        raise _key_error(exc, params, keys) from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -444,6 +450,7 @@ def cmd_minimize(params: dict) -> tuple[int, dict, dict]:
         "stalled": bool(result.stalled),
         "n_iters": result.n_iters,
         "l1_to_fitted_q_gaussian": l1,
+        "counters": dataclasses.asdict(result.counters),
     }
 
 
@@ -458,9 +465,12 @@ def cmd_debruijn(params: dict) -> tuple[int, dict, dict]:
         m_exp=params["m"],
         beta=params["beta"],
     )
-    reports = diffusion.debruijn_series(
-        state, params["t_final"], params["n_checks"], t_burn=params["t_burn"]
-    )
+    try:
+        reports = diffusion.debruijn_series(
+            state, params["t_final"], params["n_checks"], t_burn=params["t_burn"]
+        )
+    except ParameterError as exc:
+        raise _key_error(exc, params, {"m_exp": "m", "beta": "beta"}) from exc
 
     out = _out_dir(params)
     rows = [

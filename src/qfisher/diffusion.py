@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .densities import Q_ONE_EPS, m_q_functional, tsallis_entropy
-from .errors import UnstableStep
+from .errors import ParameterError, UnstableStep
 from .fisher import q_fisher
 from .grid import GridDensity, support_floor
 
@@ -278,9 +278,17 @@ def debruijn_check(state: DiffusionState) -> DeBruijnReport:
 def debruijn_series(
     state: DiffusionState, t_final: float, n_checks: int, t_burn: float = 0.0
 ) -> list[DeBruijnReport]:
-    """Evolve to t_final, running the identity check at n_checks sample times."""
+    """Evolve to t_final, running the identity check at n_checks sample times.
+
+    The entropy S_q exists only for q > 0, so an (m, beta) whose matched
+    order q = m + 1 - 1/(beta - 1) is not positive is refused before any
+    evolution; the flow itself (`evolve`) is defined for it.
+    """
     if n_checks < 1:
         raise ValueError("need at least one check")
+    if not state.q > 0.0:
+        raise ParameterError(("m_exp", "beta"), "must give a positive entropy order "
+                             f"q = m + 1 - 1/(beta - 1) (q = {state.q:g})")
     t0 = max(t_burn, state.t)
     times = np.linspace(t0, t_final, n_checks)
     out = []

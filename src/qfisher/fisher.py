@@ -9,13 +9,22 @@ and the (beta, q) form driven by a single density via its escort pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .divergences import chi_beta_g
 from .errors import NonConvergent, SupportMismatch
-from .grid import GridDensity, GridSpec, dual_exponent, lp_norm, support_floor
+from .grid import (
+    GridDensity,
+    GridSpec,
+    along,
+    axis_gradient,
+    dual_exponent,
+    lp_norm,
+    support_floor,
+)
 
 # central_difference steps by FD_STEP * max(1, |theta_j|)
 FD_STEP = 1e-3
@@ -195,71 +204,93 @@ def chi2_limit_check(fam: ParametricFamily, g: GridDensity, theta, beta: float) 
 def gradient_adjoint(v: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Exact adjoint of np.gradient along one axis (central interior stencil,
     one-sided edges).  Verified against the dot-product identity in the tests."""
-    v = np.moveaxis(v, axis, 0)
     out = np.zeros_like(v)
     inv = 1.0 / h
-    out[2:] += v[1:-1] * (0.5 * inv)
-    out[:-2] -= v[1:-1] * (0.5 * inv)
-    out[0] -= v[0] * inv
-    out[1] += v[0] * inv
-    out[-1] += v[-1] * inv
-    out[-2] -= v[-1] * inv
-    return np.moveaxis(out, 0, axis)
+    inner = v[along(axis, slice(1, -1))] * (0.5 * inv)
+    out[along(axis, slice(2, None))] += inner
+    out[along(axis, slice(None, -2))] -= inner
+    first = v[along(axis, 0)] * inv
+    out[along(axis, 0)] -= first
+    out[along(axis, 1)] += first
+    last = v[along(axis, -1)] * inv
+    out[along(axis, -1)] += last
+    out[along(axis, -2)] -= last
+    return out
 
 
-def q_fisher_parts(
-    g: GridDensity, beta: float, q: float, norm_p: float = 2.0, *, gradient: bool = False
-) -> tuple[float, np.ndarray | None]:
-    """I_{beta,q}[g] and, with `gradient`, its derivative in the node values of g.
+class QFisherKernel:
+    """The one discrete (beta, q)-Fisher functional I_{beta,q}, set up for a grid.
 
-    This is the one discrete (beta, q)-Fisher functional: `q_fisher`, the
-    checks built on it and the minimizer's objective all evaluate it.  The
-    integrand is ||grad g||_*^beta g^e with e = beta(q-1)+1-beta, summed by
-    the trapezoid rule over the nodes above the support floor, and scaled by
-    (q/M_q)^beta.  The derivative differentiates that sum exactly, through the
-    adjoint of np.gradient, so a line search sees a consistent slope.
+    `q_fisher`, the checks built on it and the minimizer's objective all
+    evaluate it.  The integrand is ||grad g||_*^beta g^e with
+    e = beta(q-1)+1-beta, summed by the trapezoid rule over the nodes above
+    the support floor, and scaled by (q/M_q)^beta.  The gradient is the
+    np.gradient stencil (`grid.axis_gradient`).  The weights, the spacing, e
+    and the dual norm are fixed here once; `parts` evaluates on raw node
+    values, so a caller that evaluates many densities on one grid (the
+    minimizer's line search) pays for them once.
     """
-    if not beta > 1.0:
-        raise ValueError("beta must exceed 1")
-    if not (q > 0.0 and np.isfinite(q)):
-        raise ValueError("q must be a positive real")
-    dual = dual_exponent(norm_p)
-    gv = g.values
-    w = g.grid.trap_weights()
-    grads = g.spatial_gradient()
-    dens_u = lp_norm(grads, dual)
 
-    e = beta * (q - 1.0) + 1.0 - beta
-    mask = gv > support_floor(gv)
-    g_safe = np.where(mask, gv, 1.0)
-    g_pow = g_safe**e
-    phi = float((w * np.where(mask, dens_u**beta * g_pow, 0.0)).sum())
-    m_q = float((w * gv**q).sum())
-    pref = (q / m_q) ** beta
-    value = pref * phi
-    if not gradient:
-        return value, None
+    def __init__(self, grid: GridSpec, beta: float, q: float, norm_p: float = 2.0):
+        if not beta > 1.0:
+            raise ValueError("beta must exceed 1")
+        if not (q > 0.0 and np.isfinite(q)):
+            raise ValueError("q must be a positive real")
+        self.spacing = grid.spacing
+        self.beta = beta
+        self.q = q
+        self.dual = dual_exponent(norm_p)
+        self.e = beta * (q - 1.0) + 1.0 - beta
+        self.weights = grid.trap_weights()
 
-    # dI = I * (-beta dM_q / M_q) + pref * dPhi
-    grad = value * (-beta * q * w * gv ** (q - 1.0) / m_q)
-    if e != 0.0:
-        grad += pref * np.where(mask, w * e * dens_u**beta * g_pow / g_safe, 0.0)
-    u_mask = dens_u > 0.0
-    u_safe = np.where(u_mask, dens_u, 1.0)
-    common = np.where(mask & u_mask, w * beta * u_safe ** (beta - dual) * g_pow, 0.0)
-    for axis, dg in enumerate(grads):
-        v = common * np.sign(dg) * np.abs(dg) ** (dual - 1.0)
-        grad += pref * gradient_adjoint(v, axis, g.grid.spacing[axis])
-    return value, grad
+    @cached_property
+    def _gradient_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The weights times -beta q, e and beta: the constant factors of dI/dg."""
+        w = self.weights
+        return -self.beta * self.q * w, w * self.e, w * self.beta
+
+    def parts(self, gv: np.ndarray, gradient: bool = False) -> tuple[float, np.ndarray | None]:
+        """I_{beta,q} at node values `gv` (of trapezoid mass 1) and, with
+        `gradient`, its derivative in them.
+
+        The derivative differentiates the discrete sum exactly, through the
+        adjoint of np.gradient, so a line search sees a consistent slope.
+        """
+        beta, q, dual, e, w = self.beta, self.q, self.dual, self.e, self.weights
+        grads = [axis_gradient(gv, a, h) for a, h in enumerate(self.spacing)]
+        dens_u = lp_norm(grads, dual)
+
+        mask = gv > support_floor(gv)
+        g_safe = np.where(mask, gv, 1.0)
+        g_pow = g_safe**e
+        phi = float((w * np.where(mask, dens_u**beta * g_pow, 0.0)).sum())
+        m_q = float((w * gv**q).sum())
+        pref = (q / m_q) ** beta
+        value = pref * phi
+        if not gradient:
+            return value, None
+
+        w_mq, w_e, w_beta = self._gradient_weights
+        # dI = I * (-beta dM_q / M_q) + pref * dPhi
+        grad = value * (w_mq * gv ** (q - 1.0) / m_q)
+        if e != 0.0:
+            grad += pref * np.where(mask, w_e * dens_u**beta * g_pow / g_safe, 0.0)
+        u_mask = dens_u > 0.0
+        u_safe = np.where(u_mask, dens_u, 1.0)
+        common = np.where(mask & u_mask, w_beta * u_safe ** (beta - dual) * g_pow, 0.0)
+        for axis, (dg, h) in enumerate(zip(grads, self.spacing)):
+            v = common * np.sign(dg) * np.abs(dg) ** (dual - 1.0)
+            grad += pref * gradient_adjoint(v, axis, h)
+        return value, grad
 
 
 def q_fisher(g: GridDensity, beta: float, q: float, norm_p: float = 2.0) -> float:
     """I_{beta,q}[g] = (q/M_q)^beta E_g[ g^{beta(q-1)} ||grad ln g||_*^beta ].
 
     The integrand is evaluated as ||grad g||_*^beta g^{beta(q-1)+1-beta},
-    which stays bounded at compact-support edges; see `q_fisher_parts`.
+    which stays bounded at compact-support edges; see `QFisherKernel`.
     """
-    return q_fisher_parts(g, beta, q, norm_p)[0]
+    return QFisherKernel(g.grid, beta, q, norm_p).parts(g.values)[0]
 
 
 @dataclass(frozen=True)

@@ -147,6 +147,27 @@ def lp_norm(components, p: float) -> np.ndarray:
     return reduce(np.add, [c**p for c in comps]) ** (1.0 / p)
 
 
+def along(axis: int, index) -> tuple:
+    """Index tuple that applies `index` (an int or a slice) to one axis only."""
+    return (slice(None),) * axis + (index,)
+
+
+def axis_gradient(values: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """np.gradient(values, h, axis=axis) by slices: the central difference
+    inside, one-sided differences at the two ends of the axis.
+
+    The arithmetic is np.gradient's own (the difference divided by 2h, or
+    by h at the ends), so the two agree bit for bit on any float grid.
+    """
+    v = np.asarray(values, dtype=float)
+    out = np.empty_like(v)
+    out[along(axis, slice(1, -1))] = (
+        v[along(axis, slice(2, None))] - v[along(axis, slice(None, -2))]) / (2.0 * h)
+    out[along(axis, 0)] = (v[along(axis, 1)] - v[along(axis, 0)]) / h
+    out[along(axis, -1)] = (v[along(axis, -1)] - v[along(axis, -2)]) / h
+    return out
+
+
 def boundary_abs_max(values) -> float:
     """Largest |value| on the outer faces of a grid-shaped array."""
     v = np.asarray(values)
@@ -299,8 +320,7 @@ class GridDensity:
 
     def spatial_gradient(self) -> list[np.ndarray]:
         """Central-difference gradient per axis (one-sided at the domain edge)."""
-        g = np.gradient(self.values, *self.grid.spacing)
-        return list(g) if isinstance(g, (list, tuple)) else [g]
+        return [axis_gradient(self.values, a, h) for a, h in enumerate(self.grid.spacing)]
 
     def on_shifted_grid(self, delta) -> "GridDensity":
         """Same values with the origin moved to `delta` (pure relabeling)."""

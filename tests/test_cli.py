@@ -18,6 +18,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -438,6 +439,12 @@ def test_minimize_writes_trace_and_density(tmp_path):
     assert len(trace) - 1 == s["results"]["n_iters"] + 1  # trace includes iter 0
     assert (out / "minimize_final_density.json").is_file()
     assert (out / "minimize_final_density.csv").is_file()
+    # every objective evaluation is the start's, an accepted step's or a
+    # rejected line-search trial's
+    c = s["results"]["counters"]
+    assert set(c) == {"evaluations", "rejected_trials"}
+    assert c["evaluations"] > 1 + s["results"]["n_iters"] > 1
+    assert c["evaluations"] <= 1 + s["results"]["n_iters"] + c["rejected_trials"]
 
 
 def test_debruijn_fine_grid_passes(tmp_path):
@@ -503,12 +510,29 @@ def test_debruijn_coarse_grid_reports_violation(tmp_path):
 def test_debruijn_beta_below_2_on_flat_faces_is_an_error(tmp_path, capsys):
     # the default start has flat faces, where |D|^(beta-2) leaves no usable
     # step; the run stops at once instead of crawling in vanishing steps
-    rc = main(["debruijn", "--beta", "1.5", "--points", "256", "--t-final", "0.05",
+    # (m = 2 keeps the entropy order q = 1 positive at beta = 1.5)
+    rc = main(["debruijn", "--m", "2", "--beta", "1.5", "--points", "256", "--t-final", "0.05",
                "--n-checks", "2", "--out-dir", str(tmp_path / "out")])
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert [line for line in err if line.startswith("error:")] == err[:1]
     assert "beta < 2" in err[0]
+
+
+@pytest.mark.parametrize("beta, q", [("1.2", "-3"), ("1.5", "0")])
+def test_debruijn_nonpositive_entropy_order_is_config_error(tmp_path, capsys, beta, q):
+    # q = m + 1 - 1/(beta - 1) <= 0 has no Tsallis entropy to check; refused
+    # before any evolution (q = -3 used to run on past a minute, q = 0 to crash)
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    rc = main(["debruijn", "--beta", beta, "--points", "255", "--sigma0", "1.0",
+               "--t-final", "0.05", "--n-checks", "2", "--out-dir", str(out)])
+    assert time.perf_counter() - start < 2.0
+    assert rc == 64
+    err = capsys.readouterr().err.splitlines()[0]
+    assert err.startswith("config error: keys 'm' and 'beta'")
+    assert f"(q = {q})" in err
+    assert not out.exists()
 
 
 def test_debruijn_fast_diffusion_on_zero_tails_is_an_error(tmp_path, capsys):

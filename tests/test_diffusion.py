@@ -9,6 +9,7 @@ from qfisher import (
     DiffusionState,
     GridDensity,
     GridSpec,
+    ParameterError,
     UnstableStep,
     debruijn_check,
     debruijn_series,
@@ -237,6 +238,19 @@ def test_series_validates_n_checks():
     s = _heat_state(points=512)
     with pytest.raises(ValueError):
         debruijn_series(s, t_final=0.01, n_checks=0)
+
+
+@pytest.mark.parametrize("m_exp, beta", [(1.0, 1.2), (1.0, 1.5), (0.2, 1.8)])
+def test_series_refuses_nonpositive_entropy_order(m_exp, beta):
+    # the flow is defined, S_q is not: refused before the first evolve
+    grid = GridSpec.line(-3.0, 3.0, 255)
+    s = DiffusionState(density=zoo.gaussian_density(grid, 0.0, 0.3), t=0.0, m_exp=m_exp,
+                       beta=beta)
+    assert s.q <= 0.0
+    with pytest.raises(ParameterError) as info:
+        debruijn_series(s, t_final=0.05, n_checks=2)
+    assert info.value.names == ("m_exp", "beta")
+    assert s.counters.rhs_evals == 0
 
 
 def _explicit_loop(state, t_final):

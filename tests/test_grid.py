@@ -15,7 +15,7 @@ from qfisher import (
     zoo,
 )
 from qfisher.errors import BoundaryMassWarning, NonIntegrable, TruncationWarning
-from qfisher.grid import _trap_weights
+from qfisher.grid import _trap_weights, axis_gradient
 from qfisher.uncertainty import WaveFunction, fourier_transform
 
 
@@ -128,6 +128,22 @@ def test_lp_norm_accepts_broadcastable_components(p):
         x, y = (np.abs(c) for c in full[:2])
         plain = x + y if p == 1.0 else np.sqrt(x * x + y * y)
         assert np.array_equal(lp_norm(full[:2], p), plain)
+
+
+@pytest.mark.parametrize("shape", [(64,), (2,), (3,), (24, 17), (2, 9), (7, 4, 3), (5, 2, 6)])
+def test_axis_gradient_equals_np_gradient_bit_for_bit(shape):
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=shape)
+    spacing = tuple(rng.uniform(0.01, 2.0, size=len(shape)))
+    for axis, h in enumerate(spacing):
+        ref = np.gradient(values, h, axis=axis)
+        assert axis_gradient(values, axis, h).tobytes() == ref.tobytes()
+    grid = GridSpec(tuple(-h for h in spacing), tuple(h * (n - 2) for h, n in zip(spacing, shape)),
+                    shape)
+    dens = GridDensity.from_values(grid, np.exp(values), check_boundary=False)
+    ref = np.gradient(dens.values, *grid.spacing)
+    ref = list(ref) if isinstance(ref, (list, tuple)) else [ref]
+    assert [a.tobytes() for a in dens.spatial_gradient()] == [a.tobytes() for a in ref]
 
 
 def test_dual_exponent_pairs():
