@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 # Descend the moment-information product over densities on a grid.
-# Start from a bimodal mixture; the exponentiated-gradient iteration should
+# Start from a bimodal mixture; the quasi-Newton descent over log g should
 # flow to the matched q-Gaussian, driving the product down to the dimension.
+# The product is that of the piecewise-linear interpolant, a density, so it
+# never falls below the bound; a tolerance the descent cannot reach at a useful
+# pace ends on a reported stall.
 #
 # Usage: python3 demos/minimize_product.py
 
@@ -23,5 +26,6 @@ for i in sorted(set(m for m in marks if 0 <= m < len(res.objective_trace))):
 
 fitted = densities.fit_q_gaussian(res.argmin, Q, ALPHA, 2.0)
 print(f"\nfinal product        : {res.objective:.8f}  (bound: 1)")
-print(f"iterations used      : {res.n_iters}  converged: {res.converged}")
+print(f"iterations used      : {res.n_iters}  converged: {res.converged}  "
+      f"stalled: {res.stalled}")
 print(f"L1 gap to fitted q-Gaussian: {densities.l1_distance(res.argmin, fitted):.4f}")

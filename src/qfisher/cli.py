@@ -458,6 +458,11 @@ def cmd_debruijn(params: dict) -> tuple[int, dict, dict]:
     if not 0.0 <= params["t_burn"] < params["t_final"]:
         raise ConfigError("t_burn must lie in [0, t_final)")
 
+    try:
+        diffusion.check_entropy_order(params["m"], params["beta"])
+    except ParameterError as exc:
+        raise _key_error(exc, params, {"m_exp": "m", "beta": "beta"}) from exc
+
     grid = _line_grid(params["half_width"], params["points"])
     state = diffusion.DiffusionState(
         density=zoo.gaussian_density(grid, 0.0, params["sigma0"]),
@@ -465,12 +470,9 @@ def cmd_debruijn(params: dict) -> tuple[int, dict, dict]:
         m_exp=params["m"],
         beta=params["beta"],
     )
-    try:
-        reports = diffusion.debruijn_series(
-            state, params["t_final"], params["n_checks"], t_burn=params["t_burn"]
-        )
-    except ParameterError as exc:
-        raise _key_error(exc, params, {"m_exp": "m", "beta": "beta"}) from exc
+    reports = diffusion.debruijn_series(
+        state, params["t_final"], params["n_checks"], t_burn=params["t_burn"]
+    )
 
     out = _out_dir(params)
     rows = [

@@ -13,10 +13,10 @@ from typing import Callable
 
 import numpy as np
 
-from .densities import escort, moment
+from .densities import escort, moment, warn_if_truncated
 from .errors import JacobianSingular, SingularFisherMatrix
 from .fisher import (ParametricFamily, _as_theta, _gradient_on, central_difference,
-                     fisher_matrix, q_fisher)
+                     fisher_matrix, p1_moment_weights, q_fisher)
 from .grid import GridDensity, HolderPair, dual_exponent, lp_norm, support_floor
 from .sampling import sample_density
 
@@ -290,7 +290,13 @@ def q_cr_check(g: GridDensity, pair: HolderPair, q: float, norm_p: float = 2.0) 
     the equality condition through the escort pair f = g^q / M_q.
     """
     alpha, beta = pair.alpha, pair.beta
-    m_alpha = moment(g, alpha, norm_p)
+    if g.grid.dims == 1:
+        # the alpha-moment of the P1 interpolant, which q_fisher integrates
+        summand = p1_moment_weights(g.grid, alpha) * g.values
+        warn_if_truncated(summand)
+        m_alpha = float(summand.sum())
+    else:
+        m_alpha = moment(g, alpha, norm_p)
     info = q_fisher(g, beta, q, norm_p)
     lhs = m_alpha ** (1.0 / alpha) * info ** (1.0 / beta)
     rhs = float(g.grid.dims)

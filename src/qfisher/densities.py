@@ -162,6 +162,12 @@ def moment(g: GridDensity, alpha: float, norm_p: float = 2.0) -> float:
         raise ValueError("norm_p must be >= 1")
     r = g.grid.radius(norm_p)
     integrand = r**alpha * g.values
+    warn_if_truncated(integrand)
+    return g.integral(integrand)
+
+
+def warn_if_truncated(integrand: np.ndarray) -> None:
+    """TruncationWarning when a moment integrand is not negligible at the boundary."""
     imax = float(integrand.max())
     if imax > 0.0:
         bmax = boundary_abs_max(integrand)
@@ -170,9 +176,8 @@ def moment(g: GridDensity, alpha: float, norm_p: float = 2.0) -> float:
                 f"moment integrand at boundary is {bmax / imax:.2e} of its max; "
                 "value is likely truncated",
                 TruncationWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
-    return g.integral(integrand)
 
 
 def m_q_functional(g: GridDensity, q: float) -> float:
@@ -276,6 +281,9 @@ def fit_q_gaussian(g: GridDensity, q: float, alpha: float, norm_p: float = 2.0) 
     Uses m_alpha = 1/(gamma*(q*alpha + q - 1)), exact for this family.
     """
     m = moment(g, alpha, norm_p)
+    if not m > 0.0:
+        raise GridTooCoarse("the density's alpha-moment is 0 on this grid: all its mass "
+                            "sits at the origin node")
     gamma = q_gaussian_moment_scale(q, alpha) / m
     p = QGaussianParams(q=q, alpha=alpha, gamma=gamma, dims=g.grid.dims, norm_p=norm_p)
     r = g.grid.radius(norm_p)

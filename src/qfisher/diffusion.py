@@ -2,10 +2,10 @@
 and the entropy-production identity it satisfies.
 
 The flux F = |D|^(beta-2) D with D = d(f^m)/dx is evaluated at cell faces and
-telescoped, so the plain node sum (hence the mass) is conserved to rounding
-as long as nothing reaches the domain ends; boundary fluxes are pinned to
-zero.  `evolve` moves between checkpoints with second-order
-Runge-Kutta-Legendre (RKL2) super steps on raw arrays (Meyer, Balsara &
+telescoped over control volumes of width dx, half that at the two end nodes
+(the trapezoid weights), so the trapezoid mass is conserved to rounding;
+boundary fluxes are pinned to zero.  `evolve` moves between checkpoints with
+second-order Runge-Kutta-Legendre (RKL2) super steps on raw arrays (Meyer, Balsara &
 Aslam, J. Comput. Phys. 257, 2014): s stages span up to (s^2+s-2)/4 CFL
 steps.  RKL2 damps stiff modes weakly, so a super step never spans more
 than the time in which the fastest node moves by RKL2_MAX_CHANGE of max f,
@@ -14,7 +14,7 @@ explicit Euler step.  Along the flow, with alpha the Holder conjugate of
 beta and q = m + 1 - alpha/beta, the Tsallis entropy S_q grows at the rate
 (m/q)^(beta-1) M_q[f]^beta I_{beta,q}[f].  `debruijn_check` takes the left
 side exactly on the semi-discrete flow, at the state itself: dS_q/dt is the
-node sum of s'(f) L(f) h, one flux evaluation and no time step.
+trapezoid sum of s'(f) L(f), one flux evaluation and no time step.
 """
 
 from __future__ import annotations
@@ -34,6 +34,21 @@ RKL2_MAX_STAGES = 20
 # a super step spans at most the time in which max |L(f)| moves a node by
 # this fraction of max f
 RKL2_MAX_CHANGE = 0.05
+
+
+def matched_order(m_exp: float, beta: float) -> float:
+    """Entropy order matched to the flow: q = m + 1 - alpha/beta."""
+    alpha = beta / (beta - 1.0)
+    return m_exp + 1.0 - alpha / beta
+
+
+def check_entropy_order(m_exp: float, beta: float) -> None:
+    """ParameterError unless the matched order is positive: the entropy S_q
+    exists only for q > 0, though the flow itself is defined for any order."""
+    q = matched_order(m_exp, beta)
+    if not q > 0.0:
+        raise ParameterError(("m_exp", "beta"), "must give a positive entropy order "
+                             f"q = m + 1 - 1/(beta - 1) (q = {q:g})")
 
 
 @dataclass
@@ -75,8 +90,7 @@ class DiffusionState:
 
     @property
     def q(self) -> float:
-        """Entropy order matched to the flow: q = m + 1 - alpha/beta."""
-        return self.m_exp + 1.0 - self.alpha / self.beta
+        return matched_order(self.m_exp, self.beta)
 
     @property
     def dx(self) -> float:
@@ -84,13 +98,15 @@ class DiffusionState:
 
 
 def _flux_divergence(f, dx, m_exp, beta):
-    """L(f) = dF/dx at the nodes with zero boundary flux, and the face slope D."""
+    """L(f) = dF/dx at the nodes with zero boundary flux, and the face slope D.
+
+    The end nodes' control volumes are dx/2 wide: their divergence is doubled."""
     fm = f**m_exp
     slope = (fm[1:] - fm[:-1]) / dx
     # sign(D)*|D|^(beta-1) is |D|^(beta-2)*D without the 0^negative hazard
     flux = slope if beta == 2.0 else np.sign(slope) * np.abs(slope) ** (beta - 1.0)
     div = np.empty_like(f)
-    div[0], div[-1] = flux[0], -flux[-1]
+    div[0], div[-1] = 2.0 * flux[0], -2.0 * flux[-1]
     np.subtract(flux[1:], flux[:-1], out=div[1:-1])
     div /= dx
     return div, slope
@@ -246,9 +262,10 @@ class DeBruijnReport:
 def debruijn_check(state: DiffusionState) -> DeBruijnReport:
     """Compare dS_q/dt against the entropy-production functional at `state`.
 
-    The derivative is that of the semi-discrete flow, sum_i h s'(f_i) L(f)_i
-    with s'(f) = q f^(q-1)/(1-q), or -ln f at q = 1 (its constant drops out,
-    as L(f) sums to 0); by summation by parts it equals
+    The derivative is that of the semi-discrete flow, sum_i w_i s'(f_i) L(f)_i
+    with w the trapezoid weights and s'(f) = q f^(q-1)/(1-q), or -ln f at
+    q = 1 (its constant drops out, as w . L(f) = 0); by summation by parts it
+    equals
     (q/(q-1)) sum over faces of F Delta(f^(q-1)).  Nodes at or below the
     support floor (1e-12 x max) get s' = 0; their mass is reported.
     """
@@ -258,7 +275,8 @@ def debruijn_check(state: DiffusionState) -> DeBruijnReport:
     on = f > support_floor(f)
     fs = np.where(on, f, 1.0)
     ds = -np.log(fs) if abs(q - 1.0) <= Q_ONE_EPS else q / (1.0 - q) * fs ** (q - 1.0)
-    lhs = state.dx * float(np.dot(np.where(on, ds, 0.0), lf))
+    w = state.density.grid.trap_weights()
+    lhs = float(np.dot(w * np.where(on, ds, 0.0), lf))
     mq = m_q_functional(state.density, q)
     info = q_fisher(state.density, state.beta, q)
     rhs = (state.m_exp / q) ** (state.beta - 1.0) * mq**state.beta * info
@@ -280,15 +298,12 @@ def debruijn_series(
 ) -> list[DeBruijnReport]:
     """Evolve to t_final, running the identity check at n_checks sample times.
 
-    The entropy S_q exists only for q > 0, so an (m, beta) whose matched
-    order q = m + 1 - 1/(beta - 1) is not positive is refused before any
-    evolution; the flow itself (`evolve`) is defined for it.
+    An (m, beta) whose matched order is not positive is refused before any
+    evolution (`check_entropy_order`).
     """
     if n_checks < 1:
         raise ValueError("need at least one check")
-    if not state.q > 0.0:
-        raise ParameterError(("m_exp", "beta"), "must give a positive entropy order "
-                             f"q = m + 1 - 1/(beta - 1) (q = {state.q:g})")
+    check_entropy_order(state.m_exp, state.beta)
     t0 = max(t_burn, state.t)
     times = np.linspace(t0, t_final, n_checks)
     out = []

@@ -9,7 +9,6 @@ and the (beta, q) form driven by a single density via its escort pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -19,7 +18,6 @@ from .errors import NonConvergent, SupportMismatch
 from .grid import (
     GridDensity,
     GridSpec,
-    along,
     axis_gradient,
     dual_exponent,
     lp_norm,
@@ -201,34 +199,128 @@ def chi2_limit_check(fam: ParametricFamily, g: GridDensity, theta, beta: float) 
     return LimitReport(beta=float(beta), steps=LIMIT_STEPS, ratios=ratios, limits=limits)
 
 
-def gradient_adjoint(v: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Exact adjoint of np.gradient along one axis (central interior stencil,
-    one-sided edges).  Verified against the dot-product identity in the tests."""
-    out = np.zeros_like(v)
-    inv = 1.0 / h
-    inner = v[along(axis, slice(1, -1))] * (0.5 * inv)
-    out[along(axis, slice(2, None))] += inner
-    out[along(axis, slice(None, -2))] -= inner
-    first = v[along(axis, 0)] * inv
-    out[along(axis, 0)] -= first
-    out[along(axis, 1)] += first
-    last = v[along(axis, -1)] * inv
-    out[along(axis, -1)] += last
-    out[along(axis, -2)] -= last
+# cell derivatives take their series form where the two ends differ by at most
+# this fraction of the larger; the quotient form then loses at most ~1e-12
+SERIES_REL = 2e-4
+
+
+def gradient_adjoint(v: np.ndarray, h: float) -> np.ndarray:
+    """Exact adjoint of the face difference (g[1:] - g[:-1]) / h: takes one
+    value per cell to one per node.  Verified against the dot-product
+    identity in the tests."""
+    out = np.zeros(v.size + 1)
+    out[1:] += v
+    out[:-1] -= v
+    out /= h
     return out
+
+
+def p1_moment_weights(grid: GridSpec, alpha: float) -> np.ndarray:
+    """W_i = integral of |x|^alpha phi_i over a 1D grid, phi_i the hat function of
+    node i, so that W . g is the alpha-moment of the linear interpolant of g.
+
+    W is the second difference of G(x) = |x|^(alpha+2) / ((alpha+1)(alpha+2))
+    over h, with G's slope F(x) = x |x|^alpha / (alpha+1) closing the two
+    half hats at the ends.  The difference cancels where |x| is large against
+    h: against 30-digit quadrature the worst relative error is 5e-13 at 513
+    points on [-10, 10] and 9e-10 at 4096 points on [-68.7, 68.7].
+    """
+    x = grid.axes()[0]
+    h = grid.spacing[0]
+    ax = np.abs(x)
+    big_g = ax ** (alpha + 2.0) / ((alpha + 1.0) * (alpha + 2.0))
+    slope = x * ax**alpha / (alpha + 1.0)
+    w = np.empty_like(x)
+    w[1:-1] = big_g[2:] - 2.0 * big_g[1:-1] + big_g[:-2]
+    w[0] = big_g[1] - big_g[0] - h * slope[0]
+    w[-1] = big_g[-2] - big_g[-1] + h * slope[-1]
+    return w / h
+
+
+def _cell_power_integrals(g: np.ndarray, s: np.ndarray, h: float, keep: np.ndarray | None,
+                          gradient: bool):
+    """Integrals of l^s over the cells, l the linear interpolant of the node
+    values g >= 0, one row per exponent in the column `s`, and with `gradient`
+    their derivatives in each cell's left and right node value.  Cells off
+    `keep` (None keeps all) give 0.
+
+    Where l runs from a to b, the integral is h (b^(s+1) - a^(s+1)) / ((s+1)(b - a)),
+    or h (ln b - ln a) / (b - a) at s = -1.  It is evaluated as
+    h M^s (1 - rho^(s+1)) / ((s+1) x), with M the larger end, rho = m/M the
+    ratio of the ends and x = 1 - rho = |b - a|/M, through expm1 of
+    (s+1) ln rho.  ln rho is log1p(-x) where x < 1/2, so no term cancels as
+    a and b merge; a cell with a = b gets h a^s.  The derivatives are
+    (h b^s - P) / (b - a) and (P - h a^s) / (b - a), or a series where the
+    ends nearly agree.
+    """
+    a, b = g[:-1], g[1:]
+    t = s + 1.0
+    log_rows = t[:, 0] == 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gs = g**s
+        up = b >= a
+        top = np.where(up, b, a)
+        diff = b - a
+        # a = b: x at 1e-200 takes the ratio below to its limit 1
+        x = np.maximum(np.abs(diff) / top, 1e-200)
+        log_rho = np.log1p(-x)
+        far = np.flatnonzero(x >= 0.5)
+        if far.size:
+            log_rho[far] = np.log(np.minimum(a[far], b[far]) / top[far])
+        if log_rows.any():
+            ratio = -np.expm1(t * log_rho) / (np.where(log_rows[:, None], 1.0, t) * x)
+            ratio[log_rows] = -log_rho / x
+        else:
+            ratio = np.expm1(t * log_rho) / (-t * x)
+        p = h * np.where(up, gs[:, 1:], gs[:, :-1]) * ratio
+        if gradient:
+            hgs = h * gs
+            dpa = (p - hgs[:, :-1]) / diff
+            dpb = (hgs[:, 1:] - p) / diff
+            # those quotients cancel as a and b merge: where x is at most
+            # SERIES_REL, take h m^(s-1) (s + c (s-2) r^2 -+ 2 c r) / 2 with
+            # m = (a+b)/2, r = (b-a)/(a+b) and c = s(s-1)/6, exact to O(r^3)
+            near = np.flatnonzero(x <= SERIES_REL if keep is None else (x <= SERIES_REL) & keep)
+            if near.size:
+                total = a[near] + b[near]
+                r = diff[near] / total
+                c = s * (s - 1.0) / 6.0
+                half = 0.5 * h * (0.5 * total) ** (s - 1.0)
+                d_m = s + c * (s - 2.0) * r * r
+                d_r = 2.0 * c * r
+                dpa[:, near] = half * (d_m - d_r)
+                dpb[:, near] = half * (d_m + d_r)
+    if keep is not None:
+        p = np.where(keep, p, 0.0)
+        if gradient:
+            dpa, dpb = np.where(keep, dpa, 0.0), np.where(keep, dpb, 0.0)
+    return p, dpa if gradient else None, dpb if gradient else None
 
 
 class QFisherKernel:
     """The one discrete (beta, q)-Fisher functional I_{beta,q}, set up for a grid.
 
-    `q_fisher`, the checks built on it and the minimizer's objective all
-    evaluate it.  The integrand is ||grad g||_*^beta g^e with
-    e = beta(q-1)+1-beta, summed by the trapezoid rule over the nodes above
-    the support floor, and scaled by (q/M_q)^beta.  The gradient is the
-    np.gradient stencil (`grid.axis_gradient`).  The weights, the spacing, e
-    and the dual norm are fixed here once; `parts` evaluates on raw node
-    values, so a caller that evaluates many densities on one grid (the
-    minimizer's line search) pays for them once.
+    `q_fisher`, the checks built on it, the flow's entropy identity and the
+    minimizer's objective all evaluate it.  I_{beta,q} = (q/M_q)^beta Phi with
+    Phi the integral of ||grad g||_*^beta g^e, e = beta(q-1)+1-beta, and M_q
+    the integral of g^q.
+
+    In 1D both are exact integrals of the P1 (piecewise-linear) interpolant of
+    the node values: on each cell the slope is the face difference D, so
+    Phi = sum over cells of |D|^beta times the integral of g^e, and M_q sums
+    the integrals of g^q (`_cell_power_integrals`).  Where the node values
+    vanish at both ends of the box, the interpolant is a density on the line,
+    so the paper's bound J >= 1 holds for the discrete product up to
+    rounding.  A cell whose two ends are 0 contributes 0.  When e + 1 <= 0 a
+    cell that falls to 0 has infinite Phi, so the support floor applies per
+    cell: cells at or below it on both ends are left out, and elsewhere g^e
+    sees the values clamped at the floor, so a drop to 0 still costs what a
+    drop to the floor does.  `parts` returns the exact gradient of this sum,
+    through the adjoint of the face difference.
+
+    In 2D the integrand is evaluated at the nodes with the np.gradient stencil
+    (`grid.axis_gradient`) and summed by the trapezoid rule over the nodes
+    above the support floor; that path has a value and no gradient.
     """
 
     def __init__(self, grid: GridSpec, beta: float, q: float, norm_p: float = 2.0):
@@ -236,52 +328,77 @@ class QFisherKernel:
             raise ValueError("beta must exceed 1")
         if not (q > 0.0 and np.isfinite(q)):
             raise ValueError("q must be a positive real")
+        self.dims = grid.dims
         self.spacing = grid.spacing
         self.beta = beta
         self.q = q
         self.dual = dual_exponent(norm_p)
         self.e = beta * (q - 1.0) + 1.0 - beta
         self.weights = grid.trap_weights()
-
-    @cached_property
-    def _gradient_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The weights times -beta q, e and beta: the constant factors of dI/dg."""
-        w = self.weights
-        return -self.beta * self.q * w, w * self.e, w * self.beta
+        self._exponents = np.array([[self.e], [q]])
 
     def parts(self, gv: np.ndarray, gradient: bool = False) -> tuple[float, np.ndarray | None]:
         """I_{beta,q} at node values `gv` (of trapezoid mass 1) and, with
-        `gradient`, its derivative in them.
+        `gradient` (1D only), its derivative in them."""
+        if self.dims == 1:
+            return self._p1_parts(gv, gradient)
+        if gradient:
+            raise ValueError("the I_{beta,q} gradient is one-dimensional")
+        return self._node_value(gv), None
 
-        The derivative differentiates the discrete sum exactly, through the
-        adjoint of np.gradient, so a line search sees a consistent slope.
-        """
-        beta, q, dual, e, w = self.beta, self.q, self.dual, self.e, self.weights
-        grads = [axis_gradient(gv, a, h) for a, h in enumerate(self.spacing)]
-        dens_u = lp_norm(grads, dual)
-
-        mask = gv > support_floor(gv)
-        g_safe = np.where(mask, gv, 1.0)
-        g_pow = g_safe**e
-        phi = float((w * np.where(mask, dens_u**beta * g_pow, 0.0)).sum())
-        m_q = float((w * gv**q).sum())
+    def _p1_parts(self, gv: np.ndarray, gradient: bool):
+        beta, q, e, (h,) = self.beta, self.q, self.e, self.spacing
+        left, right = gv[:-1], gv[1:]
+        gmin = float(gv.min())
+        keep = None if gmin > 0.0 else (left > 0.0) | (right > 0.0)
+        if e + 1.0 > 0.0 or gmin > support_floor(gv):
+            # g^0 = 1 needs no pass: its cell integrals are h
+            exps = self._exponents[1:] if e == 0.0 else self._exponents
+            p, dpa, dpb = _cell_power_integrals(gv, exps, h, keep, gradient)
+        else:
+            # the support floor: cells below it on both ends are outside the
+            # support, and elsewhere g^e sees the node values clamped at it
+            floor = support_floor(gv)
+            above_l, above_r = left > floor, right > floor
+            pe, dea, deb = _cell_power_integrals(np.maximum(gv, floor), self._exponents[:1], h,
+                                                 above_l | above_r, gradient)
+            pq, dqa, dqb = _cell_power_integrals(gv, self._exponents[1:], h, keep, gradient)
+            p = np.concatenate([pe, pq])
+            if gradient:  # clamped ends do not move
+                dpa = np.concatenate([dea * above_l, dqa])
+                dpb = np.concatenate([deb * above_r, dqb])
+        pq = p[-1]
+        pe = h if e == 0.0 else p[0]
+        d = (right - left) / h
+        dv = np.sign(d) * np.abs(d) ** (beta - 1.0)
+        k = d * dv  # |D|^beta
+        m_q = float(pq.sum())
         pref = (q / m_q) ** beta
-        value = pref * phi
+        value = pref * float(np.sum(k * pe))
         if not gradient:
             return value, None
-
-        w_mq, w_e, w_beta = self._gradient_weights
-        # dI = I * (-beta dM_q / M_q) + pref * dPhi
-        grad = value * (w_mq * gv ** (q - 1.0) / m_q)
+        # dI = pref dPhi - beta I dM_q / M_q; Phi moves with D and with the
+        # cell integrals of g^e, M_q with those of g^q
+        grad = gradient_adjoint((pref * beta) * pe * dv, h)
+        c = beta * value / m_q
+        to_left, to_right = -c * dpa[-1], -c * dpb[-1]
         if e != 0.0:
-            grad += pref * np.where(mask, w_e * dens_u**beta * g_pow / g_safe, 0.0)
-        u_mask = dens_u > 0.0
-        u_safe = np.where(u_mask, dens_u, 1.0)
-        common = np.where(mask & u_mask, w_beta * u_safe ** (beta - dual) * g_pow, 0.0)
-        for axis, (dg, h) in enumerate(zip(grads, self.spacing)):
-            v = common * np.sign(dg) * np.abs(dg) ** (dual - 1.0)
-            grad += pref * gradient_adjoint(v, axis, h)
+            pk = pref * k
+            to_left += pk * dpa[0]
+            to_right += pk * dpb[0]
+        grad[:-1] += to_left
+        grad[1:] += to_right
         return value, grad
+
+    def _node_value(self, gv: np.ndarray) -> float:
+        beta, q, w = self.beta, self.q, self.weights
+        grads = [axis_gradient(gv, a, h) for a, h in enumerate(self.spacing)]
+        dens_u = lp_norm(grads, self.dual)
+        mask = gv > support_floor(gv)
+        g_pow = np.where(mask, gv, 1.0) ** self.e
+        phi = float((w * np.where(mask, dens_u**beta * g_pow, 0.0)).sum())
+        m_q = float((w * gv**q).sum())
+        return (q / m_q) ** beta * phi
 
 
 def q_fisher(g: GridDensity, beta: float, q: float, norm_p: float = 2.0) -> float:

@@ -1,48 +1,72 @@
-"""Multiplicative descent for the moment-information product.
+"""Quasi-Newton descent for the moment-information product.
 
 Minimizes J[g] = m_alpha[g]^(beta/alpha) * I_{beta,q}[g] over densities on a
-fixed grid.  J^(1/beta) is bounded below by the dimension and the bound is
+1D grid.  J^(1/beta) is bounded below by the dimension and the bound is
 tight exactly on the generalized Gaussian family, so the minimizer doubles as
 a constructive check: started from anything reasonable it should land on a
-generalized Gaussian with J^(1/beta) close to n.
+generalized Gaussian with J^(1/beta) close to 1.
 
-The update is exponentiated gradient, g <- g exp(-s dJ/dg) renormalized;
-additive steps crawl on the tails (the minimizer has compact support for
-q > 1 and the gradient signal where g is tiny is weighted by g itself),
-while the multiplicative form shrinks misplaced tail mass geometrically.
-I_{beta,q} and its exact gradient come from `fisher.QFisherKernel`, the
-functional the checks evaluate, so J^(1/beta) here is `q_cr_check`'s lhs;
-this module adds the alpha-moment factor and the chain rule.
+Both factors are exact integrals of the P1 (piecewise-linear) interpolant of
+the node values: I_{beta,q} and its exact gradient come from
+`fisher.QFisherKernel`, and m_alpha = W . g with the hat-function moments
+`fisher.p1_moment_weights`, so J^(1/beta) here is `q_cr_check`'s lhs.  The
+descent keeps the two end nodes at 0, so the interpolant is a density on the
+whole line and J^(1/beta) >= 1 holds up to rounding at every iterate.
 
-A run sets up the kernel and the alpha-moment weights once and keeps its
-iterates and line-search trials as raw node arrays, renormalized with the
-checks of `GridDensity.from_values`; the argmin alone becomes a
-`GridDensity`.  Every iterate is bit for bit what a loop over `GridDensity`
-trials with np.gradient computes (tests/test_minimizer.py keeps that loop).
+The descent runs over u = log g, with g = exp(u - max u) scaled to unit
+trapezoid mass (the P1 mass).  J is homogeneous of degree 0 in g, so no mass
+constraint is needed.  Each step is limited-memory BFGS (the two-loop
+recursion of Liu & Nocedal, 1989) with the initial inverse Hessian
+gamma diag(g^(-1/2)): in u, that metric moves a node by g^(1/2) dJ/dg.  An
+Armijo backtracking search with strict decrease keeps the trace
+nonincreasing, and no step moves any u by more than STEP_CAP.  A failed
+search clears the memory and retries along the preconditioned steepest
+direction.
+
+When that fails too, or J stops falling (FLAT_WINDOW, FLAT_FRAC), the descent
+tries the dilation g(x) -> g(x / DILATION) / DILATION about the origin.  The
+continuum J is invariant under it, while the P1 J falls as the support
+widens; a q > 1 descent otherwise settles on a support whose edge nodes
+cannot move, a few 1e-4 above the bound on a coarse grid.  The dilation is
+kept only if it lowers J; if it does not, the run reports a stall.  Zero
+nodes of the start stay zero.
+
 `MinimizeResult.counters` counts the objective evaluations and the rejected
-line-search trials among them.  `gradient_adjoint` is re-exported from
-`fisher`: it runs once per objective evaluation in 1D, so its call count
-counts the evaluations.
+line-search trials and dilations among them.  `gradient_adjoint` is
+re-exported from `fisher`: it runs once per objective evaluation, so its call
+count counts the evaluations.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NonIntegrable, ParameterError
-from .fisher import QFisherKernel, gradient_adjoint  # noqa: F401  (gradient_adjoint re-exported)
+from .fisher import QFisherKernel, p1_moment_weights
+from .fisher import gradient_adjoint  # noqa: F401  (re-exported)
 from .grid import GridDensity, GridSpec, HolderPair
 
-VALUE_FLOOR = 1e-14
-# line search: first trial step cap and the step below which it gives up
-MAX_STEP = 4.0
-MIN_STEP = 1e-12
-# stalled: this many iterations in a row each either found no step or cut
-# J^(1/beta) by less than STALL_REL
-STALL_ITERS = 50
-STALL_REL = 1e-10
+# curvature pairs the two-loop recursion keeps
+MEMORY = 12
+# Armijo sufficient-decrease factor, and the backtracking factor with the most
+# trials one line search makes
+ARMIJO = 1e-4
+BACKTRACK = 0.5
+MAX_TRIALS = 30
+# largest change of any u = log g in one step
+STEP_CAP = 1.0
+# factor of the dilation x -> DILATION x tried when the descent stalls
+DILATION = 1.5
+# J stops falling when over the last FLAT_WINDOW steps J^(1/beta) fell by less
+# than FLAT_FRAC of its distance to the target (or to the bound 1 where the
+# target lies below it), that distance counted at most FLAT_NEAR: far from the
+# bound a descent can cross a plateau at a slow pace and still converge
+FLAT_WINDOW = 20
+FLAT_FRAC = 3e-3
+FLAT_NEAR = 1e-2
 
 
 @dataclass(frozen=True)
@@ -68,7 +92,8 @@ class MinimizationConfig:
 @dataclass(frozen=True)
 class MinimizeCounters:
     """Work done by one descent: every objective evaluation, and the line-search
-    trials among them that did not lower J (their gradient is discarded)."""
+    trials and dilations among them that were not accepted (their gradient is
+    discarded)."""
 
     evaluations: int
     rejected_trials: int
@@ -94,17 +119,16 @@ class _Objective:
 
     def __init__(self, grid: GridSpec, cfg: MinimizationConfig):
         beta = cfg.beta
-        w = grid.trap_weights()
-        r = grid.radius(cfg.norm_p) ** cfg.alpha
+        w = p1_moment_weights(grid, cfg.alpha)
         self.kernel = QFisherKernel(grid, beta, cfg.q, cfg.norm_p)
-        self.moment_weights = w * r
-        self.moment_grad = (beta / cfg.alpha) * w * r  # (beta/alpha) dm_alpha/dg
+        self.moment_weights = w
+        self.moment_grad = (beta / cfg.alpha) * w  # (beta/alpha) dm_alpha/dg
         self.moment_power = beta / cfg.alpha
 
 
 def _objective_parts(values: np.ndarray, obj: _Objective):
     """Returns (J, gradient of J) at node values of trapezoid mass 1."""
-    m_alpha = float((obj.moment_weights * values).sum())
+    m_alpha = float(obj.moment_weights @ values)
     info, d_info = obj.kernel.parts(values, gradient=True)
     m_fac = m_alpha**obj.moment_power
     j_val = m_fac * info
@@ -114,77 +138,149 @@ def _objective_parts(values: np.ndarray, obj: _Objective):
 
 
 def _renormalized(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Values clipped at VALUE_FLOOR and scaled to trapezoid mass 1, with the
-    checks and error types of `GridDensity.from_values`."""
-    clipped = np.clip(values, VALUE_FLOOR, None)
-    z = float((weights * clipped).sum())
+    """Values scaled to trapezoid mass 1, with the checks and error types of
+    `GridDensity.from_values`."""
+    z = float(weights @ values)
     if not np.isfinite(z) or z <= 0.0:
-        if not np.all(np.isfinite(clipped)):
+        if not np.all(np.isfinite(values)):
             raise ValueError("density values must be finite")
         raise NonIntegrable("density mass is zero or not finite")
-    return clipped / z
+    return values / z
+
+
+def _two_loop(grad: np.ndarray, steps: deque, changes: deque, metric: np.ndarray) -> np.ndarray:
+    """-H grad for the L-BFGS inverse Hessian H built on gamma diag(metric)
+    from the curvature pairs (s_i, y_i), oldest first.
+
+    The two loops of Liu & Nocedal run on the scalars s_i . y_j and on one
+    product of the stacked pairs with a vector per loop."""
+    s_mat, y_mat = np.array(steps), np.array(changes)
+    sy = (s_mat @ y_mat.T).tolist()
+    k = len(sy)
+    rho = [1.0 / sy[i][i] for i in range(k)]
+    s_dot = (s_mat @ grad).tolist()
+    a = [0.0] * k
+    for i in reversed(range(k)):
+        acc = s_dot[i]
+        for j in range(i + 1, k):
+            acc -= a[j] * sy[i][j]
+        a[i] = rho[i] * acc
+    r = grad - np.array(a) @ y_mat
+    y_new = y_mat[-1]
+    r *= metric * (sy[-1][-1] / float(y_new @ (metric * y_new)))
+    y_dot = (y_mat @ r).tolist()
+    c = [0.0] * k  # a_i - b_i
+    for i in range(k):
+        acc = y_dot[i]
+        for j in range(i):
+            acc += c[j] * sy[j][i]
+        c[i] = a[i] - rho[i] * acc
+    r += np.array(c) @ s_mat
+    return -r
 
 
 def minimize_q_fisher(start: GridDensity, cfg: MinimizationConfig) -> MinimizeResult:
-    """Descend J from `start`; stops once J^(1/beta) <= dims + tol or on stall."""
+    """Descend J from `start`; stops once J^(1/beta) <= 1 + tol or on stall."""
     grid = start.grid
-    target = grid.dims + cfg.tol
+    if grid.dims != 1:
+        raise ParameterError(("start",), "must live on a one-dimensional grid")
+    target = 1.0 + cfg.tol
     inv_beta = 1.0 / cfg.beta
     obj = _Objective(grid, cfg)
     weights = grid.trap_weights()
+    x = grid.axes()[0]
+    evaluations, rejected = 0, 0
 
-    g = _renormalized(start.values, weights)
-    j_val, grad = _objective_parts(g, obj)
-    evaluations, rejected = 1, 0
-    trace = [j_val**inv_beta]
-    stall_count = 0
-    converged = trace[-1] <= target
-    n_iters = 0
-    step = MAX_STEP  # warm-started across iterations
+    def evaluate(u):
+        """g, J and dJ/du at u; dJ/du = g dJ/dg, and 0 where g is 0."""
+        nonlocal evaluations
+        g = _renormalized(np.exp(u - u.max()), weights)
+        j_val, grad = _objective_parts(g, obj)
+        evaluations += 1
+        return g, j_val, np.where(g > 0.0, g * grad, 0.0)
 
-    for n_iters in range(1, cfg.max_iters + 1):
-        if converged:
-            n_iters -= 1
-            break
-        dmax = float(np.abs(grad).max())
-        if dmax == 0.0:
-            stall_count = STALL_ITERS
-            break
-        direction = -grad / dmax
+    def log_pinned(values):
+        """u = log g with the two end nodes at g = 0."""
+        u = np.log(values)
+        u[[0, -1]] = -np.inf
+        if not np.any(u > -np.inf):
+            raise NonIntegrable("start has no mass off the two end nodes")
+        return u
 
-        # renormalization absorbs any constant shift of the exponent, so the
-        # mass constraint needs no explicit projection here
-        s = min(2.0 * step, MAX_STEP)
-        accepted = False
-        while s >= MIN_STEP:
-            trial = _renormalized(g * np.exp(s * direction), weights)
-            j_try, grad_try = _objective_parts(trial, obj)
-            evaluations += 1
-            if j_try < j_val:
-                g, j_val, grad = trial, j_try, grad_try
-                accepted = True
-                step = s
-                break
-            rejected += 1
-            s *= 0.5
+    def dilated(g, j_val):
+        """The state g(x / DILATION) / DILATION if it lowers J, else None."""
+        nonlocal rejected
+        u = log_pinned(np.interp(x / DILATION, x, g))
+        g_d, j_d, grad_d = evaluate(u)
+        if j_d < j_val and np.all(np.isfinite(grad_d)):
+            return u, g_d, j_d, grad_d
+        rejected += 1
+        return None
 
-        new_obj = j_val**inv_beta
-        rel_drop = (trace[-1] - new_obj) / max(abs(trace[-1]), 1e-300)
-        trace.append(new_obj)
-        if not accepted or rel_drop < STALL_REL:
-            stall_count += 1
-        else:
-            stall_count = 0
-        if new_obj <= target:
-            converged = True
-        if stall_count >= STALL_ITERS:
-            break
+    # zero nodes stay at g = 0, u = -inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = log_pinned(_renormalized(start.values, weights))
+        g, j_val, grad = evaluate(u)
+        trace = [j_val**inv_beta]
+        steps: deque = deque(maxlen=MEMORY)
+        changes: deque = deque(maxlen=MEMORY)
+        converged, stalled = trace[-1] <= target, False
+        while not converged and len(trace) <= cfg.max_iters:
+            new = None
+            flat = (len(trace) > FLAT_WINDOW and trace[-1 - FLAT_WINDOW] - trace[-1]
+                    < FLAT_FRAC * min(trace[-1] - max(target, 1.0), FLAT_NEAR))
+            if not flat:
+                metric = np.where(g > 0.0, g**-0.5, 0.0)
+                if steps:
+                    direction = _two_loop(grad, steps, changes, metric)
+                    slope = float(grad @ direction)
+                if not steps or not slope < 0.0:
+                    steps.clear()
+                    changes.clear()
+                    direction = -metric * grad
+                    slope = float(grad @ direction)
+                reach = float(np.abs(direction).max(initial=0.0))
+                # a zero direction (a lone free node: J is scale-free) is a stall
+                trials = MAX_TRIALS if reach > 0.0 else 0
+                step = min(1.0, STEP_CAP / reach) if trials else 0.0
+                for _ in range(trials):
+                    u_try = u + step * direction
+                    g_try, j_try, grad_try = evaluate(u_try)
+                    if (j_try < j_val and j_try <= j_val + ARMIJO * step * slope
+                            and np.all(np.isfinite(grad_try))):
+                        new = u_try, g_try, j_try, grad_try
+                        break
+                    rejected += 1
+                    step *= BACKTRACK
+                else:
+                    if steps:  # retry along the preconditioned steepest direction
+                        steps.clear()
+                        changes.clear()
+                        continue
+            if new is None:
+                # a stall, unless the dilation helps: J is invariant under it in
+                # the continuum, and the P1 J falls as the support widens
+                steps.clear()
+                changes.clear()
+                new = dilated(g, j_val)
+                if new is None:
+                    stalled = True
+                    break
+            else:
+                s_k = step * direction
+                y_k = new[3] - grad
+                if float(s_k @ y_k) > 0.0:
+                    steps.append(s_k)
+                    changes.append(y_k)
+            u, g, j_val, grad = new
+            trace.append(j_val**inv_beta)
+            converged = trace[-1] <= target
 
     return MinimizeResult(
         argmin=GridDensity(grid, g),
         objective_trace=trace,
         converged=converged,
-        stalled=stall_count >= STALL_ITERS,
-        n_iters=n_iters,
+        stalled=stalled,
+        n_iters=len(trace) - 1,
         counters=MinimizeCounters(evaluations=evaluations, rejected_trials=rejected),
     )

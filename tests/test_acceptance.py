@@ -86,8 +86,8 @@ def test_criterion_3_zoo_strictness():
 
 
 def test_criterion_4_minimizer_reaches_q_gaussian():
-    # exponentiated-gradient descent from a bimodal start lands on the
-    # saturating q-Gaussian: product near 1, shape near the fitted profile
+    # quasi-Newton descent from a bimodal start lands on the saturating
+    # q-Gaussian: product near 1 and never below it, shape near the fitted profile
     start = time.perf_counter()
     grid = GridSpec.line(-10.0, 10.0, 513)
     init = zoo.mixture_density(grid, (-1.2, 1.1), (0.7, 0.45), (0.6, 0.4))

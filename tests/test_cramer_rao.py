@@ -5,6 +5,7 @@ import pytest
 
 from qfisher import (
     EstimationProblem,
+    GridDensity,
     GridSpec,
     HolderPair,
     QGaussianParams,
@@ -231,6 +232,19 @@ def test_q_cr_holds_strictly_on_zoo_members():
         rep = q_cr_check(g, pair, q=1.5)
         assert rep.margin > 1e-3
         assert not rep.saturated
+
+
+def test_q_cr_one_node_spike_stays_above_the_bound():
+    # a lone spike has zero node moment and finite node Fisher information, so
+    # a node quadrature reads lhs 0; its P1 interpolant is a narrow tent whose
+    # product is exact: 1.0825 at q = 1.5, the same on any grid
+    grid = GridSpec.line(-10.0, 10.0, 513)
+    values = np.zeros(513)
+    values[256] = 1.0
+    g = GridDensity.from_values(grid, values, check_boundary=False)
+    rep = q_cr_check(g, PAIR22, q=1.5)
+    assert rep.lhs >= 1.0
+    assert rep.lhs == pytest.approx(1.0825, abs=1e-4)
 
 
 def test_covariance_bound_efficient_1d():

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfisher import (
     GridDensity,
@@ -19,14 +21,10 @@ from qfisher import (
     zoo,
 )
 from qfisher import minimizer
-from qfisher.errors import NonIntegrable
-from qfisher.grid import HolderPair, lp_norm, support_floor
+from qfisher.cli import MARGIN_TOL
+from qfisher.errors import NonIntegrable, ParameterError
+from qfisher.grid import HolderPair
 from qfisher.minimizer import (
-    MAX_STEP,
-    MIN_STEP,
-    STALL_ITERS,
-    STALL_REL,
-    VALUE_FLOOR,
     _Objective,
     _objective_parts,
     _renormalized,
@@ -46,124 +44,25 @@ def test_config_validation():
     assert cfg.beta == pytest.approx(1.5)
 
 
-@pytest.mark.parametrize("axis,shape", [(0, (64,)), (0, (24, 17)), (1, (24, 17))])
-def test_gradient_adjoint_dot_identity(axis, shape):
-    # <D u, v> == <u, D^T v> for every u, v pins the adjoint exactly
+@pytest.mark.parametrize("n", [2, 3, 64])
+def test_gradient_adjoint_dot_identity(n):
+    # <D u, v> == <u, D^T v> for every u, v pins the adjoint of the face
+    # difference D u = (u[1:] - u[:-1]) / h exactly
     rng = np.random.default_rng(5)
     h = 0.37
     for _ in range(6):
-        u = rng.normal(size=shape)
-        v = rng.normal(size=shape)
-        du = np.gradient(u, h, axis=axis)
-        lhs = float((du * v).sum())
-        rhs = float((u * gradient_adjoint(v, axis, h)).sum())
+        u = rng.normal(size=n)
+        v = rng.normal(size=n - 1)
+        lhs = float((np.diff(u) / h * v).sum())
+        rhs = float((u * gradient_adjoint(v, h)).sum())
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
-def _moveaxis_adjoint(v, axis, h):
-    # reference: the same stencil applied with the axis moved to the front
-    v = np.moveaxis(v, axis, 0)
-    out = np.zeros_like(v)
-    inv = 1.0 / h
-    out[2:] += v[1:-1] * (0.5 * inv)
-    out[:-2] -= v[1:-1] * (0.5 * inv)
-    out[0] -= v[0] * inv
-    out[1] += v[0] * inv
-    out[-1] += v[-1] * inv
-    out[-2] -= v[-1] * inv
-    return np.moveaxis(out, 0, axis)
-
-
-@pytest.mark.parametrize("shape", [(64,), (2,), (3,), (24, 17), (2, 5), (7, 4, 3), (5, 2, 6)])
-def test_gradient_adjoint_equals_moveaxis_form_bit_for_bit(shape):
-    rng = np.random.default_rng(11)
-    v = rng.normal(size=shape)
-    for axis in range(len(shape)):
-        got = gradient_adjoint(v, axis, 0.37)
-        assert got.tobytes() == _moveaxis_adjoint(v, axis, 0.37).tobytes()
-
-
-def _reference_objective(g, cfg):
-    # reference: J and dJ/dg of a GridDensity iterate through np.gradient, all
-    # set up per call; the descent must reproduce it bit for bit
-    beta = cfg.beta
-    w = g.grid.trap_weights()
-    r = g.grid.radius(cfg.norm_p) ** cfg.alpha
-    m_alpha = float((w * r * g.values).sum())
-    q, dual = cfg.q, cfg.norm_p / (cfg.norm_p - 1.0)
-    gv = g.values
-    grads = np.gradient(gv, *g.grid.spacing)
-    grads = list(grads) if isinstance(grads, (list, tuple)) else [grads]
-    dens_u = lp_norm(grads, dual)
-    e = beta * (q - 1.0) + 1.0 - beta
-    mask = gv > support_floor(gv)
-    g_safe = np.where(mask, gv, 1.0)
-    g_pow = g_safe**e
-    phi = float((w * np.where(mask, dens_u**beta * g_pow, 0.0)).sum())
-    m_q = float((w * gv**q).sum())
-    pref = (q / m_q) ** beta
-    info = pref * phi
-    d_info = info * (-beta * q * w * gv ** (q - 1.0) / m_q)
-    if e != 0.0:
-        d_info += pref * np.where(mask, w * e * dens_u**beta * g_pow / g_safe, 0.0)
-    u_mask = dens_u > 0.0
-    u_safe = np.where(u_mask, dens_u, 1.0)
-    common = np.where(mask & u_mask, w * beta * u_safe ** (beta - dual) * g_pow, 0.0)
-    for axis, dg in enumerate(grads):
-        v = common * np.sign(dg) * np.abs(dg) ** (dual - 1.0)
-        d_info += pref * _moveaxis_adjoint(v, axis, g.grid.spacing[axis])
-    m_fac = m_alpha ** (beta / cfg.alpha)
-    j_val = m_fac * info
-    return j_val, j_val * ((beta / cfg.alpha) * w * r / m_alpha) + m_fac * d_info
-
-
-def _reference_descent(start, cfg):
-    # the descent loop on GridDensity trials, one from_values per trial
-    def renormalized(values):
-        clipped = np.clip(values, VALUE_FLOOR, None)
-        return GridDensity.from_values(grid, clipped, normalize=True, check_boundary=False)
-
-    grid = start.grid
-    target = grid.dims + cfg.tol
-    g = renormalized(start.values)
-    j_val, grad = _reference_objective(g, cfg)
-    trace = [j_val ** (1.0 / cfg.beta)]
-    stall_count, converged, step = 0, trace[-1] <= target, MAX_STEP
-    for _ in range(cfg.max_iters):
-        if converged:
-            break
-        dmax = float(np.abs(grad).max())
-        direction = -grad / dmax
-        s = min(2.0 * step, MAX_STEP)
-        accepted = False
-        while s >= MIN_STEP:
-            trial = renormalized(g.values * np.exp(s * direction))
-            j_try, grad_try = _reference_objective(trial, cfg)
-            if j_try < j_val:
-                g, j_val, grad, accepted, step = trial, j_try, grad_try, True, s
-                break
-            s *= 0.5
-        new_obj = j_val ** (1.0 / cfg.beta)
-        rel_drop = (trace[-1] - new_obj) / max(abs(trace[-1]), 1e-300)
-        trace.append(new_obj)
-        stall_count = stall_count + 1 if not accepted or rel_drop < STALL_REL else 0
-        converged = new_obj <= target
-        if stall_count >= STALL_ITERS:
-            break
-    return trace, g
-
-
-@pytest.mark.parametrize("q, alpha", [(1.5, 2.0), (1.2, 2.0), (1.5, 3.0)])
-def test_descent_is_bit_identical_to_the_density_loop(q, alpha):
-    # (1.2, 2) has e = beta(q-1)+1-beta != 0 and (1.5, 3) has beta != dual
-    grid = GridSpec.line(-10.0, 10.0, 257)
-    start = zoo.mixture_density(grid, (-1.2, 1.1), (0.7, 0.45), (0.6, 0.4))
-    cfg = MinimizationConfig(q=q, alpha=alpha, max_iters=300, tol=1e-6)
-    trace, argmin = _reference_descent(start, cfg)
-    res = minimize_q_fisher(start, cfg)
-    assert len(trace) == 301
-    assert res.objective_trace == trace
-    assert res.argmin.values.tobytes() == argmin.values.tobytes()
+def test_descent_refuses_a_2d_start():
+    grid = GridSpec.box(-8.0, 8.0, 33, 2)
+    start = zoo.gaussian_density(grid, (0.0, 0.0), 1.0)
+    with pytest.raises(ParameterError, match="one-dimensional"):
+        minimize_q_fisher(start, MinimizationConfig(q=1.5, alpha=2.0))
 
 
 def test_counters_add_up_and_match_the_adjoint_calls(monkeypatch):
@@ -190,12 +89,15 @@ def test_counters_add_up_and_match_the_adjoint_calls(monkeypatch):
     grid = GridSpec.line(-10.0, 10.0, 257)
     start = zoo.mixture_density(grid, (-1.2, 1.1), (0.7, 0.45), (0.6, 0.4))
     res = minimize_q_fisher(start, MinimizationConfig(q=1.5, alpha=2.0, max_iters=400))
-    # a trial is accepted exactly when it lowers the best J so far
-    accepted = sum(j < min(objectives[:i]) for i, j in enumerate(objectives) if i > 0)
+    # each iteration ends on one accepted trial, which must pass the Armijo
+    # test, so a trial that lowers J by too little counts as rejected; the
+    # accepted values are the trace, one per iteration
     c = res.counters
     assert c.evaluations == len(objectives) == adjoint_calls[0]
-    assert c.evaluations == 1 + accepted + c.rejected_trials
-    assert accepted <= res.n_iters and c.rejected_trials > 0
+    assert c.evaluations == 1 + res.n_iters + c.rejected_trials
+    inv_beta = 1.0 / MinimizationConfig(q=1.5, alpha=2.0).beta
+    accepted = [j**inv_beta for j in objectives if j**inv_beta in res.objective_trace]
+    assert accepted == res.objective_trace and c.rejected_trials > 0
 
 
 @pytest.mark.parametrize("fill, bad, error", [(1.0, np.nan, ValueError), (1.0, np.inf, ValueError),
@@ -207,7 +109,7 @@ def test_trial_renormalization_raises_like_from_values(fill, bad, error):
     values[4] = bad
     with np.errstate(over="ignore"):
         with pytest.raises(error) as lib:
-            GridDensity.from_values(grid, np.clip(values, VALUE_FLOOR, None), check_boundary=False)
+            GridDensity.from_values(grid, values, check_boundary=False)
         with pytest.raises(error) as ours:
             _renormalized(values, grid.trap_weights())
     assert type(ours.value) is type(lib.value)
@@ -277,6 +179,21 @@ def test_descent_from_mixture_reaches_saturating_shape():
     assert l1_distance(res.argmin, fitted) < 2e-2
 
 
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1), q=st.sampled_from([1.5, 1.2, 1.0]))
+def test_descent_from_seeded_two_bump_starts_converges_above_the_bound(seed, q):
+    # the benchmark's random starts on a coarser grid: every descent must
+    # converge, stay above the bound and never raise the objective
+    grid = GridSpec.line(-10.0, 10.0, 257)
+    rng = np.random.default_rng(seed)
+    start = zoo.mixture_density(grid, np.sort(rng.uniform(-1.5, 1.5, 2)),
+                                rng.uniform(0.4, 0.9, 2), rng.uniform(0.3, 0.7, 2))
+    res = minimize_q_fisher(start, MinimizationConfig(q=q, alpha=2.0))
+    assert res.converged
+    assert res.objective >= 1.0 - MARGIN_TOL
+    assert np.all(np.diff(res.objective_trace) <= 0.0)
+
+
 def test_stall_reported_when_tolerance_unreachable():
     grid = GridSpec.line(-10.0, 10.0, 257)
     start = zoo.mixture_density(grid, (-1.2, 1.1), (0.7, 0.45), (0.6, 0.4))
@@ -288,16 +205,16 @@ def test_stall_reported_when_tolerance_unreachable():
 
 
 def test_discrete_optimum_can_undershoot_dimension():
-    # the continuum lower bound is exactly n, but the 257-point quadrature
-    # optimum sits a hair below it; the undershoot must stay at quadrature
-    # scale, not drift toward the degenerate uniform profile
+    # the continuum lower bound is exactly n, and the P1 product is the product
+    # of a genuine density, so the 257-point discrete optimum cannot undershoot
+    # it; a tolerance below the discretization floor ends on a reported stall
     grid = GridSpec.line(-10.0, 10.0, 257)
     start = zoo.mixture_density(grid, (-1.2, 1.1), (0.7, 0.45), (0.6, 0.4))
     cfg = MinimizationConfig(q=1.5, alpha=2.0, max_iters=4000, tol=1e-12)
     res = minimize_q_fisher(start, cfg)
-    assert res.converged
-    assert res.objective == pytest.approx(1.0, abs=5e-5)
-    assert res.objective < 1.0 + 1e-12
+    assert not res.converged and res.stalled
+    assert res.objective >= 1.0
+    assert res.objective == pytest.approx(1.0, abs=1e-3)
 
 
 def test_result_objective_is_last_trace_entry():
