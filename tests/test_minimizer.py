@@ -44,17 +44,20 @@ def test_config_validation():
     assert cfg.beta == pytest.approx(1.5)
 
 
-@pytest.mark.parametrize("n", [2, 3, 64])
-def test_gradient_adjoint_dot_identity(n):
+@pytest.mark.parametrize("axis,shape", [(0, (64,)), (0, (24, 17)), (1, (24, 17)), (0, (2,)), (0, (3,))])
+def test_gradient_adjoint_dot_identity(axis, shape):
     # <D u, v> == <u, D^T v> for every u, v pins the adjoint of the face
-    # difference D u = (u[1:] - u[:-1]) / h exactly
+    # difference D u = (u[1:] - u[:-1]) / h exactly; on a stack of node
+    # vectors D and D^T act along `axis`, one vector at a time
     rng = np.random.default_rng(5)
     h = 0.37
+    cells = list(shape)
+    cells[axis] -= 1
     for _ in range(6):
-        u = rng.normal(size=n)
-        v = rng.normal(size=n - 1)
-        lhs = float((np.diff(u) / h * v).sum())
-        rhs = float((u * gradient_adjoint(v, h)).sum())
+        u = rng.normal(size=shape)
+        v = rng.normal(size=cells)
+        lhs = float((np.diff(u, axis=axis) / h * v).sum())
+        rhs = float((u * np.apply_along_axis(gradient_adjoint, axis, v, h)).sum())
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
