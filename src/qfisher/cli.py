@@ -36,7 +36,7 @@ import numpy as np
 from . import cramer_rao, densities, diffusion, fisher, minimizer, uncertainty, zoo
 from .cramer_rao import q_cr_check
 from .divergences import chi_beta_g
-from .errors import ConfigError, NonConvergent, ParameterError, QFisherError
+from .errors import ConfigError, GridTooCoarse, NonConvergent, ParameterError, QFisherError
 from .fisher import (
     chi2_limit_check,
     fisher_matrix,
@@ -46,7 +46,7 @@ from .fisher import (
     q_fisher,
     q_gaussian_location_family,
 )
-from .grid import GridDensity, GridSpec, HolderPair
+from .grid import BOUNDARY_REL_TOL, GridDensity, GridSpec, HolderPair, boundary_abs_max
 from .version import __version__
 
 EXIT_OK = 0
@@ -403,6 +403,14 @@ def cmd_qcr_check(params: dict) -> tuple[int, dict, dict]:
     g = _qcr_density(params)
     report = q_cr_check(g, pair, params["q"], params["p"])
     status = EXIT_OK if report.margin >= -MARGIN_TOL else EXIT_BOUND_VIOLATED
+    # the P1 interpolant stops at the box ends and pays no information for the
+    # cut there, which makes the continuum product infinite: not a violation
+    edge = boundary_abs_max(g.values) if status == EXIT_BOUND_VIOLATED else 0.0
+    if edge > BOUNDARY_REL_TOL * float(g.values.max()):
+        raise GridTooCoarse(
+            f"boundary density {edge:.3e} exceeds {BOUNDARY_REL_TOL:.0e} x max, so the "
+            "product misses the cut at the box ends; rerun on a wider box (--half-width)"
+        )
 
     _write_csv(
         _out_dir(params) / "qcr_check_detail.csv",
@@ -429,7 +437,7 @@ def cmd_minimize(params: dict) -> tuple[int, dict, dict]:
         start = _load_density(params["density_file"], "init = file")
 
     result = minimizer.minimize_q_fisher(start, cfg)
-    final_obj = result.objective
+    final_obj, counters = result.objective, result.counters
     # the product is bounded below by the dimension; undershoot means a bug
     status = EXIT_OK if final_obj >= grid.dims - MARGIN_TOL else EXIT_BOUND_VIOLATED
 
@@ -449,8 +457,12 @@ def cmd_minimize(params: dict) -> tuple[int, dict, dict]:
         "converged": bool(result.converged),
         "stalled": bool(result.stalled),
         "n_iters": result.n_iters,
+        "stop_reason": result.stop_reason,
         "l1_to_fitted_q_gaussian": l1,
-        "counters": dataclasses.asdict(result.counters),
+        # every evaluation is the start's, an iteration's or a rejected trial's
+        "counters": {"evaluations": counters.evaluations,
+                     "rejected_trials": counters.rejected_trials},
+        "dilations": counters.dilations,
     }
 
 

@@ -16,12 +16,18 @@ whole line and J^(1/beta) >= 1 holds up to rounding at every iterate.
 The descent runs over u = log g, with g = exp(u - max u) scaled to unit
 trapezoid mass (the P1 mass).  J is homogeneous of degree 0 in g, so no mass
 constraint is needed.  Each step is limited-memory BFGS (the two-loop
-recursion of Liu & Nocedal, 1989) with the initial inverse Hessian
-gamma diag(g^(-1/2)): in u, that metric moves a node by g^(1/2) dJ/dg.  An
-Armijo backtracking search with strict decrease keeps the trace
-nonincreasing, and no step moves any u by more than STEP_CAP.  A failed
-search clears the memory and retries along the preconditioned steepest
-direction.
+recursion of Liu & Nocedal, 1989) with the initial inverse Hessian gamma H0,
+a Sobolev metric (Neuberger, 1997): H0 v = s K^(-1) (s v), with the node
+scaling s = g^(-1/2) (0 on zero nodes and the pinned ends) and
+K = T/h^2 + c I on the interior nodes, T = tridiag(-1, 2, -1).  K undoes the
+h^(-2) growth of the Hessian's conditioning, so the iteration count does not
+grow with the grid; c = SMOOTH lambda_1, with lambda_1 the lowest eigenvalue
+of T/h^2, sets the smoothing length to a fixed fraction of the box.  K is
+diagonal in the type-I sine basis, so H0 costs two real FFTs.  An Armijo
+backtracking search with strict decrease keeps the trace nonincreasing, and
+each direction is clipped to +-STEP_CAP per node, so no step moves any u by
+more than STEP_CAP.  A failed search clears the memory and retries along the
+preconditioned steepest direction.
 
 When that fails too, or J stops falling (FLAT_WINDOW, FLAT_FRAC), the descent
 tries the dilation g(x) -> g(x / DILATION) / DILATION about the origin.  The
@@ -31,10 +37,11 @@ cannot move, a few 1e-4 above the bound on a coarse grid.  The dilation is
 kept only if it lowers J; if it does not, the run reports a stall.  Zero
 nodes of the start stay zero.
 
-`MinimizeResult.counters` counts the objective evaluations and the rejected
-line-search trials and dilations among them.  `gradient_adjoint` is
-re-exported from `fisher`: it runs once per objective evaluation, so its call
-count counts the evaluations.
+`MinimizeResult.stop_reason` says why a run stopped ("tol", "stall" or
+"max_iters").  `MinimizeResult.counters` counts the objective evaluations, the
+rejected line-search trials and dilations among them, and the dilations kept.
+`gradient_adjoint` is re-exported from `fisher`: it runs once per objective
+evaluation, so its call count counts the evaluations.
 """
 
 from __future__ import annotations
@@ -58,6 +65,9 @@ BACKTRACK = 0.5
 MAX_TRIALS = 30
 # largest change of any u = log g in one step
 STEP_CAP = 1.0
+# shift c of the metric's K = T/h^2 + c I, in units of T/h^2's lowest
+# eigenvalue: any value from 10 to 1000 converges the seeded sweeps
+SMOOTH = 100.0
 # factor of the dilation x -> DILATION x tried when the descent stalls
 DILATION = 1.5
 # J stops falling when over the last FLAT_WINDOW steps J^(1/beta) fell by less
@@ -91,12 +101,13 @@ class MinimizationConfig:
 
 @dataclass(frozen=True)
 class MinimizeCounters:
-    """Work done by one descent: every objective evaluation, and the line-search
+    """Work done by one descent: every objective evaluation, the line-search
     trials and dilations among them that were not accepted (their gradient is
-    discarded)."""
+    discarded), and the dilations kept (each one an iteration)."""
 
     evaluations: int
     rejected_trials: int
+    dilations: int
 
 
 @dataclass(frozen=True)
@@ -107,6 +118,8 @@ class MinimizeResult:
     stalled: bool
     n_iters: int
     counters: MinimizeCounters
+    # "tol" (converged), "stall" (no step and no dilation lowers J) or "max_iters"
+    stop_reason: str
 
     @property
     def objective(self) -> float:
@@ -148,9 +161,33 @@ def _renormalized(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return values / z
 
 
-def _two_loop(grad: np.ndarray, steps: deque, changes: deque, metric: np.ndarray) -> np.ndarray:
-    """-H grad for the L-BFGS inverse Hessian H built on gamma diag(metric)
-    from the curvature pairs (s_i, y_i), oldest first.
+def _odd_sine(z: np.ndarray) -> np.ndarray:
+    """-2 x the type-I sine transform of z's interior (its ends must be 0),
+    as a node vector with 0 ends: the imaginary part of the DFT of z's odd
+    extension, of length 2(n - 1)."""
+    return np.fft.rfft(np.concatenate((z, -z[-2:0:-1]))).imag
+
+
+def _sobolev_weights(points: int, spacing: float) -> np.ndarray:
+    """Per sine mode k, 1 / (2 (n - 1) (lambda_k + c)), so that
+    K^(-1) z = _odd_sine(w * _odd_sine(z)); lambda_k = (2 - 2 cos(pi k/(n-1)))/h^2
+    are the eigenvalues of T/h^2 and c = SMOOTH lambda_1.  The two end entries,
+    which no interior vector reaches, are 0."""
+    lam = (2.0 - 2.0 * np.cos(np.pi * np.arange(points) / (points - 1))) / spacing**2
+    w = np.zeros(points)
+    w[1:-1] = 1.0 / (2.0 * (points - 1) * (lam[1:-1] + SMOOTH * lam[1]))
+    return w
+
+
+def _sobolev_metric(v: np.ndarray, scale: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """H0 v = scale * K^(-1) (scale * v), with `weights` from `_sobolev_weights`."""
+    return scale * _odd_sine(weights * _odd_sine(scale * v))
+
+
+def _two_loop(grad: np.ndarray, steps: deque, changes: deque, metric) -> np.ndarray:
+    """-H grad for the L-BFGS inverse Hessian H built on gamma metric(.) from
+    the curvature pairs (s_i, y_i), oldest first; gamma = s.y / (y . metric(y))
+    for the newest pair.
 
     The two loops of Liu & Nocedal run on the scalars s_i . y_j and on one
     product of the stacked pairs with a vector per loop."""
@@ -167,7 +204,7 @@ def _two_loop(grad: np.ndarray, steps: deque, changes: deque, metric: np.ndarray
         a[i] = rho[i] * acc
     r = grad - np.array(a) @ y_mat
     y_new = y_mat[-1]
-    r *= metric * (sy[-1][-1] / float(y_new @ (metric * y_new)))
+    r = (sy[-1][-1] / float(y_new @ metric(y_new))) * metric(r)
     y_dot = (y_mat @ r).tolist()
     c = [0.0] * k  # a_i - b_i
     for i in range(k):
@@ -189,7 +226,7 @@ def minimize_q_fisher(start: GridDensity, cfg: MinimizationConfig) -> MinimizeRe
     obj = _Objective(grid, cfg)
     weights = grid.trap_weights()
     x = grid.axes()[0]
-    evaluations, rejected = 0, 0
+    evaluations, rejected, dilations = 0, 0, 0
 
     def evaluate(u):
         """g, J and dJ/du at u; dJ/du = g dJ/dg, and 0 where g is 0."""
@@ -209,10 +246,11 @@ def minimize_q_fisher(start: GridDensity, cfg: MinimizationConfig) -> MinimizeRe
 
     def dilated(g, j_val):
         """The state g(x / DILATION) / DILATION if it lowers J, else None."""
-        nonlocal rejected
+        nonlocal rejected, dilations
         u = log_pinned(np.interp(x / DILATION, x, g))
         g_d, j_d, grad_d = evaluate(u)
         if j_d < j_val and np.all(np.isfinite(grad_d)):
+            dilations += 1
             return u, g_d, j_d, grad_d
         rejected += 1
         return None
@@ -221,6 +259,7 @@ def minimize_q_fisher(start: GridDensity, cfg: MinimizationConfig) -> MinimizeRe
     with np.errstate(divide="ignore", invalid="ignore"):
         u = log_pinned(_renormalized(start.values, weights))
         g, j_val, grad = evaluate(u)
+        sine_weights = _sobolev_weights(grid.points[0], grid.spacing[0])
         trace = [j_val**inv_beta]
         steps: deque = deque(maxlen=MEMORY)
         changes: deque = deque(maxlen=MEMORY)
@@ -230,19 +269,23 @@ def minimize_q_fisher(start: GridDensity, cfg: MinimizationConfig) -> MinimizeRe
             flat = (len(trace) > FLAT_WINDOW and trace[-1 - FLAT_WINDOW] - trace[-1]
                     < FLAT_FRAC * min(trace[-1] - max(target, 1.0), FLAT_NEAR))
             if not flat:
-                metric = np.where(g > 0.0, g**-0.5, 0.0)
+                scale = np.where(g > 0.0, g**-0.5, 0.0)
+
+                def metric(v):
+                    return _sobolev_metric(v, scale, sine_weights)
+
                 if steps:
-                    direction = _two_loop(grad, steps, changes, metric)
+                    direction = np.clip(_two_loop(grad, steps, changes, metric),
+                                        -STEP_CAP, STEP_CAP)
                     slope = float(grad @ direction)
                 if not steps or not slope < 0.0:
                     steps.clear()
                     changes.clear()
-                    direction = -metric * grad
+                    direction = np.clip(-metric(grad), -STEP_CAP, STEP_CAP)
                     slope = float(grad @ direction)
-                reach = float(np.abs(direction).max(initial=0.0))
                 # a zero direction (a lone free node: J is scale-free) is a stall
-                trials = MAX_TRIALS if reach > 0.0 else 0
-                step = min(1.0, STEP_CAP / reach) if trials else 0.0
+                trials = MAX_TRIALS if np.any(direction) else 0
+                step = 1.0
                 for _ in range(trials):
                     u_try = u + step * direction
                     g_try, j_try, grad_try = evaluate(u_try)
@@ -282,5 +325,7 @@ def minimize_q_fisher(start: GridDensity, cfg: MinimizationConfig) -> MinimizeRe
         converged=converged,
         stalled=stalled,
         n_iters=len(trace) - 1,
-        counters=MinimizeCounters(evaluations=evaluations, rejected_trials=rejected),
+        counters=MinimizeCounters(evaluations=evaluations, rejected_trials=rejected,
+                                  dilations=dilations),
+        stop_reason="tol" if converged else "stall" if stalled else "max_iters",
     )

@@ -10,6 +10,7 @@ contract: 0 bounds hold, 2 a bound is violated, 64 configuration error,
 """
 
 import contextlib
+import dataclasses
 import importlib
 import io
 import json
@@ -21,12 +22,14 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qfisher
+from qfisher import cli
 from qfisher.cli import COMMANDS, build_parser, main
 from qfisher.densities import tsallis_entropy
-from qfisher.grid import GridDensity
+from qfisher.grid import GridDensity, GridSpec
 from qfisher.version import __version__
 
 SUMMARY_KEYS = {
@@ -350,6 +353,49 @@ def test_qcr_check_box_too_small_is_typed_refusal(tmp_path, capsys, q, half):
     assert not out.exists()
 
 
+def _box_density_file(tmp_path, values):
+    """A density on [-10, 10] at 513 points, as a `--density-file`."""
+    grid = GridSpec.line(-10.0, 10.0, 513)
+    path = tmp_path / "density.json"
+    GridDensity.from_values(grid, values(grid.axes()[0]), check_boundary=False).save_json(path)
+    return path
+
+
+@pytest.mark.parametrize("values", [np.ones_like, lambda x: np.exp(-0.02 * x * x)],
+                         ids=["flat", "wide-gaussian"])
+def test_qcr_check_mass_at_the_box_ends_is_too_coarse_not_a_violation(tmp_path, capsys, values):
+    # the P1 product pays nothing for the cut at the box ends: lhs 0 and
+    # 0.9302, which used to exit 2 although the inequality holds
+    path = _box_density_file(tmp_path, values)
+    argv = ["qcr-check", "--density", "file", "--density-file", str(path)]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("error: boundary density") and "--half-width" in err[0]
+    assert not (tmp_path / "out").exists()
+    params = cli._resolve_config(build_parser("qcr-check").parse_args(argv), cli.SCHEMAS["qcr-check"])
+    with pytest.raises(qfisher.errors.GridTooCoarse), pytest.warns(qfisher.errors.TruncationWarning):
+        cli.cmd_qcr_check(params)
+
+
+def test_qcr_check_resolved_tails_still_pass(tmp_path):
+    # exp(-x^2/18) carries mass 4e-3 x max at the box ends, with a margin >= 0
+    path = _box_density_file(tmp_path, lambda x: np.exp(-x * x / 18.0))
+    out = tmp_path / "out"
+    assert main(["qcr-check", "--density", "file", "--density-file", str(path),
+                 "--out-dir", str(out)]) == 0
+
+
+def test_qcr_check_violation_on_a_compact_input_still_exits_2(tmp_path, monkeypatch):
+    # a q-Gaussian vanishing at the box ends, whose check is made to fail
+    def low(*args):
+        return dataclasses.replace(qfisher.q_cr_check(*args), lhs=0.5, margin=-0.5)
+
+    monkeypatch.setattr(cli, "q_cr_check", low)
+    out = tmp_path / "out"
+    assert main(["qcr-check", "--out-dir", str(out)]) == 2
+    assert _summary(out, "qcr_check_summary.json")["results"]["margin"] == -0.5
+
+
 def test_fisher_grid_points_spells_grid(tmp_path):
     out = tmp_path / "out"
     summaries = []
@@ -461,6 +507,22 @@ def test_minimize_ends_above_the_bound(tmp_path, flags, converged):
     assert r["converged"] is converged
     assert r["stalled"] is not converged
     assert 1.0 <= r["final_objective"] <= 1.0 + 1e-3
+
+
+@pytest.mark.parametrize("flags, reason", [
+    ([], "tol"),
+    (["--tol", "1e-12", "--iters", "6000"], "stall"),
+    (["--iters", "3"], "max_iters"),
+])
+def test_minimize_summary_says_why_it_stopped(tmp_path, flags, reason):
+    out = tmp_path / "out"
+    assert main(["minimize", "--grid-points", "257", *flags, "--out-dir", str(out)]) == 0
+    r = _summary(out, "minimize_summary.json")["results"]
+    assert r["stop_reason"] == reason
+    assert r["converged"] is (reason == "tol") and r["stalled"] is (reason == "stall")
+    assert 0 <= r["dilations"] <= r["n_iters"]
+    if reason == "max_iters":
+        assert r["n_iters"] == 3
 
 
 @pytest.mark.parametrize("points", ["2", "3"])

@@ -61,6 +61,48 @@ def test_gradient_adjoint_dot_identity(axis, shape):
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
+def _dense_metric(scale, h):
+    """scale (T/h^2 + c I)^(-1) scale on the interior nodes, 0 on the ends."""
+    n = scale.size
+    t = 2.0 * np.eye(n - 2) - np.eye(n - 2, k=1) - np.eye(n - 2, k=-1)
+    lowest = (2.0 - 2.0 * np.cos(np.pi / (n - 1))) / h**2
+    k_inv = np.zeros((n, n))
+    k_inv[1:-1, 1:-1] = np.linalg.inv(t / h**2 + minimizer.SMOOTH * lowest * np.eye(n - 2))
+    return scale[:, None] * k_inv * scale[None, :]
+
+
+@pytest.mark.parametrize("n", [3, 9, 65])
+def test_sobolev_metric_is_the_scaled_inverse_shifted_laplacian(n):
+    rng = np.random.default_rng(n)
+    h = 20.0 / (n - 1)
+    scale = rng.uniform(0.5, 3.0, n)
+    scale[[0, -1]] = 0.0  # the pinned ends
+    if n > 3:
+        scale[2] = 0.0  # a zero node of the start
+    weights = minimizer._sobolev_weights(n, h)
+    fast = np.column_stack([minimizer._sobolev_metric(e, scale, weights) for e in np.eye(n)])
+    dense = _dense_metric(scale, h)
+    assert np.abs(fast - dense).max() <= 1e-12 * np.abs(dense).max()
+    # symmetric: <u, H0 v> == <H0 u, v>
+    for _ in range(5):
+        u, v = rng.normal(size=n), rng.normal(size=n)
+        lhs = float(u @ minimizer._sobolev_metric(v, scale, weights))
+        rhs = float(minimizer._sobolev_metric(u, scale, weights) @ v)
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [257, 513, 1025])
+def test_iteration_count_does_not_grow_with_the_grid(n):
+    # the plain metric g^(-1/2) took 296, 740 and 1641 iterations here: the
+    # Hessian's conditioning grows as h^-2, and the metric's K undoes it
+    grid = GridSpec.line(-10.0, 10.0, n)
+    start = zoo.mixture_density(grid, (-1.2, 1.1), (0.7, 0.45), (0.6, 0.4))
+    res = minimize_q_fisher(start, MinimizationConfig(q=1.5, alpha=2.0))
+    assert res.converged and res.stop_reason == "tol"
+    assert res.n_iters <= 60
+    assert 1.0 <= res.objective <= 1.0 + 1e-3
+
+
 def test_descent_refuses_a_2d_start():
     grid = GridSpec.box(-8.0, 8.0, 33, 2)
     start = zoo.gaussian_density(grid, (0.0, 0.0), 1.0)
@@ -182,16 +224,17 @@ def test_descent_from_mixture_reaches_saturating_shape():
     assert l1_distance(res.argmin, fitted) < 2e-2
 
 
-@settings(max_examples=12, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**31 - 1), q=st.sampled_from([1.5, 1.2, 1.0]))
-def test_descent_from_seeded_two_bump_starts_converges_above_the_bound(seed, q):
+@settings(max_examples=24, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1), q=st.sampled_from([1.5, 1.2, 1.0]),
+       alpha=st.sampled_from([2.0, 3.0]))
+def test_descent_from_seeded_two_bump_starts_converges_above_the_bound(seed, q, alpha):
     # the benchmark's random starts on a coarser grid: every descent must
     # converge, stay above the bound and never raise the objective
     grid = GridSpec.line(-10.0, 10.0, 257)
     rng = np.random.default_rng(seed)
     start = zoo.mixture_density(grid, np.sort(rng.uniform(-1.5, 1.5, 2)),
                                 rng.uniform(0.4, 0.9, 2), rng.uniform(0.3, 0.7, 2))
-    res = minimize_q_fisher(start, MinimizationConfig(q=q, alpha=2.0))
+    res = minimize_q_fisher(start, MinimizationConfig(q=q, alpha=alpha))
     assert res.converged
     assert res.objective >= 1.0 - MARGIN_TOL
     assert np.all(np.diff(res.objective_trace) <= 0.0)
@@ -218,6 +261,32 @@ def test_discrete_optimum_can_undershoot_dimension():
     assert not res.converged and res.stalled
     assert res.objective >= 1.0
     assert res.objective == pytest.approx(1.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("tol, max_iters, reason", [
+    (1e-3, 5000, "tol"), (1e-12, 4000, "stall"), (1e-3, 3, "max_iters")])
+def test_stop_reason_says_why_the_descent_stopped(tol, max_iters, reason):
+    grid = GridSpec.line(-10.0, 10.0, 257)
+    start = zoo.mixture_density(grid, (-1.2, 1.1), (0.7, 0.45), (0.6, 0.4))
+    res = minimize_q_fisher(start, MinimizationConfig(q=1.5, alpha=2.0, max_iters=max_iters, tol=tol))
+    assert res.stop_reason == reason
+    assert res.converged is (reason == "tol") and res.stalled is (reason == "stall")
+    assert res.n_iters == max_iters or reason != "max_iters"
+
+
+def test_kept_dilations_are_counted_as_iterations():
+    # this seeded start reaches the tolerance only through one kept dilation
+    grid = GridSpec.line(-10.0, 10.0, 257)
+    rng = np.random.default_rng(15)
+    start = zoo.mixture_density(grid, np.sort(rng.uniform(-1.5, 1.5, 2)),
+                                rng.uniform(0.4, 0.9, 2), rng.uniform(0.3, 0.7, 2))
+    res = minimize_q_fisher(start, MinimizationConfig(q=1.5, alpha=2.0))
+    c = res.counters
+    assert res.stop_reason == "tol" and c.dilations >= 1
+    assert c.evaluations == 1 + res.n_iters + c.rejected_trials
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(minimizer, "DILATION", 1.0)  # a dilation that never lowers J
+        assert minimize_q_fisher(start, MinimizationConfig(q=1.5, alpha=2.0)).counters.dilations == 0
 
 
 def test_result_objective_is_last_trace_entry():
