@@ -18,8 +18,7 @@ Q, ALPHA = 1.5, 2.0
 GRID = GridSpec.line(-10.0, 10.0, 513)
 
 start = zoo.mixture_density(GRID, (-1.2, 1.1), (0.7, 0.45), (0.6, 0.4))
-cfg = minimizer.MinimizationConfig(q=Q, alpha=ALPHA, norm_p=2.0,
-                                   max_iters=5000, tol=1e-5)
+cfg = minimizer.MinimizationConfig(q=Q, alpha=ALPHA, max_iters=5000, tol=1e-5)
 res = minimizer.minimize_q_fisher(start, cfg)
 
 print(f"q = {Q}, alpha = {ALPHA}, {GRID.points[0]} grid points")

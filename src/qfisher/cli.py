@@ -8,10 +8,9 @@ default and its value rule; the flags, the config-file checks and the
 summary's config echo are all built from it.  Key `grid_points` is flag
 `--grid-points`, a `bool` key is an on-switch, a choices rule gives the
 same choices on the flag and in the file, and a bound rule is checked the
-same way from either.  `fisher` also accepts `--grid` for `--grid-points`;
-`debruijn` sizes its grid with `--points`.  Unknown config keys are
-rejected and every parameter is validated before any output file is
-created, so a bad config never leaves partial artifacts behind.  Each
+same way from either.  `debruijn` sizes its grid with `--points`.  Unknown
+config keys are rejected and every parameter is validated before any output
+file is created, so a bad config never leaves partial artifacts behind.  Each
 handler returns its status, tolerances and results, and `main` writes the
 `<subcommand>_summary.json` from them, with the warnings the run raised
 (each also printed to stderr as one `warning: <Category>: <message>` line).
@@ -83,7 +82,6 @@ SUBCOMMAND_SCHEMAS = {
     "fisher": {
         "beta": (float, 2.0, 1.0),
         "q": (float, 1.0, 0.0),
-        "p": (float, 2.0, 1.0),
         "family": (str, "gauss", ("gauss", "laplace", "qgauss")),
         "grid_points": (int, None, 0),  # None = FISHER_BOX[family]
         "half_width": (float, None, 0.0),
@@ -105,7 +103,6 @@ SUBCOMMAND_SCHEMAS = {
     "minimize": {
         "q": (float, 1.5, 0.0),
         "alpha": (float, 2.0, 1.0),
-        "p": (float, 2.0, 1.0),
         "init": (str, "mixture", ("mixture", "uniform", "gauss", "file")),
         "density_file": (str, None),
         "iters": (int, 5000, 0),
@@ -350,8 +347,8 @@ def cmd_fisher(params: dict) -> tuple[int, dict, dict]:
         fam = q_gaussian_location_family(grid, params["q"], params["alpha"], params["gamma"])
     g = fam.at(0.0)
 
-    family_value = generalized_fisher(fam, g, 0.0, params["beta"], params["p"])
-    q_value = q_fisher(g, params["beta"], params["q"], params["p"])
+    family_value = generalized_fisher(fam, g, 0.0, params["beta"])
+    q_value = q_fisher(g, params["beta"], params["q"])
     matrix = fisher_matrix(fam, g, 0.0).entries.tolist()
 
     limit_check = None
@@ -423,8 +420,8 @@ def cmd_qcr_check(params: dict) -> tuple[int, dict, dict]:
 
 
 def cmd_minimize(params: dict) -> tuple[int, dict, dict]:
-    cfg = _build(minimizer.MinimizationConfig, params, q="q", alpha="alpha", norm_p="p",
-                 max_iters="iters", tol="tol")
+    cfg = _build(minimizer.MinimizationConfig, params, q="q", alpha="alpha", max_iters="iters",
+                 tol="tol")
 
     grid = _line_grid(params["half_width"], params["grid_points"])
     if params["init"] == "mixture":
@@ -441,7 +438,7 @@ def cmd_minimize(params: dict) -> tuple[int, dict, dict]:
     # the product is bounded below by the dimension; undershoot means a bug
     status = EXIT_OK if final_obj >= grid.dims - MARGIN_TOL else EXIT_BOUND_VIOLATED
 
-    fitted = densities.fit_q_gaussian(result.argmin, params["q"], params["alpha"], params["p"])
+    fitted = densities.fit_q_gaussian(result.argmin, params["q"], params["alpha"])
     l1 = densities.l1_distance(result.argmin, fitted)
 
     out = _out_dir(params)
@@ -542,9 +539,6 @@ COMMANDS = {
     "uncertainty": (cmd_uncertainty, "escort-moment Fourier uncertainty product"),
 }
 
-# further spellings of a schema flag: subcommand -> {key: option strings}
-FLAG_ALIASES = {"fisher": {"grid_points": ("--grid",)}}
-
 
 def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     """The qfisher parser; with `only`, just that subcommand gets its flags.
@@ -564,7 +558,6 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
         if only is not None and name != only:
             continue
         sp.add_argument("--config", help="flat JSON config file; flags override it")
-        aliases = FLAG_ALIASES.get(name, {})
         for key, (typ, _, *rule) in SCHEMAS[name].items():
             flag = "--" + key.replace("_", "-")
             if typ is bool:
@@ -572,7 +565,7 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
             else:
                 choices = rule[0] if rule and isinstance(rule[0], tuple) else None
                 kind = {"type": typ, "choices": choices}
-            sp.add_argument(flag, *aliases.get(key, ()), dest=key, help=FLAG_HELP.get(key), **kind)
+            sp.add_argument(flag, help=FLAG_HELP.get(key), **kind)
     return parser
 
 

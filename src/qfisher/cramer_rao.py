@@ -128,17 +128,6 @@ def _bound_rhs(prob: EstimationProblem, theta) -> tuple[float, float]:
     return abs(trace), trace - prob.m_dim
 
 
-def scalar_cr_check(prob: EstimationProblem, theta) -> BoundReport:
-    """One-parameter bound: error alpha-moment times Fisher^(1/beta) >= |dE[T]/dtheta|.
-
-    rhs differentiates theta -> E_{f_theta}[T] with h(theta) subtracted as a
-    constant, i.e. |m + d(bias)/dh|; for h = theta and unbiased T this is 1.
-    """
-    if prob.m_dim != 1 or prob.fam.theta_dim != 1:
-        raise ValueError("scalar check needs m_dim == theta_dim == 1")
-    return multidim_cr_check(prob, theta)
-
-
 def multidim_cr_check(prob: EstimationProblem, theta) -> BoundReport:
     """E_g[||T - h||^alpha]^(1/alpha) E_g[||H grad f/g||_*^beta]^(1/beta) >= |m + div bias|.
 
@@ -222,8 +211,6 @@ def _norm_gradient_field(grid, norm_p: float) -> list[np.ndarray]:
     mesh = grid.open_mesh()
     r = grid.radius(norm_p)
     safe = np.where(r > 0.0, r, 1.0)
-    if norm_p == 2.0:
-        return [np.where(r > 0.0, x / safe, 0.0) for x in mesh]
     return [
         np.where(r > 0.0, np.sign(x) * np.abs(x) ** (norm_p - 1.0) / safe ** (norm_p - 1.0), 0.0)
         for x in mesh

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -247,26 +246,6 @@ def coarse_grain(g: GridDensity, factor: int) -> GridDensity:
     )
 
 
-def affine_reparameterize(g: GridDensity, a, b) -> GridDensity:
-    """Exact density of y = a*x + b (per-axis a != 0), as a grid relabeling."""
-    a = np.broadcast_to(np.asarray(a, dtype=float), (g.grid.dims,))
-    b = np.broadcast_to(np.asarray(b, dtype=float), (g.grid.dims,))
-    if np.any(a == 0.0) or not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
-        raise ValueError("affine map needs finite a != 0")
-    los, his = [], []
-    for l, h, aa, bb in zip(g.grid.lo, g.grid.hi, a, b):
-        y0, y1 = aa * l + bb, aa * h + bb
-        los.append(min(y0, y1))
-        his.append(max(y0, y1))
-    grid = GridSpec(tuple(los), tuple(his), g.grid.points)
-    jac = float(np.prod(np.abs(a)))
-    vals = g.values / jac
-    for ax, aa in enumerate(a):
-        if aa < 0.0:
-            vals = np.flip(vals, axis=ax)
-    return GridDensity.from_values(grid, vals, normalize=False, check_boundary=False)
-
-
 def q_gaussian_moment_scale(q: float, alpha: float) -> float:
     """Closed form m_alpha * gamma for a generalized Gaussian: 1/(q*alpha + q - 1)."""
     denom = q * alpha + q - 1.0
@@ -295,8 +274,3 @@ def l1_distance(a: GridDensity, b: GridDensity) -> float:
     if a.grid != b.grid:
         raise ValueError("densities live on different grids")
     return a.integral(np.abs(a.values - b.values))
-
-
-def gaussian_m_q(q: float, sigma: float = 1.0, dims: int = 1) -> float:
-    """Closed form M_q for an isotropic normal: (2*pi*sigma^2)^(dims*(1-q)/2) * q^(-dims/2)."""
-    return (2.0 * math.pi * sigma**2) ** (dims * (1.0 - q) / 2.0) * q ** (-dims / 2.0)

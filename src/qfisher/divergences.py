@@ -21,7 +21,6 @@ from .grid import GridDensity
 class DivergenceResult:
     value: float
     beta: float
-    averaging: str  # "standard" (g = f2) or "modified" (explicit g)
 
     def __post_init__(self):
         if self.value < 0.0:
@@ -46,8 +45,7 @@ def chi_beta_g(f1: GridDensity, f2: GridDensity, g: GridDensity, beta: float) ->
         mismatch="f2 - f1 carries weight where g sits below the support floor; "
         "the modified divergence is dominated by unresolvable tail ratios",
     )
-    averaging = "standard" if g is f2 else "modified"
-    return DivergenceResult(value=float(value), beta=float(beta), averaging=averaging)
+    return DivergenceResult(value=float(value), beta=float(beta))
 
 
 def chi_beta(f1: GridDensity, f2: GridDensity, beta: float) -> DivergenceResult:

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .divergences import chi_beta_g
-from .errors import NonConvergent, SupportMismatch
+from .errors import NonConvergent
 from .grid import (
     GridDensity,
     GridSpec,
@@ -101,29 +101,6 @@ def _gradient_on(fam: ParametricFamily, g: GridDensity, theta) -> np.ndarray:
     return grads
 
 
-@dataclass(frozen=True)
-class ScoreField:
-    """Components of grad_theta f / g on the grid (zero where both vanish)."""
-
-    grid: GridSpec
-    components: np.ndarray  # shape (theta_dim, *grid.shape)
-
-
-def score_field(fam: ParametricFamily, g: GridDensity, theta) -> ScoreField:
-    grads = _gradient_on(fam, g, theta)
-    gv = g.values
-    mask = gv > support_floor(gv)
-    out = np.zeros_like(grads)
-    for j in range(grads.shape[0]):
-        gj = grads[j]
-        gmax = float(np.abs(gj).max())
-        # rounding-scale tails below the mask are fine; O(1) overhang is not
-        if gmax > 0.0 and bool(np.any(~mask & (np.abs(gj) > 1e-6 * gmax))):
-            raise SupportMismatch("theta-gradient is nonzero where g vanishes")
-        out[j, mask] = gj[mask] / gv[mask]
-    return ScoreField(grid=g.grid, components=out)
-
-
 def generalized_fisher(
     fam: ParametricFamily, g: GridDensity, theta, beta: float, norm_p: float = 2.0
 ) -> float:
@@ -132,16 +109,6 @@ def generalized_fisher(
         raise ValueError("beta must exceed 1")
     grads = _gradient_on(fam, g, theta)
     return g.masked_power_integral(lp_norm(list(grads), norm_p), beta)
-
-
-def generalized_fisher_components(
-    fam: ParametricFamily, g: GridDensity, theta, beta: float
-) -> np.ndarray:
-    """Per-component E_g[|d_j f / g|^beta]; sums to the p = beta functional."""
-    if not beta > 1.0:
-        raise ValueError("beta must exceed 1")
-    grads = _gradient_on(fam, g, theta)
-    return np.array([g.masked_power_integral(np.abs(gj), beta) for gj in grads])
 
 
 @dataclass(frozen=True)

@@ -209,12 +209,6 @@ class HolderPair:
             raise ValueError("alpha must be finite and > 1")
         return HolderPair(float(alpha), alpha / (alpha - 1.0))
 
-    @staticmethod
-    def from_beta(beta: float) -> "HolderPair":
-        if not (beta > 1.0 and np.isfinite(beta)):
-            raise ValueError("beta must be finite and > 1")
-        return HolderPair(beta / (beta - 1.0), float(beta))
-
 
 @dataclass(frozen=True)
 class GridDensity:

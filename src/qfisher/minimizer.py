@@ -83,7 +83,6 @@ FLAT_NEAR = 1e-2
 class MinimizationConfig:
     q: float
     alpha: float
-    norm_p: float = 2.0
     max_iters: int = 5000
     tol: float = 1e-3
 
@@ -91,8 +90,6 @@ class MinimizationConfig:
         HolderPair.from_alpha(self.alpha)  # validates alpha > 1
         if not self.q > 0.0:
             raise ParameterError(("q",), "must be positive")
-        if not 1.0 < self.norm_p < np.inf:
-            raise ParameterError(("norm_p",), "must lie strictly between 1 and infinity")
 
     @property
     def beta(self) -> float:
@@ -133,7 +130,7 @@ class _Objective:
     def __init__(self, grid: GridSpec, cfg: MinimizationConfig):
         beta = cfg.beta
         w = p1_moment_weights(grid, cfg.alpha)
-        self.kernel = QFisherKernel(grid, beta, cfg.q, cfg.norm_p)
+        self.kernel = QFisherKernel(grid, beta, cfg.q)
         self.moment_weights = w
         self.moment_grad = (beta / cfg.alpha) * w  # (beta/alpha) dm_alpha/dg
         self.moment_power = beta / cfg.alpha
@@ -162,10 +159,10 @@ def _renormalized(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _odd_sine(z: np.ndarray) -> np.ndarray:
-    """-2 x the type-I sine transform of z's interior (its ends must be 0),
-    as a node vector with 0 ends: the imaginary part of the DFT of z's odd
-    extension, of length 2(n - 1)."""
-    return np.fft.rfft(np.concatenate((z, -z[-2:0:-1]))).imag
+    """-2 x the type-I sine transform of the interior of each row of z (its
+    ends must be 0), as node vectors with 0 ends: the imaginary part of the
+    DFT of the row's odd extension, of length 2(n - 1)."""
+    return np.fft.rfft(np.concatenate((z, -z[..., -2:0:-1]), axis=-1)).imag
 
 
 def _sobolev_weights(points: int, spacing: float) -> np.ndarray:
@@ -180,14 +177,16 @@ def _sobolev_weights(points: int, spacing: float) -> np.ndarray:
 
 
 def _sobolev_metric(v: np.ndarray, scale: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """H0 v = scale * K^(-1) (scale * v), with `weights` from `_sobolev_weights`."""
+    """H0 v = scale * K^(-1) (scale * v) for each row v of `v`, with `weights`
+    from `_sobolev_weights`."""
     return scale * _odd_sine(weights * _odd_sine(scale * v))
 
 
 def _two_loop(grad: np.ndarray, steps: deque, changes: deque, metric) -> np.ndarray:
     """-H grad for the L-BFGS inverse Hessian H built on gamma metric(.) from
     the curvature pairs (s_i, y_i), oldest first; gamma = s.y / (y . metric(y))
-    for the newest pair.
+    for the newest pair.  One `metric` call takes that y and the vector
+    between the loops as two rows.
 
     The two loops of Liu & Nocedal run on the scalars s_i . y_j and on one
     product of the stacked pairs with a vector per loop."""
@@ -204,7 +203,8 @@ def _two_loop(grad: np.ndarray, steps: deque, changes: deque, metric) -> np.ndar
         a[i] = rho[i] * acc
     r = grad - np.array(a) @ y_mat
     y_new = y_mat[-1]
-    r = (sy[-1][-1] / float(y_new @ metric(y_new))) * metric(r)
+    h_y, h_r = metric(np.stack([y_new, r]))
+    r = (sy[-1][-1] / float(y_new @ h_y)) * h_r
     y_dot = (y_mat @ r).tolist()
     c = [0.0] * k  # a_i - b_i
     for i in range(k):

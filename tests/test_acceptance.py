@@ -91,8 +91,7 @@ def test_criterion_4_minimizer_reaches_q_gaussian():
     start = time.perf_counter()
     grid = GridSpec.line(-10.0, 10.0, 513)
     init = zoo.mixture_density(grid, (-1.2, 1.1), (0.7, 0.45), (0.6, 0.4))
-    cfg = minimizer.MinimizationConfig(q=1.5, alpha=2.0, norm_p=2.0,
-                                       max_iters=5000, tol=1e-5)
+    cfg = minimizer.MinimizationConfig(q=1.5, alpha=2.0, max_iters=5000, tol=1e-5)
     res = minimizer.minimize_q_fisher(init, cfg)
     elapsed = time.perf_counter() - start
 

@@ -253,8 +253,8 @@ def test_domain_errors_rejected_before_output(tmp_path, capsys):
     [
         (["fisher", "--family", "qgauss", "--alpha", "0.5"], ["alpha"]),
         (["qcr-check", "--gamma", "-1"], ["gamma"]),
-        # the schema rule on p stands in front of the minimizer's own check
-        (["minimize", "--p", "1"], ["p"]),
+        # the schema rule on q stands in front of the minimizer's own check
+        (["minimize", "--q", "0"], ["q"]),
         (["uncertainty", "--gamma", "1"], ["gamma"]),
         (["uncertainty", "--q", "0.4"], ["q", "beta"]),
     ],
@@ -396,13 +396,34 @@ def test_qcr_check_violation_on_a_compact_input_still_exits_2(tmp_path, monkeypa
     assert _summary(out, "qcr_check_summary.json")["results"]["margin"] == -0.5
 
 
-def test_fisher_grid_points_spells_grid(tmp_path):
+@pytest.mark.parametrize("subcommand", ["fisher", "minimize"])
+def test_line_only_subcommands_take_no_p(tmp_path, capsys, subcommand):
+    # both run on a line, where ||x||_p = |x| for every p
     out = tmp_path / "out"
-    summaries = []
-    for flag in ("--grid-points", "--grid"):
-        assert main(["fisher", flag, "1025", "--out-dir", str(out)]) == 0
-        summaries.append((out / "fisher_summary.json").read_bytes())
-    assert summaries[0] == summaries[1]
+    assert main([subcommand, "--p", "3", "--out-dir", str(out)]) == 64
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 3.0}))
+    capsys.readouterr()
+    assert main([subcommand, "--config", str(cfg), "--out-dir", str(out)]) == 64
+    assert "unknown config keys: p" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_qcr_check_p_changes_the_bound_on_a_2d_density_file(tmp_path):
+    qp = qfisher.QGaussianParams(q=1.5, alpha=2.0, gamma=1.0, dims=2)
+    half = qfisher.suggested_half_extent(qp)
+    path = tmp_path / "density.json"
+    qfisher.make_q_gaussian(qp, GridSpec.box(-half, half, 81, 2)).save_json(path)
+    lhs = {}
+    for p in ("2", "3"):
+        out = tmp_path / f"out-p{p}"
+        main(["qcr-check", "--density", "file", "--density-file", str(path), "--p", p,
+              "--out-dir", str(out)])
+        lhs[p] = _summary(out, "qcr_check_summary.json")["results"]["lhs"]
+    # the q-Gaussian is built on the 2-norm, so p = 2 sits at the bound 2 and
+    # p = 3 above it
+    assert lhs["2"] == pytest.approx(2.0, abs=5e-3)
+    assert lhs["3"] - lhs["2"] > 2e-2
 
 
 def test_flag_overrides_config_overrides_default(tmp_path):
@@ -461,7 +482,7 @@ def test_qcr_check_default_saturates(tmp_path):
 
 def test_fisher_gaussian_defaults(tmp_path):
     out = tmp_path / "out"
-    assert main(["fisher", "--grid", "1025", "--half-width", "10",
+    assert main(["fisher", "--grid-points", "1025", "--half-width", "10",
                  "--out-dir", str(out)]) == 0
     res = _summary(out, "fisher_summary.json")["results"]
     assert res["value"] == pytest.approx(1.0, rel=1e-6)

@@ -17,7 +17,6 @@ from qfisher import (
     matrix_cr_check,
     multidim_cr_check,
     q_cr_check,
-    scalar_cr_check,
     suggested_half_extent,
     zoo,
 )
@@ -40,19 +39,12 @@ def _identity_problem(grid, sigma=1.0):
 
 def test_scalar_efficient_estimator_saturates():
     prob = _identity_problem(GridSpec.line(-12.0, 12.0, 4096))
-    rep = scalar_cr_check(prob, 0.0)
+    rep = multidim_cr_check(prob, 0.0)
     assert rep.rhs == pytest.approx(1.0, abs=1e-9)
     assert rep.lhs == pytest.approx(1.0, rel=1e-6)
     assert rep.margin == pytest.approx(0.0, abs=1e-6)
     assert rep.saturated
     assert rep.diagnostics["bias_divergence"] == pytest.approx(0.0, abs=1e-9)
-
-
-def test_scalar_check_equals_multidim_check():
-    prob = _identity_problem(GridSpec.line(-10.0, 10.0, 1025), sigma=1.3)
-    scalar, multidim = scalar_cr_check(prob, 0.0), multidim_cr_check(prob, 0.0)
-    assert scalar == multidim
-    assert scalar.diagnostics == multidim.diagnostics
 
 
 def test_scalar_biased_statistic_shrinks_rhs():
@@ -66,7 +58,7 @@ def test_scalar_biased_statistic_shrinks_rhs():
         g=fam.at(0.0),
         pair=PAIR22,
     )
-    rep = scalar_cr_check(prob, 0.0)
+    rep = multidim_cr_check(prob, 0.0)
     # E[T] = theta/2, so the bias derivative halves the rhs; T itself has
     # half the spread, so the bound stays saturated
     assert rep.rhs == pytest.approx(0.5, abs=1e-9)
@@ -87,7 +79,7 @@ def test_scalar_reparameterized_target():
         g=fam.at(0.0),
         pair=PAIR22,
     )
-    rep = scalar_cr_check(prob, 0.0)
+    rep = multidim_cr_check(prob, 0.0)
     assert rep.rhs == pytest.approx(1.0, abs=1e-9)
     assert rep.lhs == pytest.approx(1.0, rel=1e-6)
     assert rep.saturated
@@ -105,8 +97,6 @@ def test_scalar_check_rejects_multidim():
         pair=PAIR22,
         m_dim=2,
     )
-    with pytest.raises(ValueError):
-        scalar_cr_check(prob, (0.0, 0.0))
     rep = multidim_cr_check(prob, (0.0, 0.0))
     assert rep.rhs == pytest.approx(2.0, abs=1e-8)
     assert rep.lhs == pytest.approx(2.0, rel=1e-4)
@@ -124,7 +114,7 @@ def test_suboptimal_estimator_leaves_slack():
         g=fam.at(0.0),
         pair=PAIR22,
     )
-    rep = scalar_cr_check(prob, 0.0)
+    rep = multidim_cr_check(prob, 0.0)
     assert rep.margin > 0.05
     assert not rep.saturated
 

@@ -30,7 +30,6 @@ def test_chi2_gaussian_closed_form():
     res = chi_beta(_gauss(0.1), _gauss(0.0), beta=2.0)
     assert res.value == pytest.approx(CHI2_SHIFT_01, rel=1e-9)
     assert res.beta == 2.0
-    assert res.averaging == "standard"
 
 
 def test_chi2_symmetric_in_shift_sign():
@@ -44,9 +43,6 @@ def test_chi_beta_reduces_to_modified_form():
     plain = chi_beta(f1, f2, beta=1.7)
     routed = chi_beta_g(f1, f2, f2, beta=1.7)
     assert plain.value == routed.value
-    assert routed.averaging == "standard"
-    g = zoo.gaussian_density(GRID, mean=0.0, sigma=1.3)
-    assert chi_beta_g(f1, f2, g, beta=1.7).averaging == "modified"
 
 
 def test_chi_beta_g_matches_direct_quadrature():
@@ -176,4 +172,4 @@ def test_negative_value_rejected_by_result_type():
     from qfisher.divergences import DivergenceResult
 
     with pytest.raises(ValueError):
-        DivergenceResult(value=-1e-3, beta=2.0, averaging="standard")
+        DivergenceResult(value=-1e-3, beta=2.0)

@@ -19,12 +19,10 @@ from qfisher import (
     gaussian_location_family,
     gaussian_scale_family,
     generalized_fisher,
-    generalized_fisher_components,
     laplace_location_family,
     make_q_gaussian,
     q_fisher,
     q_gaussian_location_family,
-    score_field,
     theta_gradient,
     zoo,
 )
@@ -120,44 +118,28 @@ def test_laplace_family_fisher_near_unit():
 
 
 def test_components_sum_to_beta_norm_functional():
+    # at beta = p = 2 the functional is the trace of the Fisher matrix, whose
+    # diagonal holds the per-axis informations 1/sigma_j^2
     grid = GridSpec((-10.0, -10.0), (10.0, 10.0), (192, 192))
     fam = gaussian_location_family(grid, sigma=(1.0, 1.4))
     g = fam.at((0.0, 0.0))
-    comps = generalized_fisher_components(fam, g, (0.0, 0.0), beta=2.0)
+    comps = np.diag(fisher_matrix(fam, g, (0.0, 0.0)).entries)
     assert comps[0] == pytest.approx(1.0, rel=1e-4)
     assert comps[1] == pytest.approx(1.0 / 1.4**2, rel=1e-4)
     total = generalized_fisher(fam, g, (0.0, 0.0), beta=2.0, norm_p=2.0)
     assert comps.sum() == pytest.approx(total, rel=1e-12)
 
 
-def test_score_field_matches_gaussian_closed_form():
-    fam = gaussian_location_family(GRID, sigma=1.0)
-    g = fam.at(0.3)
-    sf = score_field(fam, g, 0.3)
-    (x,) = GRID.axes()
-    inner = np.abs(x - 0.3) < 6.0
-    assert np.allclose(sf.components[0][inner], (x - 0.3)[inner], rtol=1e-3, atol=1e-4)
-
-
-def test_score_field_support_mismatch():
-    grid = GridSpec.line(-6.0, 6.0, 1024)
-    fam = gaussian_location_family(grid, sigma=0.6)
-    g = make_q_gaussian(QGaussianParams(q=2.0, alpha=2.0, gamma=1.0), grid)
-    with pytest.raises(SupportMismatch):
-        score_field(fam, g, 0.0)
-
-
 @pytest.mark.parametrize(
     "functional",
     [
         lambda fam, g: generalized_fisher(fam, g, 0.0, beta=2.0),
-        lambda fam, g: generalized_fisher_components(fam, g, 0.0, beta=2.0),
         lambda fam, g: fisher_matrix(fam, g, 0.0),
     ],
-    ids=["generalized_fisher", "generalized_fisher_components", "fisher_matrix"],
+    ids=["generalized_fisher", "fisher_matrix"],
 )
 def test_fisher_functionals_refuse_support_mismatch(functional):
-    # the score_field input above: a full-support family against a compact g
+    # a full-support family against a compact g
     grid = GridSpec.line(-6.0, 6.0, 1024)
     fam = gaussian_location_family(grid, sigma=0.6)
     g = make_q_gaussian(QGaussianParams(q=2.0, alpha=2.0, gamma=1.0), grid)

@@ -38,8 +38,6 @@ def test_config_validation():
         MinimizationConfig(q=1.5, alpha=1.0)  # no conjugate beta
     with pytest.raises(ValueError):
         MinimizationConfig(q=0.0, alpha=2.0)
-    with pytest.raises(ValueError):
-        MinimizationConfig(q=1.5, alpha=2.0, norm_p=1.0)
     cfg = MinimizationConfig(q=1.2, alpha=3.0)
     assert cfg.beta == pytest.approx(1.5)
 
