@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -45,7 +46,7 @@ from .fisher import (
     q_fisher,
     q_gaussian_location_family,
 )
-from .grid import BOUNDARY_REL_TOL, GridDensity, GridSpec, HolderPair, boundary_abs_max
+from .grid import BOUNDARY_REL_TOL, GridDensity, GridSpec, HolderPair, boundary_abs_max, write_csv
 from .version import __version__
 
 EXIT_OK = 0
@@ -251,22 +252,6 @@ def _load_density(path_str: str | None, what: str) -> GridDensity:
         raise ConfigError(f"could not parse density file {path}: {exc}") from exc
 
 
-def _format_cell(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
-def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
-    rows = sorted(rows)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_cell(c) for c in row) + "\n")
-
-
 def _write_summary(subcommand: str, params: dict, tolerances: dict, results: dict,
                    exit_status: int, warned: list[dict]) -> None:
     payload = {
@@ -282,17 +267,6 @@ def _write_summary(subcommand: str, params: dict, tolerances: dict, results: dic
     with open(path, "w", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _bound_results(report) -> dict:
-    """Summary results of a BoundReport."""
-    return {
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "margin": report.margin,
-        "saturated": bool(report.saturated),
-        "diagnostics": {k: float(v) for k, v in report.diagnostics.items()},
-    }
 
 
 def _out_dir(params: dict) -> Path:
@@ -409,14 +383,14 @@ def cmd_qcr_check(params: dict) -> tuple[int, dict, dict]:
             "product misses the cut at the box ends; rerun on a wider box (--half-width)"
         )
 
-    _write_csv(
+    write_csv(
         _out_dir(params) / "qcr_check_detail.csv",
         ["q", "alpha", "lhs", "rhs", "margin", "saturated"],
         [(params["q"], params["alpha"], report.lhs, report.rhs, report.margin, report.saturated)],
     )
     # q_cr_check calls a density saturated by its equality-field fit
     tolerances = {"margin": MARGIN_TOL, "saturation_rel": cramer_rao.FIELD_FIT_TOL}
-    return status, tolerances, _bound_results(report)
+    return status, tolerances, dataclasses.asdict(report)
 
 
 def cmd_minimize(params: dict) -> tuple[int, dict, dict]:
@@ -442,11 +416,7 @@ def cmd_minimize(params: dict) -> tuple[int, dict, dict]:
     l1 = densities.l1_distance(result.argmin, fitted)
 
     out = _out_dir(params)
-    _write_csv(
-        out / "minimize_trace.csv",
-        ["iter", "objective"],
-        [(i, v) for i, v in enumerate(result.objective_trace)],
-    )
+    write_csv(out / "minimize_trace.csv", ["iter", "objective"], enumerate(result.objective_trace))
     result.argmin.save_json(out / "minimize_final_density.json")
     result.argmin.save_csv(out / "minimize_final_density.csv")
     return status, {"bound_margin": MARGIN_TOL}, {
@@ -484,12 +454,10 @@ def cmd_debruijn(params: dict) -> tuple[int, dict, dict]:
     )
 
     out = _out_dir(params)
-    rows = [
-        (r.t, r.entropy, r.m_q, r.i_beta_q, r.lhs, r.rhs, r.rel_err, r.excluded_mass)
-        for r in reports
-    ]
-    _write_csv(out / "debruijn_series.csv",
-               ["t", "S_q", "M_q", "I_bq", "lhs", "rhs", "rel_err", "excluded_mass"], rows)
+    write_csv(out / "debruijn_series.csv",
+              ["t", "S_q", "M_q", "I_bq", "lhs", "rhs", "rel_err", "excluded_mass"],
+              [(r.t, r.entropy, r.m_q, r.i_beta_q, r.lhs, r.rhs, r.rel_err, r.excluded_mass)
+               for r in reports])
     # each snapshot is the state its series row was measured on
     if params["snap_every"] > 0:
         for idx in range(0, len(reports), params["snap_every"]):
@@ -526,7 +494,7 @@ def cmd_uncertainty(params: dict) -> tuple[int, dict, dict]:
     report = uncertainty.uncertainty_check(psi, up)
     status = EXIT_OK if report.margin >= -MARGIN_TOL else EXIT_BOUND_VIOLATED
     tolerances = {"margin": MARGIN_TOL, "saturation_rel": cramer_rao.SATURATION_REL_TOL}
-    return status, tolerances, _bound_results(report)
+    return status, tolerances, dataclasses.asdict(report)
 
 
 # subcommand -> (handler, help line)
@@ -540,23 +508,21 @@ COMMANDS = {
 }
 
 
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The qfisher parser; with `only`, just that subcommand gets its flags.
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The qfisher parser, built from SCHEMAS on first use and kept for the process.
 
-    Argparse hands everything after a subcommand's name to that subparser
-    alone, so a parser for `only` parses an argv led by `only` exactly as
-    the full parser does, and skips building the other flags.
+    Each key has one flag, spelled in full: argparse's prefix matching is off.
     """
     parser = argparse.ArgumentParser(
         prog="qfisher",
         description="Generalized Fisher information, Cramer-Rao bounds, and their saturation checks.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"qfisher {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (_, help_line) in COMMANDS.items():
-        sp = sub.add_parser(name, help=help_line)
-        if only is not None and name != only:
-            continue
+        sp = sub.add_parser(name, help=help_line, allow_abbrev=False)
         sp.add_argument("--config", help="flat JSON config file; flags override it")
         for key, (typ, _, *rule) in SCHEMAS[name].items():
             flag = "--" + key.replace("_", "-")
@@ -577,11 +543,8 @@ def _grouped_warnings(caught) -> list[dict]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # an argv led by a subcommand name goes to that subparser; anything else
-    # (--help, --version, no or an unknown subcommand) needs the full parser
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; that code means "bound violated"
         # here, so remap parse failures to the config-error status

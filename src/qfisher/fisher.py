@@ -18,7 +18,6 @@ from .errors import NonConvergent
 from .grid import (
     GridDensity,
     GridSpec,
-    axis_gradient,
     dual_exponent,
     lp_norm,
     support_floor,
@@ -285,9 +284,9 @@ class QFisherKernel:
     drop to the floor does.  `parts` returns the exact gradient of this sum,
     through the adjoint of the face difference.
 
-    In 2D the integrand is evaluated at the nodes with the np.gradient stencil
-    (`grid.axis_gradient`) and summed by the trapezoid rule over the nodes
-    above the support floor; that path has a value and no gradient.
+    In 2D the integrand is evaluated at the nodes with the `np.gradient`
+    stencil and summed by the trapezoid rule over the nodes above the
+    support floor; that path has a value and no gradient.
     """
 
     def __init__(self, grid: GridSpec, beta: float, q: float, norm_p: float = 2.0):
@@ -359,7 +358,7 @@ class QFisherKernel:
 
     def _node_value(self, gv: np.ndarray) -> float:
         beta, q, w = self.beta, self.q, self.weights
-        grads = [axis_gradient(gv, a, h) for a, h in enumerate(self.spacing)]
+        grads = [np.gradient(gv, h, axis=a) for a, h in enumerate(self.spacing)]
         dens_u = lp_norm(grads, self.dual)
         mask = gv > support_floor(gv)
         g_pow = np.where(mask, gv, 1.0) ** self.e

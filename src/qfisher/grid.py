@@ -8,7 +8,6 @@ keeps every downstream check deterministic.
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import dataclass
@@ -145,27 +144,6 @@ def lp_norm(components, p: float) -> np.ndarray:
     if p < 1.0:
         raise ValueError("p-norm needs p >= 1")
     return reduce(np.add, [c**p for c in comps]) ** (1.0 / p)
-
-
-def along(axis: int, index) -> tuple:
-    """Index tuple that applies `index` (an int or a slice) to one axis only."""
-    return (slice(None),) * axis + (index,)
-
-
-def axis_gradient(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """np.gradient(values, h, axis=axis) by slices: the central difference
-    inside, one-sided differences at the two ends of the axis.
-
-    The arithmetic is np.gradient's own (the difference divided by 2h, or
-    by h at the ends), so the two agree bit for bit on any float grid.
-    """
-    v = np.asarray(values, dtype=float)
-    out = np.empty_like(v)
-    out[along(axis, slice(1, -1))] = (
-        v[along(axis, slice(2, None))] - v[along(axis, slice(None, -2))]) / (2.0 * h)
-    out[along(axis, 0)] = (v[along(axis, 1)] - v[along(axis, 0)]) / h
-    out[along(axis, -1)] = (v[along(axis, -1)] - v[along(axis, -2)]) / h
-    return out
 
 
 def boundary_abs_max(values) -> float:
@@ -314,7 +292,7 @@ class GridDensity:
 
     def spatial_gradient(self) -> list[np.ndarray]:
         """Central-difference gradient per axis (one-sided at the domain edge)."""
-        return [axis_gradient(self.values, a, h) for a, h in enumerate(self.grid.spacing)]
+        return [np.gradient(self.values, h, axis=a) for a, h in enumerate(self.grid.spacing)]
 
     def on_shifted_grid(self, delta) -> "GridDensity":
         """Same values with the origin moved to `delta` (pure relabeling)."""
@@ -347,10 +325,22 @@ class GridDensity:
             return GridDensity.from_json_dict(json.load(fh))
 
     def save_csv(self, path) -> None:
-        mesh = self.grid.mesh()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{a}" for a in range(self.grid.dims)] + ["value"])
-            cols = [m.ravel(order="C") for m in mesh] + [self.values.ravel(order="C")]
-            for row in zip(*cols):
-                writer.writerow([repr(float(x)) for x in row])
+        """Node coordinates x0, x1, ... and the value, one node a row in C order."""
+        cols = [a.ravel(order="C").tolist() for a in (*self.grid.mesh(), self.values)]
+        write_csv(path, [f"x{a}" for a in range(self.grid.dims)] + ["value"], zip(*cols))
+
+
+def _csv_cell(v) -> str:
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    return str(v)
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """Comma-separated rows in the order given, with LF line ends: floats as
+    `repr`, bools as true/false, anything else as `str`."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(_csv_cell, row)) + "\n" for row in rows)

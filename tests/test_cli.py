@@ -9,6 +9,7 @@ contract: 0 bounds hold, 2 a bound is violated, 64 configuration error,
 1 crash.
 """
 
+import argparse
 import contextlib
 import dataclasses
 import importlib
@@ -111,13 +112,13 @@ def test_unknown_flag_is_config_error(capsys):
     assert main(["fisher", "--no-such-flag", "1"]) == 64
 
 
-def _parse_output(parse, argv):
-    """(exit code, stdout, stderr) of one argparse run over argv."""
+def _parse_output(run, argv):
+    """(exit code, stdout, stderr) of one call of `run` on argv: the code it
+    exits with or, if it returns, what it returns."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            parse(argv)
-            code = None
+            code = run(argv)
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
@@ -136,15 +137,47 @@ BAD_VALUE = {
 
 @pytest.mark.parametrize("subcommand", sorted(COMMANDS))
 def test_one_subcommand_parser_reads_like_the_full_parser(subcommand):
+    # main, given one subcommand's argv, prints what the full parser prints
+    # and maps argparse's usage-error exit 2 to 64
     full = build_parser()
     for argv in ([subcommand, "--help"], [subcommand, "--bogus"],
                  [subcommand, *BAD_VALUE[subcommand]]):
         expected = _parse_output(full.parse_args, argv)
         assert expected[0] in (0, 2) and expected[1] + expected[2]
-        assert _parse_output(build_parser(subcommand).parse_args, argv) == expected
-        # main builds the one-subcommand parser and maps usage errors to 64
         code, out, err = _parse_output(main, argv)
         assert (out, err) == expected[1:]
+        assert code == (64 if expected[0] else 0)
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
+    assert build_parser() is build_parser()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    argv = ["divergence", "--grid-points", "64", "--out-dir", str(tmp_path / "out")]
+    build_parser.cache_clear()
+    assert main(argv) == 0
+    assert built  # the first call builds the parser and its subparsers
+    built.clear()
+    assert main(argv) == 0
+    assert built == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["fisher", "--grid", "1025", "--half", "10"],
+    ["minimize", "--dens", "x.json", "--it", "3"],
+], ids=["fisher", "minimize"])
+def test_abbreviated_flags_are_refused(tmp_path, capsys, argv):
+    # each key has one flag; a prefix of it is no second spelling
+    out = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out)]) == 64
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_top_level_help_and_version_are_unchanged(capsys):
@@ -372,7 +405,7 @@ def test_qcr_check_mass_at_the_box_ends_is_too_coarse_not_a_violation(tmp_path, 
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith("error: boundary density") and "--half-width" in err[0]
     assert not (tmp_path / "out").exists()
-    params = cli._resolve_config(build_parser("qcr-check").parse_args(argv), cli.SCHEMAS["qcr-check"])
+    params = cli._resolve_config(build_parser().parse_args(argv), cli.SCHEMAS["qcr-check"])
     with pytest.raises(qfisher.errors.GridTooCoarse), pytest.warns(qfisher.errors.TruncationWarning):
         cli.cmd_qcr_check(params)
 
@@ -456,13 +489,53 @@ def test_divergence_summary_contract(tmp_path):
     assert s["results"]["value"] >= s["results"]["coarse_value"] - 1e-9
 
 
+# every subcommand at a small config, with every output file it can write
+SMALL_RUNS = {
+    "divergence": ["--grid-points", "256", "--seed", "11"],
+    "fisher": ["--family", "qgauss", "--q", "0.8", "--grid-points", "512"],
+    "qcr-check": ["--density", "mixture", "--grid-points", "513"],
+    "minimize": ["--grid-points", "129"],
+    "debruijn": ["--points", "256", "--t-final", "0.04", "--t-burn", "0.01", "--n-checks", "2",
+                 "--snap-every", "1"],
+    "uncertainty": ["--psi", "qgauss", "--q", "1.2", "--grid-points", "513"],
+}
+
+
+def _output_files(out) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
 def test_seeded_runs_are_byte_identical(tmp_path):
+    for name, flags in SMALL_RUNS.items():
+        out = tmp_path / name
+        argv = [name, *flags, "--out-dir", str(out)]
+        assert main(argv) == 0, name
+        first = _output_files(out)
+        assert main(argv) == 0, name
+        assert _output_files(out) == first, name
+
+
+@pytest.mark.parametrize("subcommand", ["qcr-check", "minimize", "debruijn"])
+def test_csv_files_have_lf_line_ends(tmp_path, subcommand):
     out = tmp_path / "out"
-    argv = ["divergence", "--grid-points", "256", "--seed", "11", "--out-dir", str(out)]
-    assert main(argv) == 0
-    first = (out / "divergence_summary.json").read_bytes()
-    assert main(argv) == 0
-    assert (out / "divergence_summary.json").read_bytes() == first
+    assert main([subcommand, *SMALL_RUNS[subcommand], "--out-dir", str(out)]) == 0
+    tables = {name: data for name, data in _output_files(out).items() if name.endswith(".csv")}
+    assert tables
+    for name, data in tables.items():
+        assert b"\r" not in data and data.endswith(b"\n"), name
+
+
+def test_minimize_final_density_csv_holds_the_json_values(tmp_path):
+    out = tmp_path / "out"
+    assert main(["minimize", *SMALL_RUNS["minimize"], "--out-dir", str(out)]) == 0
+    saved = json.loads((out / "minimize_final_density.json").read_text())
+    (x,) = GridSpec.line(saved["lo"][0], saved["hi"][0], saved["points"][0]).axes()
+    header, *rows, end = (out / "minimize_final_density.csv").read_bytes().decode().split("\n")
+    assert (header, end) == ("x0,value", "")
+    cells = [row.split(",") for row in rows]
+    # each cell is the repr of its float, so it reads back bit for bit
+    assert cells == [[repr(a), repr(v)] for a, v in zip(x.tolist(), saved["values"])]
+    assert [float(v) for _, v in cells] == saved["values"]
 
 
 def test_qcr_check_default_saturates(tmp_path):

@@ -15,7 +15,7 @@ from qfisher import (
     zoo,
 )
 from qfisher.errors import BoundaryMassWarning, NonIntegrable, TruncationWarning
-from qfisher.grid import _trap_weights, axis_gradient
+from qfisher.grid import _trap_weights
 from qfisher.uncertainty import WaveFunction, fourier_transform
 
 
@@ -132,12 +132,11 @@ def test_lp_norm_accepts_broadcastable_components(p):
 
 @pytest.mark.parametrize("shape", [(64,), (2,), (3,), (24, 17), (2, 9), (7, 4, 3), (5, 2, 6)])
 def test_axis_gradient_equals_np_gradient_bit_for_bit(shape):
+    # spatial_gradient along each axis, 2-point axes included, is np.gradient
+    # over the whole array with that axis's spacing
     rng = np.random.default_rng(3)
     values = rng.normal(size=shape)
     spacing = tuple(rng.uniform(0.01, 2.0, size=len(shape)))
-    for axis, h in enumerate(spacing):
-        ref = np.gradient(values, h, axis=axis)
-        assert axis_gradient(values, axis, h).tobytes() == ref.tobytes()
     grid = GridSpec(tuple(-h for h in spacing), tuple(h * (n - 2) for h, n in zip(spacing, shape)),
                     shape)
     dens = GridDensity.from_values(grid, np.exp(values), check_boundary=False)
