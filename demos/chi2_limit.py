@@ -23,8 +23,8 @@ print(f"{'step t':>8}  {'chi2(f_t, f_0) / t^2':>22}")
 for t in (0.8, 0.4, 0.2, 0.1, 0.05, 0.025):
     # symmetrize over +-t to cancel the odd error term
     val = 0.5 * (
-        chi_beta_g(fam.at(t), g, g, 2.0).value
-        + chi_beta_g(fam.at(-t), g, g, 2.0).value
+        chi_beta_g(fam.at(t), g, g, 2.0)
+        + chi_beta_g(fam.at(-t), g, g, 2.0)
     ) / t**2
     print(f"{t:8.3f}  {val:22.10f}")
 

@@ -17,13 +17,13 @@ print(f"{'seed':>5} {'factor':>7} {'fine':>12} {'coarse':>12} {'gap':>12}")
 for seed in range(4):
     f1, f2, g = zoo.random_triple(GRID, seed)
     for factor in (2, 4, 8):
-        fine = chi_beta_g(f1, f2, g, 2.0).value
+        fine = chi_beta_g(f1, f2, g, 2.0)
         coarse = chi_beta_g(
             coarse_grain(f1, factor),
             coarse_grain(f2, factor),
             coarse_grain(g, factor),
             2.0,
-        ).value
+        )
         print(f"{seed:5d} {factor:7d} {fine:12.6f} {coarse:12.6f} {fine - coarse:+12.2e}")
 
 print("\nFisher information of the translation family (fine minus coarse)")

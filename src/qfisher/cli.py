@@ -275,6 +275,21 @@ def _out_dir(params: dict) -> Path:
     return out
 
 
+def _bound_status(margin: float, values, rel_tol: float, what: str) -> int:
+    """EXIT_OK if the margin holds to MARGIN_TOL, else EXIT_BOUND_VIOLATED; but
+    GridTooCoarse if it fails on `values` above `rel_tol` x max at the box ends,
+    whose cut makes the continuum product infinite, not violated."""
+    if margin >= -MARGIN_TOL:
+        return EXIT_OK
+    edge = boundary_abs_max(values)
+    if edge > rel_tol * float(np.abs(values).max()):
+        raise GridTooCoarse(
+            f"boundary {what} {edge:.3e} exceeds {rel_tol:.0e} x max, so the "
+            "product misses the cut at the box ends; rerun on a wider box (--half-width)"
+        )
+    return EXIT_BOUND_VIOLATED
+
+
 # ---------------------------------------------------------------- subcommands
 # Each handler gets the resolved params (schema rules already checked) and
 # returns (exit status, tolerances, results) for the summary.
@@ -294,12 +309,12 @@ def cmd_divergence(params: dict) -> tuple[int, dict, dict]:
         densities.coarse_grain(g, factor),
         params["beta"],
     )
-    margin = fine.value - coarse.value
+    margin = fine - coarse
     status = EXIT_OK if margin >= -DPI_MARGIN_TOL else EXIT_BOUND_VIOLATED
     return status, {"monotonicity_margin": DPI_MARGIN_TOL}, {
         "beta": params["beta"],
-        "value": fine.value,
-        "coarse_value": coarse.value,
+        "value": fine,
+        "coarse_value": coarse,
         "monotonicity_margin": margin,
     }
 
@@ -309,8 +324,6 @@ def cmd_fisher(params: dict) -> tuple[int, dict, dict]:
     for key, value in FISHER_BOX[params["family"]].items():
         if params[key] is None:
             params[key] = value
-    if params["family"] == "qgauss":
-        _build(densities.QGaussianParams, params, q="q", alpha="alpha", gamma="gamma")
 
     grid = _line_grid(params["half_width"], params["grid_points"])
     if params["family"] == "gauss":
@@ -318,7 +331,8 @@ def cmd_fisher(params: dict) -> tuple[int, dict, dict]:
     elif params["family"] == "laplace":
         fam = laplace_location_family(grid, params["eps"])
     else:
-        fam = q_gaussian_location_family(grid, params["q"], params["alpha"], params["gamma"])
+        fam = _build(functools.partial(q_gaussian_location_family, grid), params, q="q",
+                     alpha="alpha", gamma="gamma")
     g = fam.at(0.0)
 
     family_value = generalized_fisher(fam, g, 0.0, params["beta"])
@@ -370,24 +384,9 @@ def cmd_qcr_check(params: dict) -> tuple[int, dict, dict]:
     pair = HolderPair.from_alpha(params["alpha"])
     if params["density"] == "qgauss":
         _build(densities.QGaussianParams, params, q="q", alpha="alpha", gamma="gamma")
-    # builds or loads before touching out_dir, so bad inputs leave no files
     g = _qcr_density(params)
     report = q_cr_check(g, pair, params["q"], params["p"])
-    status = EXIT_OK if report.margin >= -MARGIN_TOL else EXIT_BOUND_VIOLATED
-    # the P1 interpolant stops at the box ends and pays no information for the
-    # cut there, which makes the continuum product infinite: not a violation
-    edge = boundary_abs_max(g.values) if status == EXIT_BOUND_VIOLATED else 0.0
-    if edge > BOUNDARY_REL_TOL * float(g.values.max()):
-        raise GridTooCoarse(
-            f"boundary density {edge:.3e} exceeds {BOUNDARY_REL_TOL:.0e} x max, so the "
-            "product misses the cut at the box ends; rerun on a wider box (--half-width)"
-        )
-
-    write_csv(
-        _out_dir(params) / "qcr_check_detail.csv",
-        ["q", "alpha", "lhs", "rhs", "margin", "saturated"],
-        [(params["q"], params["alpha"], report.lhs, report.rhs, report.margin, report.saturated)],
-    )
+    status = _bound_status(report.margin, g.values, BOUNDARY_REL_TOL, "density")
     # q_cr_check calls a density saturated by its equality-field fit
     tolerances = {"margin": MARGIN_TOL, "saturation_rel": cramer_rao.FIELD_FIT_TOL}
     return status, tolerances, dataclasses.asdict(report)
@@ -418,11 +417,10 @@ def cmd_minimize(params: dict) -> tuple[int, dict, dict]:
     out = _out_dir(params)
     write_csv(out / "minimize_trace.csv", ["iter", "objective"], enumerate(result.objective_trace))
     result.argmin.save_json(out / "minimize_final_density.json")
-    result.argmin.save_csv(out / "minimize_final_density.csv")
     return status, {"bound_margin": MARGIN_TOL}, {
         "final_objective": final_obj,
-        "converged": bool(result.converged),
-        "stalled": bool(result.stalled),
+        "converged": result.converged,
+        "stalled": result.stalled,
         "n_iters": result.n_iters,
         "stop_reason": result.stop_reason,
         "l1_to_fitted_q_gaussian": l1,
@@ -492,7 +490,7 @@ def cmd_uncertainty(params: dict) -> tuple[int, dict, dict]:
         psi = uncertainty.WaveFunction.from_values(loaded.grid, np.sqrt(loaded.values))
 
     report = uncertainty.uncertainty_check(psi, up)
-    status = EXIT_OK if report.margin >= -MARGIN_TOL else EXIT_BOUND_VIOLATED
+    status = _bound_status(report.margin, psi.values, uncertainty.BOUNDARY_PSI_REL_TOL, "|psi|")
     tolerances = {"margin": MARGIN_TOL, "saturation_rel": cramer_rao.SATURATION_REL_TOL}
     return status, tolerances, dataclasses.asdict(report)
 

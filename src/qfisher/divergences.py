@@ -17,16 +17,6 @@ import numpy as np
 from .grid import GridDensity
 
 
-@dataclass(frozen=True)
-class DivergenceResult:
-    value: float
-    beta: float
-
-    def __post_init__(self):
-        if self.value < 0.0:
-            raise ValueError("divergence value must be nonnegative")
-
-
 def _check_same_grid(*densities: GridDensity) -> None:
     g0 = densities[0].grid
     for d in densities[1:]:
@@ -34,7 +24,7 @@ def _check_same_grid(*densities: GridDensity) -> None:
             raise ValueError("densities must share one grid")
 
 
-def chi_beta_g(f1: GridDensity, f2: GridDensity, g: GridDensity, beta: float) -> DivergenceResult:
+def chi_beta_g(f1: GridDensity, f2: GridDensity, g: GridDensity, beta: float) -> float:
     """Modified divergence E_g[|(f2 - f1)/g|^beta] by trapezoid quadrature."""
     if not beta > 1.0:
         raise ValueError("beta must exceed 1")
@@ -45,10 +35,10 @@ def chi_beta_g(f1: GridDensity, f2: GridDensity, g: GridDensity, beta: float) ->
         mismatch="f2 - f1 carries weight where g sits below the support floor; "
         "the modified divergence is dominated by unresolvable tail ratios",
     )
-    return DivergenceResult(value=float(value), beta=float(beta))
+    return float(value)
 
 
-def chi_beta(f1: GridDensity, f2: GridDensity, beta: float) -> DivergenceResult:
+def chi_beta(f1: GridDensity, f2: GridDensity, beta: float) -> float:
     """Standard divergence E_{f2}[|1 - f1/f2|^beta]; equals chi_beta_g with g = f2."""
     return chi_beta_g(f1, f2, f2, beta)
 
@@ -80,5 +70,5 @@ def holder_statistic_bound(
         raise ValueError("statistic field must match the grid shape")
     lhs = abs(f2.expectation(t) - f1.expectation(t))
     t_mom = g.expectation(np.abs(t) ** alpha) ** (1.0 / alpha)
-    chi = chi_beta_g(f1, f2, g, beta).value ** (1.0 / beta)
+    chi = chi_beta_g(f1, f2, g, beta) ** (1.0 / beta)
     return HolderBound(lhs=float(lhs), rhs=float(t_mom * chi))

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .divergences import chi_beta_g
-from .errors import NonConvergent
+from .errors import NonConvergent, ParameterError
 from .grid import (
     GridDensity,
     GridSpec,
@@ -112,11 +112,9 @@ def generalized_fisher(
 
 @dataclass(frozen=True)
 class LimitReport:
-    """Divergence-ratio sequences and their extrapolated limits per component."""
+    """Divergence-ratio sequences at LIMIT_STEPS and their limits, per component."""
 
-    beta: float
-    steps: tuple[float, ...]
-    ratios: np.ndarray  # shape (theta_dim, len(steps))
+    ratios: np.ndarray  # shape (theta_dim, len(LIMIT_STEPS))
     limits: np.ndarray  # shape (theta_dim,)
 
     @property
@@ -151,8 +149,8 @@ def chi2_limit_check(fam: ParametricFamily, g: GridDensity, theta, beta: float) 
         e = np.zeros(fam.theta_dim)
         e[j] = 1.0
         for k, s in enumerate(LIMIT_STEPS):
-            up = chi_beta_g(fam.at(t0 + s * e), f0, g, beta).value
-            dn = chi_beta_g(fam.at(t0 - s * e), f0, g, beta).value
+            up = chi_beta_g(fam.at(t0 + s * e), f0, g, beta)
+            dn = chi_beta_g(fam.at(t0 - s * e), f0, g, beta)
             ratios[j, k] = 0.5 * (up + dn) / s**beta
         seq = ratios[j]
         scale = max(abs(seq[-1]), 1e-300)
@@ -162,7 +160,7 @@ def chi2_limit_check(fam: ParametricFamily, g: GridDensity, theta, beta: float) 
                 f"(last change {abs(seq[-1] - seq[-2]) / scale:.2e} relative)"
             )
         limits[j] = _extrapolate_to_zero(np.asarray(LIMIT_STEPS) ** 2, seq)
-    return LimitReport(beta=float(beta), steps=LIMIT_STEPS, ratios=ratios, limits=limits)
+    return LimitReport(ratios=ratios, limits=limits)
 
 
 # cell derivatives take their series form where the two ends differ by at most
@@ -468,10 +466,15 @@ def laplace_location_family(grid: GridSpec, eps: float = 0.005) -> ParametricFam
 
 
 def q_gaussian_location_family(grid: GridSpec, q: float, alpha: float, gamma: float) -> ParametricFamily:
-    """Translation family of a 1D generalized Gaussian (use q < 1 to keep full support)."""
+    """Translation family of a generalized Gaussian of full support (q <= 1): a
+    compact-support member moves mass off its support under every shift, which
+    makes chi^beta_g(f_{theta+t}, f_theta) infinite, so q > 1 raises ParameterError."""
     from .densities import QGaussianParams, q_exponential_shape
 
     params = QGaussianParams(q=q, alpha=alpha, gamma=gamma, dims=grid.dims)
+    if params.compact_support:
+        raise ParameterError(("q",), "must be at most 1: a compact-support family moves mass "
+                             "outside its support under every shift")
 
     def build(theta: np.ndarray) -> GridDensity:
         r = lp_norm([x - t for x, t in zip(grid.open_mesh(), theta)], params.norm_p)

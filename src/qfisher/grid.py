@@ -324,23 +324,16 @@ class GridDensity:
         with open(path) as fh:
             return GridDensity.from_json_dict(json.load(fh))
 
-    def save_csv(self, path) -> None:
-        """Node coordinates x0, x1, ... and the value, one node a row in C order."""
-        cols = [a.ravel(order="C").tolist() for a in (*self.grid.mesh(), self.values)]
-        write_csv(path, [f"x{a}" for a in range(self.grid.dims)] + ["value"], zip(*cols))
-
 
 def _csv_cell(v) -> str:
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
     return str(v)
 
 
 def write_csv(path, header: list[str], rows) -> None:
     """Comma-separated rows in the order given, with LF line ends: floats as
-    `repr`, bools as true/false, anything else as `str`."""
+    `repr`, anything else as `str`."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(",".join(map(_csv_cell, row)) + "\n" for row in rows)

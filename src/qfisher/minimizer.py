@@ -111,9 +111,6 @@ class MinimizeCounters:
 class MinimizeResult:
     argmin: GridDensity
     objective_trace: list[float] = field(repr=False)
-    converged: bool
-    stalled: bool
-    n_iters: int
     counters: MinimizeCounters
     # "tol" (converged), "stall" (no step and no dilation lowers J) or "max_iters"
     stop_reason: str
@@ -121,6 +118,18 @@ class MinimizeResult:
     @property
     def objective(self) -> float:
         return self.objective_trace[-1]
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "tol"
+
+    @property
+    def stalled(self) -> bool:
+        return self.stop_reason == "stall"
+
+    @property
+    def n_iters(self) -> int:
+        return len(self.objective_trace) - 1
 
 
 class _Objective:
@@ -322,9 +331,6 @@ def minimize_q_fisher(start: GridDensity, cfg: MinimizationConfig) -> MinimizeRe
     return MinimizeResult(
         argmin=GridDensity(grid, g),
         objective_trace=trace,
-        converged=converged,
-        stalled=stalled,
-        n_iters=len(trace) - 1,
         counters=MinimizeCounters(evaluations=evaluations, rejected_trials=rejected,
                                   dilations=dilations),
         stop_reason="tol" if converged else "stall" if stalled else "max_iters",

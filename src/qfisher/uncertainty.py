@@ -18,7 +18,7 @@ import numpy as np
 
 from .cramer_rao import BoundReport
 from .densities import QGaussianParams, escort, m_q_functional, make_q_gaussian
-from .errors import AliasingWarning, BoundaryMassWarning, ParameterError
+from .errors import AliasingWarning, BoundaryMassWarning, GridTooCoarse, ParameterError
 from .grid import GridDensity, GridSpec, boundary_abs_max
 
 L2_NORM_TOL = 1e-9
@@ -142,9 +142,15 @@ def fourier_transform(psi: WaveFunction) -> WaveFunction:
             AliasingWarning,
             stacklevel=2,
         )
-    # a clean input must come back with unit norm (unitarity is an internal
-    # invariant); a visibly truncated one was already warned about, and its
-    # ringing breaks exact unitarity, so renormalize instead of crashing
+    # a clean input keeps unit norm but for Nyquist content, which the trapezoid
+    # weights halve at the frequency grid's ends; a truncated one was warned
+    # about, and its ringing breaks exact unitarity, so it is renormalized
+    norm = math.sqrt(total)
+    if not truncated and abs(norm - 1.0) > L2_NORM_TOL:
+        raise GridTooCoarse(
+            f"transform L2 norm {norm:.10f} deviates from 1 beyond {L2_NORM_TOL:g}: psi has "
+            "content at the Nyquist frequency, which the grid does not resolve"
+        )
     return WaveFunction.from_values(out_grid, values, normalize=truncated)
 
 

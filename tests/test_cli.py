@@ -285,13 +285,16 @@ def test_domain_errors_rejected_before_output(tmp_path, capsys):
     "argv, keys",
     [
         (["fisher", "--family", "qgauss", "--alpha", "0.5"], ["alpha"]),
+        # a compact-support family has infinite chi^beta to its shifts
+        (["fisher", "--family", "qgauss", "--q", "1.5"], ["q"]),
         (["qcr-check", "--gamma", "-1"], ["gamma"]),
         # the schema rule on q stands in front of the minimizer's own check
         (["minimize", "--q", "0"], ["q"]),
         (["uncertainty", "--gamma", "1"], ["gamma"]),
         (["uncertainty", "--q", "0.4"], ["q", "beta"]),
     ],
-    ids=["fisher", "qcr-check", "minimize", "uncertainty", "uncertainty-joint"],
+    ids=["fisher", "fisher-compact", "qcr-check", "minimize", "uncertainty",
+         "uncertainty-joint"],
 )
 def test_parameter_errors_name_their_config_keys(tmp_path, capsys, argv, keys):
     out = tmp_path / "out"
@@ -429,6 +432,45 @@ def test_qcr_check_violation_on_a_compact_input_still_exits_2(tmp_path, monkeypa
     assert _summary(out, "qcr_check_summary.json")["results"]["margin"] == -0.5
 
 
+def test_uncertainty_flat_psi_is_too_coarse_not_a_violation(tmp_path, capsys):
+    # lhs 0: the transform of the flat nodes is a spike at frequency 0, while
+    # the cut at the box ends makes the continuum product infinite
+    path = _box_density_file(tmp_path, np.ones_like)
+    out = tmp_path / "out"
+    assert main(["uncertainty", "--psi", "file", "--psi-file", str(path),
+                 "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: boundary |psi|")
+    assert not out.exists()
+
+
+def test_uncertainty_violation_on_a_compact_input_still_exits_2(tmp_path, monkeypatch):
+    # a compact-support q-Gaussian psi, whose check is made to fail
+    def low(*args):
+        return dataclasses.replace(check(*args), lhs=0.5, margin=-0.5)
+
+    check = cli.uncertainty.uncertainty_check
+    monkeypatch.setattr(cli.uncertainty, "uncertainty_check", low)
+    out = tmp_path / "out"
+    assert main(["uncertainty", "--psi", "qgauss", "--q", "1.2", "--out-dir", str(out)]) == 2
+    assert _summary(out, "uncertainty_summary.json")["results"]["margin"] == -0.5
+
+
+@pytest.mark.parametrize("amplitude", [1e-3, 1e-4])
+def test_uncertainty_nyquist_ripple_is_too_coarse(tmp_path, capsys, amplitude):
+    # |psi| = exp(-x^2/2), clean at the box ends, times a (-1)^i ripple
+    grid = GridSpec.line(-8.0, 8.0, 1024)
+    (x,) = grid.axes()
+    psi = np.exp(-x * x / 2.0) * (1.0 + amplitude * (-1.0) ** np.arange(x.size))
+    path = tmp_path / "psi.json"
+    GridDensity.from_values(grid, psi**2).save_json(path)
+    out = tmp_path / "out"
+    assert main(["uncertainty", "--psi", "file", "--psi-file", str(path),
+                 "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: transform L2 norm") and "Nyquist" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("subcommand", ["fisher", "minimize"])
 def test_line_only_subcommands_take_no_p(tmp_path, capsys, subcommand):
     # both run on a line, where ||x||_p = |x| for every p
@@ -515,7 +557,7 @@ def test_seeded_runs_are_byte_identical(tmp_path):
         assert _output_files(out) == first, name
 
 
-@pytest.mark.parametrize("subcommand", ["qcr-check", "minimize", "debruijn"])
+@pytest.mark.parametrize("subcommand", ["minimize", "debruijn"])
 def test_csv_files_have_lf_line_ends(tmp_path, subcommand):
     out = tmp_path / "out"
     assert main([subcommand, *SMALL_RUNS[subcommand], "--out-dir", str(out)]) == 0
@@ -525,32 +567,34 @@ def test_csv_files_have_lf_line_ends(tmp_path, subcommand):
         assert b"\r" not in data and data.endswith(b"\n"), name
 
 
-def test_minimize_final_density_csv_holds_the_json_values(tmp_path):
-    out = tmp_path / "out"
-    assert main(["minimize", *SMALL_RUNS["minimize"], "--out-dir", str(out)]) == 0
-    saved = json.loads((out / "minimize_final_density.json").read_text())
-    (x,) = GridSpec.line(saved["lo"][0], saved["hi"][0], saved["points"][0]).axes()
-    header, *rows, end = (out / "minimize_final_density.csv").read_bytes().decode().split("\n")
-    assert (header, end) == ("x0,value", "")
-    cells = [row.split(",") for row in rows]
-    # each cell is the repr of its float, so it reads back bit for bit
-    assert cells == [[repr(a), repr(v)] for a, v in zip(x.tolist(), saved["values"])]
-    assert [float(v) for _, v in cells] == saved["values"]
+# the files beside the summary that each SMALL_RUNS config writes
+OUTPUT_FILES = {
+    "divergence": [],
+    "fisher": [],
+    "qcr-check": [],
+    "minimize": ["minimize_final_density.json", "minimize_trace.csv"],
+    "debruijn": ["debruijn_series.csv", "debruijn_snapshot_000.json",
+                 "debruijn_snapshot_001.json"],
+    "uncertainty": [],
+}
+
+
+def test_each_subcommand_writes_exactly_its_files(tmp_path):
+    for name, flags in SMALL_RUNS.items():
+        out = tmp_path / name
+        assert main([name, *flags, "--out-dir", str(out)]) == 0, name
+        summary = name.replace("-", "_") + "_summary.json"
+        assert sorted(p.name for p in out.iterdir()) == sorted([summary, *OUTPUT_FILES[name]])
 
 
 def test_qcr_check_default_saturates(tmp_path):
     out = tmp_path / "out"
     assert main(["qcr-check", "--out-dir", str(out)]) == 0
     s = _summary(out, "qcr_check_summary.json")
+    assert s["config_echo"]["q"] == 1.5 and s["config_echo"]["alpha"] == 2.0
     assert s["results"]["saturated"] is True
     assert abs(s["results"]["margin"]) < 1e-5
-
-    lines = (out / "qcr_check_detail.csv").read_text().splitlines()
-    assert lines[0] == "q,alpha,lhs,rhs,margin,saturated"
-    q, alpha, lhs, rhs, margin, saturated = lines[1].split(",")
-    assert float(q) == 1.5 and float(alpha) == 2.0
-    assert saturated == "true"
-    assert float(lhs) == pytest.approx(float(rhs), rel=1e-4)
+    assert s["results"]["lhs"] == pytest.approx(s["results"]["rhs"], rel=1e-4)
 
 
 def test_fisher_gaussian_defaults(tmp_path):
@@ -578,7 +622,6 @@ def test_minimize_writes_trace_and_density(tmp_path):
     assert trace[0] == "iter,objective"
     assert len(trace) - 1 == s["results"]["n_iters"] + 1  # trace includes iter 0
     assert (out / "minimize_final_density.json").is_file()
-    assert (out / "minimize_final_density.csv").is_file()
     # every objective evaluation is the start's, an accepted step's or a
     # rejected line-search trial's
     c = s["results"]["counters"]

@@ -8,6 +8,7 @@ from qfisher import (
     GridDensity,
     GridSpec,
     NonConvergent,
+    ParameterError,
     ParametricFamily,
     QGaussianParams,
     SupportMismatch,
@@ -216,6 +217,13 @@ def test_matrix_data_processing_2d_generic():
     assert margin >= -1e-12 * before.entries.max()
     assert before.entries[0, 0] == pytest.approx(1.0, rel=1e-4)
     assert before.entries[1, 1] == pytest.approx(2.0 / 1.5**2, rel=1e-4)
+
+
+@pytest.mark.parametrize("q", [1.3, 1.5, 2.5])
+def test_q_gaussian_location_family_refuses_compact_support(q):
+    with pytest.raises(ParameterError, match="must be at most 1") as info:
+        q_gaussian_location_family(GRID, q, 2.0, 1.0)
+    assert info.value.names == ("q",)
 
 
 def test_q_gaussian_location_family_full_support():

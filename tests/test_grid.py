@@ -15,7 +15,7 @@ from qfisher import (
     zoo,
 )
 from qfisher.errors import BoundaryMassWarning, NonIntegrable, TruncationWarning
-from qfisher.grid import _trap_weights
+from qfisher.grid import _trap_weights, write_csv
 from qfisher.uncertainty import WaveFunction, fourier_transform
 
 
@@ -214,26 +214,14 @@ def test_json_round_trip(tmp_path):
     np.testing.assert_allclose(back.values, d.values, rtol=0, atol=1e-16)
 
 
-def test_csv_has_coordinates_and_values(tmp_path):
-    g = GridSpec.line(0.0, 1.0, 5)
-    d = GridDensity.from_values(g, np.array([1.0, 2.0, 3.0, 2.0, 1.0]), check_boundary=False)
-    path = tmp_path / "d.csv"
-    d.save_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x0,value"
-    assert len(lines) == 6
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.0
-
-
-def test_csv_is_deterministic(tmp_path):
-    g = GridSpec.line(-1.0, 1.0, 33)
-    (x,) = g.axes()
-    d = GridDensity.from_values(g, 1.0 + 0.1 * np.sin(3 * x), check_boundary=False)
+def test_write_csv_rows_in_order_with_repr_floats_and_lf_ends(tmp_path):
+    rows = [(0, 0.1), (1, 1.0 / 3.0), (2, np.float64(2.5e-300))]
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    d.save_csv(p1)
-    d.save_csv(p2)
-    assert p1.read_bytes() == p2.read_bytes()
+    write_csv(p1, ["iter", "objective"], rows)
+    write_csv(p2, ["iter", "objective"], iter(rows))
+    # each float cell is its repr, so it reads back bit for bit
+    assert p1.read_bytes() == b"iter,objective\n0,0.1\n1,0.3333333333333333\n2,2.5e-300\n"
+    assert p2.read_bytes() == p1.read_bytes()
 
 
 def test_shifted_grid_relabels_coordinates():

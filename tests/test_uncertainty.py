@@ -7,6 +7,7 @@ from qfisher import (
     AliasingWarning,
     BoundaryMassWarning,
     GridSpec,
+    GridTooCoarse,
     UncertaintyParams,
     WaveFunction,
     fourier_transform,
@@ -161,4 +162,17 @@ def test_aliasing_warning_on_underresolved_oscillation():
     bump = 0.01 * np.exp(-(x**2) / 16.0) * np.exp(2.0j * np.pi * 0.92 * xi_max * x)
     psi = WaveFunction.from_values(grid, np.exp(-(x**2) / 4.0) + bump)
     with pytest.warns(AliasingWarning):
+        fourier_transform(psi)
+
+
+@pytest.mark.parametrize("amplitude", [1e-3, 1e-4])
+def test_nyquist_ripple_is_too_coarse(amplitude):
+    # the trapezoid rule halves the end nodes of the frequency grid, so the
+    # ripple's content at the Nyquist frequency drops out of the norm
+    grid = GridSpec.line(-8.0, 8.0, 1024)
+    (x,) = grid.axes()
+    # exp(-x^2/2) is clean at the box ends
+    ripple = 1.0 + amplitude * (-1.0) ** np.arange(x.size)
+    psi = WaveFunction.from_values(grid, np.exp(-x * x / 2.0) * ripple)
+    with pytest.raises(GridTooCoarse, match="Nyquist"):
         fourier_transform(psi)
