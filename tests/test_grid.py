@@ -214,14 +214,30 @@ def test_json_round_trip(tmp_path):
     np.testing.assert_allclose(back.values, d.values, rtol=0, atol=1e-16)
 
 
-def test_write_csv_rows_in_order_with_repr_floats_and_lf_ends(tmp_path):
-    rows = [(0, 0.1), (1, 1.0 / 3.0), (2, np.float64(2.5e-300))]
+def test_csv_has_coordinates_and_values(tmp_path):
+    g = GridSpec.line(0.0, 1.0, 5)
+    d = GridDensity.from_values(g, np.array([1.0, 2.0, 3.0, 2.0, 1.0]), check_boundary=False)
+    (x,) = g.axes()
+    path = tmp_path / "d.csv"
+    write_csv(path, ["x0", "value"], zip(x, d.values))
+    # rows in grid order, each float cell its repr so it reads back bit for bit
+    assert path.read_bytes() == b"".join(
+        [b"x0,value\n"] + [f"{a!r},{v!r}\n".encode() for a, v in zip(x.tolist(), d.values.tolist())]
+    )
+    lines = path.read_text().splitlines()
+    assert len(lines) == 6
+    assert [float(c) for c in lines[1].split(",")] == [0.0, d.values[0]]
+
+
+def test_csv_is_deterministic(tmp_path):
+    g = GridSpec.line(-1.0, 1.0, 33)
+    (x,) = g.axes()
+    d = GridDensity.from_values(g, 1.0 + 0.1 * np.sin(3 * x), check_boundary=False)
+    rows = list(zip(x, d.values))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(p1, ["iter", "objective"], rows)
-    write_csv(p2, ["iter", "objective"], iter(rows))
-    # each float cell is its repr, so it reads back bit for bit
-    assert p1.read_bytes() == b"iter,objective\n0,0.1\n1,0.3333333333333333\n2,2.5e-300\n"
-    assert p2.read_bytes() == p1.read_bytes()
+    write_csv(p1, ["x0", "value"], rows)
+    write_csv(p2, ["x0", "value"], iter(rows))
+    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_shifted_grid_relabels_coordinates():
