@@ -275,17 +275,21 @@ def _out_dir(params: dict) -> Path:
     return out
 
 
-def _bound_status(margin: float, values, rel_tol: float, what: str) -> int:
+def _bound_status(margin: float, values, rel_tol: float, what: str, from_file: bool) -> int:
     """EXIT_OK if the margin holds to MARGIN_TOL, else EXIT_BOUND_VIOLATED; but
     GridTooCoarse if it fails on `values` above `rel_tol` x max at the box ends,
-    whose cut makes the continuum product infinite, not violated."""
+    whose cut makes the continuum product infinite, not violated.  An input
+    read `from_file` brings its own grid, which --half-width does not change."""
     if margin >= -MARGIN_TOL:
         return EXIT_OK
     edge = boundary_abs_max(values)
     if edge > rel_tol * float(np.abs(values).max()):
+        remedy = ("the file's own grid cuts it there (--half-width does not apply to a "
+                  "file); save it on a wider box" if from_file
+                  else "rerun on a wider box (--half-width)")
         raise GridTooCoarse(
             f"boundary {what} {edge:.3e} exceeds {rel_tol:.0e} x max, so the "
-            "product misses the cut at the box ends; rerun on a wider box (--half-width)"
+            f"product misses the cut at the box ends; {remedy}"
         )
     return EXIT_BOUND_VIOLATED
 
@@ -364,7 +368,7 @@ def _qcr_density(params: dict) -> GridDensity:
     n = params["grid_points"]
     half = params["half_width"]
     if kind == "qgauss":
-        p = densities.QGaussianParams(params["q"], params["alpha"], params["gamma"])
+        p = _build(densities.QGaussianParams, params, q="q", alpha="alpha", gamma="gamma")
         if half <= 0.0:
             half = densities.suggested_half_extent(p)
         return densities.make_q_gaussian(p, _line_grid(half, n))
@@ -382,11 +386,10 @@ def _qcr_density(params: dict) -> GridDensity:
 
 def cmd_qcr_check(params: dict) -> tuple[int, dict, dict]:
     pair = HolderPair.from_alpha(params["alpha"])
-    if params["density"] == "qgauss":
-        _build(densities.QGaussianParams, params, q="q", alpha="alpha", gamma="gamma")
     g = _qcr_density(params)
     report = q_cr_check(g, pair, params["q"], params["p"])
-    status = _bound_status(report.margin, g.values, BOUNDARY_REL_TOL, "density")
+    status = _bound_status(report.margin, g.values, BOUNDARY_REL_TOL, "density",
+                           params["density"] == "file")
     # q_cr_check calls a density saturated by its equality-field fit
     tolerances = {"margin": MARGIN_TOL, "saturation_rel": cramer_rao.FIELD_FIT_TOL}
     return status, tolerances, dataclasses.asdict(report)
@@ -490,7 +493,8 @@ def cmd_uncertainty(params: dict) -> tuple[int, dict, dict]:
         psi = uncertainty.WaveFunction.from_values(loaded.grid, np.sqrt(loaded.values))
 
     report = uncertainty.uncertainty_check(psi, up)
-    status = _bound_status(report.margin, psi.values, uncertainty.BOUNDARY_PSI_REL_TOL, "|psi|")
+    status = _bound_status(report.margin, psi.values, uncertainty.BOUNDARY_PSI_REL_TOL, "|psi|",
+                           params["psi"] == "file")
     tolerances = {"margin": MARGIN_TOL, "saturation_rel": cramer_rao.SATURATION_REL_TOL}
     return status, tolerances, dataclasses.asdict(report)
 

@@ -207,14 +207,10 @@ def covariance_bound_check(
 
 
 def _norm_gradient_field(grid, norm_p: float) -> list[np.ndarray]:
-    """Components of grad ||x||_p, zero at the origin."""
-    mesh = grid.open_mesh()
+    """Components of grad ||x||_p, zero at the origin (there sign(x) = 0)."""
     r = grid.radius(norm_p)
     safe = np.where(r > 0.0, r, 1.0)
-    return [
-        np.where(r > 0.0, np.sign(x) * np.abs(x) ** (norm_p - 1.0) / safe ** (norm_p - 1.0), 0.0)
-        for x in mesh
-    ]
+    return [np.sign(x) * (np.abs(x) / safe) ** (norm_p - 1.0) for x in grid.open_mesh()]
 
 
 def _equality_field_fit(

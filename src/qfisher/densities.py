@@ -146,11 +146,19 @@ def escort(g: GridDensity, q: float) -> GridDensity:
     """Escort distribution g^q / integral(g^q)."""
     if not (q > 0.0 and np.isfinite(q)):
         raise ValueError("escort order must be a positive real")
+    vals, _ = _escort_weights(g, q)
+    return GridDensity.from_values(g.grid, vals, normalize=True, check_boundary=False)
+
+
+def _escort_weights(g: GridDensity, q: float) -> tuple[np.ndarray, float]:
+    """(g^q, integral of g^q), the escort before normalization; DegenerateEscort
+    when the integral underflows or is not finite.  Dividing the first by the
+    second gives the bits of `escort(g, q).values`."""
     vals = np.where(g.values > 0.0, g.values, 0.0) ** q
     z = g.integral(vals)
     if not np.isfinite(z) or z < 1e-300:
         raise DegenerateEscort(f"escort normalization {z!r} underflows or is not finite")
-    return GridDensity.from_values(g.grid, vals, normalize=True, check_boundary=False)
+    return vals, z
 
 
 def moment(g: GridDensity, alpha: float, norm_p: float = 2.0) -> float:

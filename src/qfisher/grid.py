@@ -135,6 +135,9 @@ def lp_norm(components, p: float) -> np.ndarray:
     over stacked full-size components takes, so both give the same bits.
     numpy takes an array (not a 0-d scalar) to the power 1.0, 2.0 or 0.5 as
     a copy, `square` or `sqrt`, so p = 1 and p = 2 need no branch of their own.
+    Any other p scales by the largest component, top * (sum (c/top)^p)^(1/p),
+    so that |c|^p neither underflows (p near 1 or large, |c| < 1) nor
+    overflows (large p, |c| > 1).
     """
     comps = [np.abs(np.asarray(c, dtype=float)) for c in components]
     if len(comps) == 1:
@@ -143,7 +146,11 @@ def lp_norm(components, p: float) -> np.ndarray:
         return reduce(np.maximum, comps)
     if p < 1.0:
         raise ValueError("p-norm needs p >= 1")
-    return reduce(np.add, [c**p for c in comps]) ** (1.0 / p)
+    if p in (1.0, 2.0):
+        return reduce(np.add, [c**p for c in comps]) ** (1.0 / p)
+    top = reduce(np.maximum, comps)
+    safe = np.where((top > 0.0) & (top < np.inf), top, 1.0)
+    return top * reduce(np.add, [(c / safe) ** p for c in comps]) ** (1.0 / p)
 
 
 def boundary_abs_max(values) -> float:

@@ -7,8 +7,9 @@ quadrature moments agree up to O(h^2).
 A 2D draw picks its axis-0 coordinate from the marginal, then a grid row,
 then its axis-1 coordinate from that row's piecewise-linear law.  The last
 step runs in one pass over all draws: sorted stably by row, they take one
-block of uniforms, and one search over every row's CDF places them all.
-A fixed seed gives the same points as drawing row by row.
+block of uniforms, and one bisection over the flattened row CDFs, each draw
+confined to its own row's slice, places them all.  A fixed seed gives the
+same points as drawing row by row.
 """
 
 from __future__ import annotations
@@ -21,15 +22,35 @@ from .grid import GridDensity
 def _segment_positions(v: np.ndarray, h: float, seg: np.ndarray, du: np.ndarray) -> np.ndarray:
     """Fractional position s in [0, 1] inside each chosen linear segment."""
     a = v[seg]
-    dv = v[seg + 1] - a
+    b = v[seg + 1]
+    dv = b - a
     rhs = 2.0 * du / h
-    scale = np.maximum(np.maximum(np.abs(a), np.abs(v[seg + 1])), 1e-300)
-    linear = np.abs(dv) <= 1e-12 * scale
+    # node values are >= 0, so max(a, b) is the larger magnitude
+    linear = np.abs(dv) <= 1e-12 * np.maximum(np.maximum(a, b), 1e-300)
     with np.errstate(divide="ignore", invalid="ignore"):
-        s_lin = np.where(a > 0.0, du / (h * np.maximum(a, 1e-300)), 0.0)
         disc = np.maximum(a * a + dv * rhs, 0.0)
-        s_quad = (np.sqrt(disc) - a) / np.where(linear, 1.0, dv)
-    return np.clip(np.where(linear, s_lin, s_quad), 0.0, 1.0)
+        s = (np.sqrt(disc) - a) / np.where(linear, 1.0, dv)
+    lin = np.flatnonzero(linear)
+    a_lin = a[lin]
+    s[lin] = np.where(a_lin > 0.0, du[lin] / (h * np.maximum(a_lin, 1e-300)), 0.0)
+    return np.clip(s, 0.0, 1.0, out=s)
+
+
+def _count_at_most(cdf: np.ndarray, start: int | np.ndarray, length: int,
+                   target: np.ndarray) -> np.ndarray:
+    """`np.searchsorted(cdf[s:s + length], t, side="right")` for each start s
+    and target t, where every slice is nondecreasing.
+
+    A branchless bisection: all slices share `length`, so each step halves
+    every draw's window by one gather over the draws.
+    """
+    base = np.full(len(target), start, dtype=np.intp)
+    n = length
+    while n > 1:
+        half = n // 2
+        base += half * (cdf[base + half] <= target)
+        n -= half
+    return base - start + (cdf[base] <= target)
 
 
 def _cdf(seg_mass: np.ndarray) -> np.ndarray:
@@ -46,7 +67,7 @@ def _sample_pl_1d(x: np.ndarray, v: np.ndarray, u: np.ndarray):
     if total <= 0.0:
         raise ValueError("cannot sample from zero-mass values")
     target = u * total
-    seg = np.clip(np.searchsorted(cdf, target, side="right") - 1, 0, len(v) - 2)
+    seg = np.clip(_count_at_most(cdf, 0, len(cdf), target) - 1, 0, len(v) - 2)
     s = _segment_positions(v, h, seg, target - cdf[seg])
     return x[seg] + s * h, seg, s
 
@@ -89,13 +110,11 @@ def _sample_2d(g: GridDensity, n: int, rng: np.random.Generator) -> np.ndarray:
     if np.any(total <= 0.0):
         raise ValueError("cannot sample from zero-mass values")
     target = rng.random(n) * total
-    # row + 1j * cdf sorts the row CDFs one after another (complex order is
-    # lexicographic), and both parts hold their values exactly
-    keys = (np.arange(n_rows)[:, None] + 1j * cdf).ravel()
-    pos = np.searchsorted(keys, rows + 1j * target, side="right") - rows * n1
-    seg = np.clip(pos - 1, 0, n1 - 2)
-    flat = rows * n1 + seg
-    s = _segment_positions(vals.ravel(), h1, flat, target - cdf.ravel()[flat])
+    cdf = cdf.ravel()
+    start = rows * n1
+    seg = np.clip(_count_at_most(cdf, start, n1, target) - 1, 0, n1 - 2)
+    flat = start + seg
+    s = _segment_positions(vals.ravel(), h1, flat, target - cdf[flat])
     pts1 = np.empty(n)
     pts1[order] = x1[seg] + s * h1
     return np.stack([pts0, pts1])

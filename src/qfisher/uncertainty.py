@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cramer_rao import BoundReport
-from .densities import QGaussianParams, escort, m_q_functional, make_q_gaussian
+from .densities import QGaussianParams, _escort_weights, m_q_functional, make_q_gaussian
 from .errors import AliasingWarning, BoundaryMassWarning, GridTooCoarse, ParameterError
 from .grid import GridDensity, GridSpec, boundary_abs_max
 
@@ -52,9 +52,7 @@ class WaveFunction:
 
     def density(self) -> GridDensity:
         """|psi|^2 as a density; mass is already 1 through the L2 invariant."""
-        return GridDensity.from_values(
-            self.grid, np.abs(self.values) ** 2, normalize=False, check_boundary=False
-        )
+        return GridDensity(self.grid, np.abs(self.values) ** 2)
 
 
 @dataclass(frozen=True)
@@ -123,8 +121,8 @@ def fourier_transform(psi: WaveFunction) -> WaveFunction:
         phase = np.exp(-2j * np.pi * lo * xi)
         shape = [1] * psi.grid.dims
         shape[axis] = n
-        values = values * phase.reshape(shape)
-    values = values * cell
+        values *= phase.reshape(shape)
+    values *= cell
 
     w = out_grid.trap_weights()
     dens = w * np.abs(values) ** 2
@@ -164,10 +162,12 @@ def uncertainty_check(psi: WaveFunction, p: UncertaintyParams) -> BoundReport:
         raise ValueError(f"params declare dims = {p.dims} but psi lives in {psi.grid.dims}D")
     rho = psi.density()
     k = p.k
-    m_half_k = m_q_functional(rho, k / 2.0)
+    # the escort of order k/2 is rho^(k/2) / M_{k/2}: one power pass gives both,
+    # and its x-moment is summed in the order `GridDensity.expectation` takes
+    rho_pow, m_half_k = _escort_weights(rho, k / 2.0)
     m_half_kq = m_q_functional(rho, k * p.q / 2.0)
-    esc = escort(rho, k / 2.0)
-    x_mom = esc.expectation(esc.grid.radius(2.0) ** p.gamma_exp)
+    w = rho.grid.trap_weights()
+    x_mom = float((w * rho.grid.radius(2.0) ** p.gamma_exp * (rho_pow / m_half_k)).sum())
 
     psi_hat = fourier_transform(psi)
     rho_hat = psi_hat.density()

@@ -305,6 +305,19 @@ def test_parameter_errors_name_their_config_keys(tmp_path, capsys, argv, keys):
     assert not out.exists()
 
 
+def test_qcr_check_builds_the_qgauss_params_once(tmp_path, monkeypatch):
+    built = []
+    post_init = qfisher.QGaussianParams.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(qfisher.QGaussianParams, "__post_init__", counted)
+    assert main(["qcr-check", "--density", "qgauss", "--out-dir", str(tmp_path / "out")]) == 0
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("strict, rc", [("false", 64), (False, 0), (True, 1)])
 def test_config_file_strict_must_be_boolean(tmp_path, capsys, strict, rc):
     cfg = tmp_path / "cfg.json"
@@ -411,6 +424,33 @@ def test_qcr_check_mass_at_the_box_ends_is_too_coarse_not_a_violation(tmp_path, 
     params = cli._resolve_config(build_parser().parse_args(argv), cli.SCHEMAS["qcr-check"])
     with pytest.raises(qfisher.errors.GridTooCoarse), pytest.warns(qfisher.errors.TruncationWarning):
         cli.cmd_qcr_check(params)
+
+
+def test_box_end_refusal_names_the_remedy_that_fits_the_input():
+    # a generated input is rebuilt on a wider box by --half-width; a file
+    # brings its own grid, which that flag does not change
+    values = np.ones(9)
+    with pytest.raises(qfisher.errors.GridTooCoarse) as built:
+        cli._bound_status(-1.0, values, 1e-10, "density", from_file=False)
+    assert str(built.value) == (
+        "boundary density 1.000e+00 exceeds 1e-10 x max, so the product misses the cut at "
+        "the box ends; rerun on a wider box (--half-width)")
+    with pytest.raises(qfisher.errors.GridTooCoarse) as loaded:
+        cli._bound_status(-1.0, values, 1e-10, "density", from_file=True)
+    assert str(loaded.value).endswith(
+        "the file's own grid cuts it there (--half-width does not apply to a file); "
+        "save it on a wider box")
+
+
+@pytest.mark.parametrize("argv", [["qcr-check", "--density", "file", "--density-file"],
+                                  ["uncertainty", "--psi", "file", "--psi-file"]],
+                         ids=["qcr-check", "uncertainty"])
+def test_file_inputs_cut_at_the_box_ends_are_told_to_widen_the_file(tmp_path, capsys, argv):
+    path = _box_density_file(tmp_path, np.ones_like)
+    assert main(argv + [str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: boundary ")
+    assert "the file's own grid cuts it there" in err and "rerun on a wider box" not in err
 
 
 def test_qcr_check_resolved_tails_still_pass(tmp_path):

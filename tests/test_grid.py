@@ -1,3 +1,4 @@
+import decimal
 import json
 import warnings
 
@@ -86,6 +87,37 @@ def test_lp_norm_against_numpy():
         np.testing.assert_allclose(lp_norm(v, p), expect, rtol=1e-12)
 
 
+def _lp_norm_decimal(column, p):
+    """||column||_p to 50 digits, with room for exponents far beyond float's."""
+    with decimal.localcontext(decimal.Context(prec=50, Emin=-10**9, Emax=10**9)):
+        dp = decimal.Decimal(p)
+        total = sum((decimal.Decimal(abs(float(c))) ** dp for c in column if c), decimal.Decimal(0))
+        return float(total ** (1 / dp)) if total else 0.0
+
+
+@pytest.mark.parametrize("p", [1.0 + 1e-7, 1.001, 200.0, 1e6])
+def test_lp_norm_against_a_decimal_reference(p):
+    # unscaled, each |c|^p below underflows or overflows at some p here:
+    # tiny and huge components, a mixed column, and 1.7976e308, whose
+    # (1 + 1e-7)th power is past the largest float although its norm is not
+    columns = [
+        (1e-3, 2e-3), (3e-200, 1e-200), (0.5, 0.25), (0.7, 0.7), (2.0, 3.0, 0.1),
+        (1e300, 4e299), (1e308, 1.0), (1.7976e308, 1.0), (1e-300, 1e300), (0.0, 0.0),
+        (0.0, 5e-324), (-1.5, 1.5, -1.5),
+    ]
+    width = max(map(len, columns))
+    v = np.zeros((width, len(columns)))
+    for j, col in enumerate(columns):
+        v[: len(col), j] = col
+    # underflow of a term far below the largest one is harmless
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        got = lp_norm(list(v), p)
+    expect = np.array([_lp_norm_decimal(v[:, j], p) for j in range(len(columns))])
+    np.testing.assert_allclose(got, expect, rtol=4e-15, atol=0.0)
+    # an infinite component makes the norm infinite, as unscaled
+    assert lp_norm([np.array([np.inf, 1.0]), np.array([1.0, np.inf])], p).tolist() == [np.inf] * 2
+
+
 RADIUS_GRIDS = [
     GridSpec.line(-3.0, 5.0, 101),
     GridSpec.box(-2.0, 2.0, 65, 2),
@@ -114,14 +146,18 @@ def test_lp_norm_accepts_broadcastable_components(p):
     assert all(x.size == n for x, n in zip(shifted, grid.points))
     full = [x - 0.25 for x in grid.mesh()]
     assert np.array_equal(lp_norm(shifted, p), lp_norm(full, p))
-    # the same bits as one reduction over the stacked full-size components
+    # the same bits as one reduction over the stacked full-size components;
+    # p other than 1, 2 and inf scales by the largest component
     stacked = np.abs(np.stack(full))
     if p == np.inf:
         expect = np.maximum.reduce(stacked)
     elif p == 2.0:
         expect = np.sqrt(np.add.reduce(stacked * stacked))
+    elif p == 1.0:
+        expect = np.add.reduce(stacked)
     else:
-        expect = np.add.reduce(stacked**p) ** (1.0 / p)
+        top = np.maximum.reduce(stacked)
+        expect = top * np.add.reduce((stacked / top) ** p) ** (1.0 / p)
     assert np.array_equal(lp_norm(shifted, p), expect)
     # and, at p = 1 and p = 2, the bits of the plain sum and of sqrt of squares
     if p in (1.0, 2.0):

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfisher import GridDensity, GridSpec, sample_density, zoo
-from qfisher.sampling import _sample_pl_1d
+from qfisher.sampling import _cdf, _count_at_most, _sample_pl_1d
 
 
 def test_seeded_draws_are_reproducible():
@@ -165,3 +167,30 @@ def test_2d_uniform_on_a_cdf_node_matches_reference():
     got = sample_density(g, 4, _ZeroUniforms())
     assert np.array_equal(got, _row_by_row_2d(g, 4, _ZeroUniforms()))
     assert np.all(got[1] == grid.axes()[1][2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_count_at_most_is_searchsorted_right_on_every_slice(data):
+    # row CDFs as the sampler builds them: zero steps make runs of equal
+    # nodes, from 0 on when a row starts empty
+    n_rows = data.draw(st.integers(1, 6), label="rows")
+    length = data.draw(st.integers(1, 40), label="length")
+    steps = data.draw(st.lists(st.sampled_from([0.0, 0.0, 1e-3, 0.5, 1.0, 7.0]),
+                               min_size=n_rows * (length - 1), max_size=n_rows * (length - 1)))
+    cdf = _cdf(np.array(steps).reshape(n_rows, length - 1))
+    n = data.draw(st.integers(1, 30), label="draws")
+    rows = np.array(data.draw(st.lists(st.integers(0, n_rows - 1), min_size=n, max_size=n)))
+    kinds = st.tuples(st.sampled_from(["node", "zero", "total", "fraction"]),
+                      st.integers(0, length - 1), st.floats(0.0, 1.0))
+    target = np.array([
+        {"node": cdf[r, i], "zero": 0.0, "total": cdf[r, -1], "fraction": u * cdf[r, -1]}[kind]
+        for r, (kind, i, u) in zip(rows, data.draw(st.lists(kinds, min_size=n, max_size=n)))
+    ])
+    got = _count_at_most(cdf.ravel(), rows * length, length, target)
+    expect = [np.searchsorted(cdf[r], t, side="right") for r, t in zip(rows, target)]
+    assert np.array_equal(got, expect)
+    # one slice from 0 is the 1D search of the marginal
+    line = cdf[rows[0]]
+    assert np.array_equal(_count_at_most(line, 0, length, target),
+                          np.searchsorted(line, target, side="right"))

@@ -16,6 +16,7 @@ from qfisher import (
     uncertainty_check,
     zoo,
 )
+from qfisher.densities import escort, m_q_functional
 
 GRID = GridSpec.line(-12.0, 12.0, 2049)
 
@@ -176,3 +177,32 @@ def test_nyquist_ripple_is_too_coarse(amplitude):
     psi = WaveFunction.from_values(grid, np.exp(-x * x / 2.0) * ripple)
     with pytest.raises(GridTooCoarse, match="Nyquist"):
         fourier_transform(psi)
+
+
+def _product_through_escort(psi, p):
+    """The product composed from `m_q_functional` and `escort`, each raising
+    |psi|^2 to its own power: the reference for uncertainty_check's one pass."""
+    rho = psi.density()
+    m_half_k = m_q_functional(rho, p.k / 2.0)
+    m_half_kq = m_q_functional(rho, p.k * p.q / 2.0)
+    esc = escort(rho, p.k / 2.0)
+    x_mom = esc.expectation(esc.grid.radius(2.0) ** p.gamma_exp)
+    rho_hat = fourier_transform(psi).density()
+    xi_mom = rho_hat.expectation(rho_hat.grid.radius(2.0) ** p.theta_exp)
+    lhs = (np.sqrt(m_half_k) / m_half_kq * x_mom ** (1.0 / p.gamma_exp)
+           * xi_mom ** (1.0 / p.theta_exp))
+    return lhs, m_half_k, m_half_kq, x_mom
+
+
+@pytest.mark.parametrize("grid", [GridSpec.line(-10.0, 10.0, 1024), GridSpec.box(-10.0, 10.0, 129, 2)],
+                         ids=["1d-1024", "2d-129"])
+@pytest.mark.parametrize("q, gamma_exp", [(0.9, 2.0), (1.0, 2.0), (1.2, 3.0), (1.5, 2.0)])
+def test_uncertainty_check_matches_escort_composition_bit_for_bit(grid, q, gamma_exp):
+    p = UncertaintyParams(q=q, beta=2.0, gamma_exp=gamma_exp, dims=grid.dims)
+    for seed in range(4):
+        psi = WaveFunction.from_values(grid, zoo.random_wavefunction(grid, seed))
+        rep = uncertainty_check(psi, p)
+        lhs, m_half_k, m_half_kq, x_mom = _product_through_escort(psi, p)
+        d = rep.diagnostics
+        assert (d["m_k_half"], d["m_kq_half"], d["x_moment"]) == (m_half_k, m_half_kq, x_mom)
+        assert rep.lhs == lhs
