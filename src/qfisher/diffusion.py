@@ -9,7 +9,10 @@ second-order Runge-Kutta-Legendre (RKL2) super steps on raw arrays (Meyer, Balsa
 Aslam, J. Comput. Phys. 257, 2014): s stages span up to (s^2+s-2)/4 CFL
 steps.  RKL2 damps stiff modes weakly, so a super step never spans more
 than the time in which the fastest node moves by RKL2_MAX_CHANGE of max f,
-and one that goes negative is redone with explicit steps.  `step` is the
+and one that goes negative is redone with explicit steps.  The stages run
+in place: their flux, clipped stage and stage sums are written into arrays
+made once per `evolve`, in the operation order of the formulas, so no
+stage allocates and every bit is that of the plain expressions.  `step` is the
 explicit Euler step.  Along the flow, with alpha the Holder conjugate of
 beta and q = m + 1 - alpha/beta, the Tsallis entropy S_q grows at the rate
 (m/q)^(beta-1) M_q[f]^beta I_{beta,q}[f].  `debruijn_check` takes the left
@@ -19,6 +22,7 @@ trapezoid sum of s'(f) L(f), one flux evaluation and no time step.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -97,15 +101,32 @@ class DiffusionState:
         return self.density.grid.spacing[0]
 
 
-def _flux_divergence(f, dx, m_exp, beta):
+class _FluxBuffers:
+    """The node and face arrays one flux evaluation writes, reused by the next."""
+
+    def __init__(self, n: int):
+        self.fm, self.div = np.empty(n), np.empty(n)
+        self.slope, self.sign, self.flux = np.empty(n - 1), np.empty(n - 1), np.empty(n - 1)
+
+
+def _flux_divergence(f, dx, m_exp, beta, buf=None):
     """L(f) = dF/dx at the nodes with zero boundary flux, and the face slope D.
 
-    The end nodes' control volumes are dx/2 wide: their divergence is doubled."""
-    fm = f**m_exp
-    slope = (fm[1:] - fm[:-1]) / dx
-    # sign(D)*|D|^(beta-1) is |D|^(beta-2)*D without the 0^negative hazard
-    flux = slope if beta == 2.0 else np.sign(slope) * np.abs(slope) ** (beta - 1.0)
-    div = np.empty_like(f)
+    Both are written into `buf` (fresh arrays when it is None), so a later call
+    on the same buffers overwrites them.  The end nodes' control volumes are
+    dx/2 wide: their divergence is doubled."""
+    if buf is None:
+        buf = _FluxBuffers(f.size)
+    # f**1.0 is f, bit for bit
+    fm = f if m_exp == 1.0 else np.power(f, m_exp, out=buf.fm)
+    slope = np.subtract(fm[1:], fm[:-1], out=buf.slope)
+    slope /= dx
+    flux = slope
+    if beta != 2.0:
+        # sign(D)*|D|^(beta-1) is |D|^(beta-2)*D without the 0^negative hazard
+        flux = np.power(np.abs(slope, out=buf.flux), beta - 1.0, out=buf.flux)
+        flux *= np.sign(slope, out=buf.sign)
+    div = buf.div
     div[0], div[-1] = 2.0 * flux[0], -2.0 * flux[-1]
     np.subtract(flux[1:], flux[:-1], out=div[1:-1])
     div /= dx
@@ -114,12 +135,12 @@ def _flux_divergence(f, dx, m_exp, beta):
 
 def _cfl_dt(f, slope, dx, m_exp, beta):
     """0.4 * dx^2 / max over faces of the linearized diffusivity."""
-    d = np.abs(slope)
     f_face = np.maximum(f[:-1], f[1:])
     with np.errstate(divide="ignore"):
         if beta == 2.0:
             grad_part = 1.0
         else:
+            d = np.abs(slope)
             dtop = float(d.max())
             if dtop <= 0.0:
                 raise UnstableStep("flat state has no gradient scale to set the step")
@@ -158,21 +179,50 @@ def _rkl2_reach(stages: int) -> float:
     return (stages * stages + stages - 2) / 4.0
 
 
-def _rkl2(f0, l0, tau, stages, dx, m_exp, beta):
-    """One s-stage RKL2 super step of length tau from f0, given l0 = L(f0)."""
+@functools.lru_cache(maxsize=RKL2_MAX_STAGES)
+def _rkl2_coefficients(stages: int):
+    """b_1 w_1, and (mu, nu, 1 - mu - nu, mu w_1, 1 - b_{j-1}) for stages j = 2..s."""
     w1 = 1.0 / _rkl2_reach(stages)
     b = [1.0 / 3.0] * 3 + [(j * j + j - 2) / (2.0 * j * (j + 1)) for j in range(3, stages + 1)]
-    y_prev, y = f0, f0 + (b[1] * w1 * tau) * l0
+    coeffs = []
     for j in range(2, stages + 1):
         mu = (2 * j - 1) / j * b[j] / b[j - 1]
         nu = -(j - 1) / j * b[j] / b[j - 2]
-        mu_t = mu * w1 * tau
+        coeffs.append((mu, nu, 1.0 - mu - nu, mu * w1, 1.0 - b[j - 1]))
+    return b[1] * w1, tuple(coeffs)
+
+
+class _StageBuffers:
+    """The arrays RKL2 stages write: the stage flux, the clipped stage, a
+    scratch array and three stage arrays that rotate."""
+
+    def __init__(self, n: int):
+        self.flux = _FluxBuffers(n)
+        self.clipped, self.tmp = np.empty(n), np.empty(n)
+        self.stages = (np.empty(n), np.empty(n), np.empty(n))
+
+
+def _rkl2(f0, l0, tau, stages, dx, m_exp, beta, buf):
+    """One s-stage RKL2 super step of length tau from f0, given l0 = L(f0).
+
+    f0 and l0 are only read.  The result is one of the stage arrays of `buf`,
+    which the next super step overwrites."""
+    first, coeffs = _rkl2_coefficients(stages)
+    ys, tmp = buf.stages, buf.tmp
+    y_prev, y = f0, np.multiply(first * tau, l0, out=ys[0])
+    y += f0
+    for j, (mu, nu, c_f0, mu_w1, c_l0) in enumerate(coeffs, start=2):
+        mu_t = mu_w1 * tau
         # a stage may dip below 0; its flux is that of the nonnegative part
-        lj, _ = _flux_divergence(np.maximum(y, 0.0), dx, m_exp, beta)
-        y_prev, y = y, (
-            mu * y + nu * y_prev + (1.0 - mu - nu) * f0
-            + mu_t * lj - (1.0 - b[j - 1]) * mu_t * l0
-        )
+        lj, _ = _flux_divergence(np.maximum(y, 0.0, out=buf.clipped), dx, m_exp, beta, buf.flux)
+        # mu y + nu y_prev + (1 - mu - nu) f0 + mu_t lj - (1 - b_{j-1}) mu_t l0,
+        # summed left to right; y_new is neither y nor y_prev
+        y_new = np.multiply(mu, y, out=ys[(j - 1) % 3])
+        y_new += np.multiply(nu, y_prev, out=tmp)
+        y_new += np.multiply(c_f0, f0, out=tmp)
+        y_new += np.multiply(mu_t, lj, out=tmp)
+        y_new -= np.multiply(c_l0 * mu_t, l0, out=tmp)
+        y_prev, y = y, y_new
     return y
 
 
@@ -181,10 +231,14 @@ def _advance(f, t, t_end, state, super_steps=True):
 
     With `super_steps` each step is an RKL2 super step (or one explicit step
     when no more than a CFL step is wanted); without, all steps are explicit.
+    Every f this loop keeps is a new array: the super step's flux and stages
+    write into buffers made once per call.
     """
     dx, m_exp, beta, counters = state.dx, state.m_exp, state.beta, state.counters
+    flux_buf = _FluxBuffers(f.size)
+    stage_buf = _StageBuffers(f.size) if super_steps else None
     while t < t_end - 1e-15:
-        lf, slope = _flux_divergence(f, dx, m_exp, beta)
+        lf, slope = _flux_divergence(f, dx, m_exp, beta, flux_buf)
         counters.rhs_evals += 1
         dt_e = _cfl_dt(f, slope, dx, m_exp, beta)
         counters.record_dt(dt_e)
@@ -201,7 +255,7 @@ def _advance(f, t, t_end, state, super_steps=True):
             while stages < RKL2_MAX_STAGES and dt_e * _rkl2_reach(stages) < span:
                 stages += 1
             span = min(span, dt_e * _rkl2_reach(stages))
-            f_new = _rkl2(f, lf, span, stages, dx, m_exp, beta)
+            f_new = _rkl2(f, lf, span, stages, dx, m_exp, beta, stage_buf)
             counters.super_steps += 1
             counters.rhs_evals += stages - 1
             if _goes_negative(f_new):
@@ -240,7 +294,14 @@ def step(state: DiffusionState, dt: float) -> DiffusionState:
 
 
 def evolve(state: DiffusionState, t_final: float) -> DiffusionState:
-    """Advance to t_final in RKL2 super steps, the last one landing on it."""
+    """Advance to t_final in RKL2 super steps, the last one landing on it.
+
+    t_final must be finite and no earlier than the state's time; at that time
+    the state is returned as it is."""
+    if not math.isfinite(t_final):
+        raise ValueError(f"t_final must be finite (got {t_final!r})")
+    if t_final < state.t:
+        raise ValueError(f"t_final = {t_final!r} lies before the state's time t = {state.t!r}")
     f, t = _advance(state.density.values, state.t, t_final, state)
     dens = GridDensity.from_values(state.density.grid, f, normalize=False, check_boundary=False)
     return replace(state, density=dens, t=t)
@@ -274,10 +335,13 @@ def debruijn_check(state: DiffusionState) -> DeBruijnReport:
     state.counters.rhs_evals += 1
     on = f > support_floor(f)
     fs = np.where(on, f, 1.0)
-    ds = -np.log(fs) if abs(q - 1.0) <= Q_ONE_EPS else q / (1.0 - q) * fs ** (q - 1.0)
+    q_one = abs(q - 1.0) <= Q_ONE_EPS
+    ds = -np.log(fs) if q_one else q / (1.0 - q) * fs ** (q - 1.0)
     w = state.density.grid.trap_weights()
     lhs = float(np.dot(w * np.where(on, ds, 0.0), lf))
     mq = m_q_functional(state.density, q)
+    # S_q = (M_q - 1)/(1 - q) from the M_q at hand; near q = 1 the log form
+    entropy = tsallis_entropy(state.density, q) if q_one else (mq - 1.0) / (1.0 - q)
     info = q_fisher(state.density, state.beta, q)
     rhs = (state.m_exp / q) ** (state.beta - 1.0) * mq**state.beta * info
     return DeBruijnReport(
@@ -285,7 +349,7 @@ def debruijn_check(state: DiffusionState) -> DeBruijnReport:
         lhs=lhs,
         rhs=float(rhs),
         rel_err=float(abs(lhs - rhs) / max(abs(rhs), 1e-300)),
-        entropy=float(tsallis_entropy(state.density, q)),
+        entropy=float(entropy),
         m_q=float(mq),
         i_beta_q=float(info),
         excluded_mass=float(state.density.integral(np.where(on, 0.0, f))),

@@ -323,8 +323,9 @@ class GridDensity:
         return GridDensity.from_values(grid, vals, normalize=False, check_boundary=False)
 
     def save_json(self, path) -> None:
+        # json.dumps runs the C encoder, json.dump the pure-Python one; same bytes
         with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
+            fh.write(json.dumps(self.to_json_dict()))
 
     @staticmethod
     def load_json(path) -> "GridDensity":

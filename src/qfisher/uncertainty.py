@@ -126,6 +126,7 @@ def fourier_transform(psi: WaveFunction) -> WaveFunction:
 
     w = out_grid.trap_weights()
     dens = w * np.abs(values) ** 2
+    # the norm `WaveFunction.from_values` would take, bit for bit
     total = float(dens.sum())
     tail = np.zeros(out_grid.shape, dtype=bool)
     for axis, ax in enumerate(out_grid.axes()):
@@ -149,7 +150,14 @@ def fourier_transform(psi: WaveFunction) -> WaveFunction:
             f"transform L2 norm {norm:.10f} deviates from 1 beyond {L2_NORM_TOL:g}: psi has "
             "content at the Nyquist frequency, which the grid does not resolve"
         )
-    return WaveFunction.from_values(out_grid, values, normalize=truncated)
+    if truncated:
+        return WaveFunction.from_values(out_grid, values, normalize=True)
+    # a NaN norm passes the check above; from_values refuses it with this message
+    if math.isnan(total):
+        raise ValueError("wave function contains non-finite entries")
+    # of unit norm, and finite: from_values would only copy it
+    values.flags.writeable = False
+    return WaveFunction(out_grid, values)
 
 
 def uncertainty_check(psi: WaveFunction, p: UncertaintyParams) -> BoundReport:

@@ -1,6 +1,7 @@
 """Nonlinear diffusion: conservation, classical limits, entropy production."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -322,3 +323,90 @@ def test_super_steps_cut_flux_evaluations():
     explicit_steps = math.ceil(0.008 / c.dt_explicit_max)
     assert c.super_steps > 0 and c.explicit_fallbacks == 0
     assert c.rhs_evals <= explicit_steps / 4
+
+
+def _flux_divergence_reference(g, dx, m_exp, beta):
+    """L(g) from the formulas, allocating every intermediate."""
+    slope = np.diff(g**m_exp) / dx
+    flux = slope if beta == 2.0 else np.sign(slope) * np.abs(slope) ** (beta - 1.0)
+    return np.concatenate([[2.0 * flux[0]], np.diff(flux), [-2.0 * flux[-1]]]) / dx
+
+
+def _rkl2_reference(f0, l0, tau, s, dx, m_exp, beta):
+    """One RKL2 super step as the formulas read (Meyer, Balsara & Aslam 2014)."""
+    w1 = 1.0 / ((s * s + s - 2) / 4.0)
+    b = [1.0 / 3.0] * 3 + [(j * j + j - 2) / (2.0 * j * (j + 1)) for j in range(3, s + 1)]
+    y_prev, y = f0, f0 + (b[1] * w1 * tau) * l0
+    for j in range(2, s + 1):
+        mu = (2 * j - 1) / j * b[j] / b[j - 1]
+        nu = -(j - 1) / j * b[j] / b[j - 2]
+        mu_t = mu * w1 * tau
+        lj = _flux_divergence_reference(np.maximum(y, 0.0), dx, m_exp, beta)
+        y_prev, y = y, (mu * y + nu * y_prev + (1.0 - mu - nu) * f0
+                        + mu_t * lj - (1.0 - b[j - 1]) * mu_t * l0)
+    return y
+
+
+@pytest.mark.parametrize("m_exp,beta", [(1.0, 2.0), (2.0, 2.0), (1.0, 3.0), (1.5, 2.5)])
+def test_in_place_rkl2_matches_the_formulas_bit_for_bit(m_exp, beta):
+    grid = GridSpec.line(-3.0, 3.0, 512)
+    s = evolve(DiffusionState(density=zoo.gaussian_density(grid, 0.0, 0.05), t=0.0,
+                              m_exp=m_exp, beta=beta), 0.005)
+    f0 = s.density.values
+    l0 = _flux_divergence_reference(f0, s.dx, m_exp, beta)
+    dt_e = diffusion._cfl_dt(f0, np.diff(f0**m_exp) / s.dx, s.dx, m_exp, beta)
+    f0_bits, l0_bits = f0.copy(), l0.copy()
+    # one set of buffers serves every call, as within one evolve
+    buf = diffusion._StageBuffers(f0.size)
+    for stages in (20, 7, 3):
+        tau = dt_e * diffusion._rkl2_reach(stages)
+        ref = _rkl2_reference(f0, l0, tau, stages, s.dx, m_exp, beta)
+        out = diffusion._rkl2(f0, l0, tau, stages, s.dx, m_exp, beta, buf)
+        # compared as bit patterns, so that -0.0 and 0.0 differ
+        np.testing.assert_array_equal(out.view(np.int64), ref.view(np.int64))
+        np.testing.assert_array_equal(f0.view(np.int64), f0_bits.view(np.int64))
+        np.testing.assert_array_equal(l0.view(np.int64), l0_bits.view(np.int64))
+
+
+@pytest.mark.parametrize("m_exp,beta", [(1.0, 2.0), (2.0, 2.0), (1.0, 3.0)])
+def test_evolved_states_own_their_values(m_exp, beta):
+    grid = GridSpec.line(-3.0, 3.0, 512)
+    s0 = DiffusionState(density=zoo.gaussian_density(grid, 0.0, 0.05), t=0.0,
+                        m_exp=m_exp, beta=beta)
+    start = s0.density.values.copy()
+    s1 = evolve(s0, 0.005)
+    kept = s1.density.values.copy()
+    s2, s2_again = evolve(s1, 0.01), evolve(s1, 0.01)
+    np.testing.assert_array_equal(s0.density.values, start, strict=True)
+    np.testing.assert_array_equal(s1.density.values, kept, strict=True)
+    np.testing.assert_array_equal(s2.density.values, s2_again.density.values, strict=True)
+    assert not np.shares_memory(s2.density.values, s2_again.density.values)
+
+
+# q = 1, 1.5, 2 and 11/6: at 1.5 and 2, 1 - q is a power of 2, so only
+# q = 11/6 pins the rounding of (M_q - 1)/(1 - q)
+@pytest.mark.parametrize("m_exp,beta", [(1.0, 2.0), (1.0, 3.0), (2.0, 2.0), (1.5, 2.5)])
+def test_debruijn_entropy_is_the_tsallis_entropy_bit_for_bit(m_exp, beta):
+    grid = GridSpec.line(-3.0, 3.0, 512)
+    s = evolve(DiffusionState(density=zoo.gaussian_density(grid, 0.0, 0.05), t=0.0,
+                              m_exp=m_exp, beta=beta), 0.01)
+    rep = debruijn_check(s)
+    assert rep.entropy == float(tsallis_entropy(s.density, s.q))
+
+
+@pytest.mark.parametrize("t_final", [math.nan, math.inf, -math.inf, 0.05],
+                         ids=["nan", "inf", "-inf", "before-t"])
+def test_evolve_refuses_a_target_it_cannot_reach(t_final):
+    # checked before any work: an infinite target would otherwise never return
+    s = replace(_heat_state(points=256), t=0.1)
+    with pytest.raises(ValueError, match="t_final"):
+        evolve(s, t_final)
+    assert s.counters.rhs_evals == 0
+
+
+def test_evolve_to_the_state_time_is_a_no_op():
+    s = replace(_heat_state(points=256), t=0.1)
+    out = evolve(s, 0.1)
+    assert out.t == 0.1
+    np.testing.assert_array_equal(out.density.values, s.density.values, strict=True)
+    assert s.counters.rhs_evals == 0

@@ -250,6 +250,21 @@ def test_json_round_trip(tmp_path):
     np.testing.assert_allclose(back.values, d.values, rtol=0, atol=1e-16)
 
 
+@pytest.mark.parametrize("grid", [GridSpec.line(-3.0, 3.0, 513), GridSpec.box(-3.0, 3.0, 33, 2)],
+                         ids=["1d", "2d"])
+def test_save_json_writes_the_bytes_of_json_dump(tmp_path, grid):
+    rng = np.random.default_rng(5)
+    d = GridDensity.from_values(grid, rng.random(grid.shape) + 1e-3, check_boundary=False)
+    path, ref = tmp_path / "d.json", tmp_path / "ref.json"
+    d.save_json(path)
+    with open(ref, "w") as fh:
+        json.dump(d.to_json_dict(), fh)
+    assert path.read_bytes() == ref.read_bytes()
+    back = GridDensity.load_json(path)
+    assert back.grid == d.grid
+    np.testing.assert_array_equal(back.values, d.values, strict=True)
+
+
 def test_csv_has_coordinates_and_values(tmp_path):
     g = GridSpec.line(0.0, 1.0, 5)
     d = GridDensity.from_values(g, np.array([1.0, 2.0, 3.0, 2.0, 1.0]), check_boundary=False)

@@ -179,6 +179,18 @@ def test_nyquist_ripple_is_too_coarse(amplitude):
         fourier_transform(psi)
 
 
+def test_transform_is_read_only_and_refuses_non_finite_values():
+    phat = fourier_transform(_gaussian_psi(GRID, 1.3))
+    assert not phat.values.flags.writeable
+    # a WaveFunction built directly skips from_values' checks; the transform
+    # still refuses what they would have refused
+    (x,) = GRID.axes()
+    raw = np.exp(-(x**2) / 4.0).astype(complex)
+    raw[1000] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        fourier_transform(WaveFunction(GRID, raw))
+
+
 def _product_through_escort(psi, p):
     """The product composed from `m_q_functional` and `escort`, each raising
     |psi|^2 to its own power: the reference for uncertainty_check's one pass."""
