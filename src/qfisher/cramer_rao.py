@@ -13,11 +13,12 @@ from typing import Callable
 
 import numpy as np
 
-from .densities import escort, moment, warn_if_truncated
+from .densities import _escort_mass, _moment_and_radius, escort, moment, warn_if_truncated
 from .errors import JacobianSingular, SingularFisherMatrix
-from .fisher import (ParametricFamily, _as_theta, _gradient_on, central_difference,
-                     fisher_matrix, p1_moment_weights, q_fisher)
-from .grid import GridDensity, HolderPair, dual_exponent, lp_norm, support_floor
+from .fisher import (ParametricFamily, QFisherKernel, _as_theta, _gradient_on,
+                     central_difference, fisher_matrix, p1_moment_weights, q_fisher)
+from .grid import (GridDensity, HolderPair, _axis_gradient, _Workspace, dual_exponent, lp_norm,
+                   support_floor)
 from .sampling import sample_density
 
 SATURATION_REL_TOL = 1e-2
@@ -206,28 +207,62 @@ def covariance_bound_check(
     )
 
 
-def _norm_gradient_field(grid, norm_p: float) -> list[np.ndarray]:
-    """Components of grad ||x||_p, zero at the origin (there sign(x) = 0)."""
-    r = grid.radius(norm_p)
-    safe = np.where(r > 0.0, r, 1.0)
-    return [np.sign(x) * (np.abs(x) / safe) ** (norm_p - 1.0) for x in grid.open_mesh()]
+def _norm_gradient_field(grid, norm_p: float, r: np.ndarray, ws: _Workspace) -> list[np.ndarray]:
+    """Components of grad ||x||_p, zero at the origin (there sign(x) = 0), in
+    arrays of `ws`.  `r` is the ||x||_p field; it is made safe to divide by in
+    place.  At p = 2 a component is x / r, the bits of sign(x) (|x|/r)^1."""
+    np.copyto(r, 1.0, where=~(r > 0.0))
+    out = []
+    for x in grid.open_mesh():
+        c = ws.take()
+        if norm_p == 2.0:
+            np.divide(x, r, out=c)
+        else:
+            np.divide(np.abs(x), r, out=c)
+            c **= norm_p - 1.0
+            c *= np.sign(x)
+        out.append(c)
+    return out
 
 
 def _equality_field_fit(
-    grad_f: list[np.ndarray], g: GridDensity, alpha: float, norm_p: float
+    grad_f: list[np.ndarray], g: GridDensity, alpha: float, norm_p: float,
+    r: np.ndarray | None = None, mask: np.ndarray | None = None, ws: _Workspace | None = None,
 ) -> tuple[float, float]:
-    """Least-squares K and relative residual for grad f = -K g ||x||^(alpha-1) grad ||x||."""
-    r = g.grid.radius(norm_p)
-    dr = _norm_gradient_field(g.grid, norm_p)
-    v = [g.values * r ** (alpha - 1.0) * c for c in dr]
-    w = g.grid.trap_weights() * (g.values > support_floor(g.values))
-    num = sum(float((w * gf * vi).sum()) for gf, vi in zip(grad_f, v))
-    den = sum(float((w * vi * vi).sum()) for vi in v)
-    base = sum(float((w * gf * gf).sum()) for gf in grad_f)
+    """Least-squares K and relative residual for grad f = -K g ||x||^(alpha-1) grad ||x||.
+
+    A caller that has the ||x||_p field `r` (which the fit overwrites), the
+    support mask of g or a workspace `ws` passes them in.  Each weighted sum
+    is (w * a * b).sum() with w the trapezoid weights times the mask.
+    """
+    gv = g.values
+    ws = _Workspace(gv.shape) if ws is None else ws
+    r = g.grid.radius(norm_p) if r is None else r
+    mask = gv > support_floor(gv) if mask is None else mask
+    gr = np.power(r, alpha - 1.0, out=ws.take())  # g ||x||^(alpha-1)
+    gr *= gv
+    v = _norm_gradient_field(g.grid, norm_p, r, ws)
+    for c in v:
+        c *= gr
+    ws.give(r, gr)
+    w = np.multiply(g.grid.trap_weights(), mask, out=ws.take())
+    t = ws.take()
+
+    def weighted(a, b):
+        return float(np.multiply(np.multiply(w, a, out=t), b, out=t).sum())
+
+    num = sum(weighted(gf, vi) for gf, vi in zip(grad_f, v))
+    den = sum(weighted(vi, vi) for vi in v)
+    base = sum(weighted(gf, gf) for gf in grad_f)
     if den <= 0.0 or base <= 0.0:
         return 0.0, 1.0
     k = -num / den
-    res = sum(float((w * (gf + k * vi) ** 2).sum()) for gf, vi in zip(grad_f, v))
+
+    def misfit(gf, vi):  # (w * (gf + k vi)^2).sum()
+        np.add(gf, np.multiply(k, vi, out=t), out=t)
+        return float(np.multiply(w, np.square(t, out=t), out=t).sum())
+
+    res = sum(misfit(gf, vi) for gf, vi in zip(grad_f, v))
     return k, float(np.sqrt(max(res, 0.0) / base))
 
 
@@ -278,13 +313,12 @@ def q_cr_check(g: GridDensity, pair: HolderPair, q: float, norm_p: float = 2.0) 
         summand = p1_moment_weights(g.grid, alpha) * g.values
         warn_if_truncated(summand)
         m_alpha = float(summand.sum())
+        info = q_fisher(g, beta, q, norm_p)
+        k, residual = _equality_field_fit(escort(g, q).spatial_gradient(), g, alpha, norm_p)
     else:
-        m_alpha = moment(g, alpha, norm_p)
-    info = q_fisher(g, beta, q, norm_p)
+        m_alpha, info, k, residual = _node_check_terms(g, alpha, beta, q, norm_p)
     lhs = m_alpha ** (1.0 / alpha) * info ** (1.0 / beta)
     rhs = float(g.grid.dims)
-    f_escort = escort(g, q)
-    k, residual = _equality_field_fit(f_escort.spatial_gradient(), g, alpha, norm_p)
     saturated = residual < FIELD_FIT_TOL and k > 0.0
     return BoundReport.make(
         lhs,
@@ -297,3 +331,28 @@ def q_cr_check(g: GridDensity, pair: HolderPair, q: float, norm_p: float = 2.0) 
             "residual_rel": residual,
         },
     )
+
+
+def _node_check_terms(g: GridDensity, alpha: float, beta: float, q: float,
+                      norm_p: float) -> tuple[float, float, float, float]:
+    """m_alpha, I_{beta,q}, K and the fit residual of a check on the nodes.
+
+    The bits, warnings and errors are those of `moment`, `q_fisher`,
+    `escort(g, q).spatial_gradient()` and `_equality_field_fit` in turn, but
+    each grid field is computed once, in one workspace: the ||x||_p field
+    serves the moment and the fit, the support mask I_{beta,q} and the fit,
+    and g^q and its trapezoid sum serve I_{beta,q} (as M_q) and the escort,
+    whose gradient is taken from g^q / M_q in place (g >= 0, so g^q is the
+    escort's power).
+    """
+    gv, ws = g.values, _Workspace(g.grid.shape)
+    mask = gv > support_floor(gv)
+    integrand = ws.take()
+    m_alpha, r = _moment_and_radius(g, alpha, norm_p, integrand)
+    ws.give(integrand)
+    info, g_q, m_q = QFisherKernel(g.grid, beta, q, norm_p)._node_parts(gv, ws, mask)
+    g_q /= _escort_mass(m_q)
+    grad_f = [_axis_gradient(g_q, h, a, ws.take()) for a, h in enumerate(g.grid.spacing)]
+    ws.give(g_q)
+    k, residual = _equality_field_fit(grad_f, g, alpha, norm_p, r, mask, ws)
+    return m_alpha, info, k, residual

@@ -155,26 +155,42 @@ def _escort_weights(g: GridDensity, q: float) -> tuple[np.ndarray, float]:
     when the integral underflows or is not finite.  Dividing the first by the
     second gives the bits of `escort(g, q).values`."""
     vals = np.where(g.values > 0.0, g.values, 0.0) ** q
-    z = g.integral(vals)
+    return vals, _escort_mass(g.integral(vals))
+
+
+def _escort_mass(z: float) -> float:
+    """z, the integral of g^q, when it can normalize an escort; DegenerateEscort
+    when it underflows or is not finite."""
     if not np.isfinite(z) or z < 1e-300:
         raise DegenerateEscort(f"escort normalization {z!r} underflows or is not finite")
-    return vals, z
+    return z
 
 
 def moment(g: GridDensity, alpha: float, norm_p: float = 2.0) -> float:
     """m_alpha[g] = E_g[||x||_p^alpha]; warns when the integrand is boundary-heavy."""
+    return _moment_and_radius(g, alpha, norm_p)[0]
+
+
+def _moment_and_radius(g: GridDensity, alpha: float, norm_p: float,
+                       out: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """`moment`, and the ||x||_p field it took, for a caller that needs that
+    field too; the integrand is written into `out` (a new array when None)."""
     if alpha <= 0.0:
         raise ValueError("moment order must be positive")
     if norm_p < 1.0:
         raise ValueError("norm_p must be >= 1")
     r = g.grid.radius(norm_p)
-    integrand = r**alpha * g.values
-    warn_if_truncated(integrand)
-    return g.integral(integrand)
+    integrand = np.power(r, alpha, out=out)
+    integrand *= g.values
+    warn_if_truncated(integrand, stacklevel=4)
+    # w * integrand, as `GridDensity.integral` sums it
+    integrand *= g.grid.trap_weights()
+    return float(integrand.sum()), r
 
 
-def warn_if_truncated(integrand: np.ndarray) -> None:
-    """TruncationWarning when a moment integrand is not negligible at the boundary."""
+def warn_if_truncated(integrand: np.ndarray, stacklevel: int = 3) -> None:
+    """TruncationWarning when a moment integrand is not negligible at the
+    boundary; `stacklevel` 3 names the caller of the function that calls this."""
     imax = float(integrand.max())
     if imax > 0.0:
         bmax = boundary_abs_max(integrand)
@@ -183,7 +199,7 @@ def warn_if_truncated(integrand: np.ndarray) -> None:
                 f"moment integrand at boundary is {bmax / imax:.2e} of its max; "
                 "value is likely truncated",
                 TruncationWarning,
-                stacklevel=3,
+                stacklevel=stacklevel,
             )
 
 

@@ -135,7 +135,6 @@ def _flux_divergence(f, dx, m_exp, beta, buf=None):
 
 def _cfl_dt(f, slope, dx, m_exp, beta):
     """0.4 * dx^2 / max over faces of the linearized diffusivity."""
-    f_face = np.maximum(f[:-1], f[1:])
     with np.errstate(divide="ignore"):
         if beta == 2.0:
             grad_part = 1.0
@@ -150,9 +149,12 @@ def _cfl_dt(f, slope, dx, m_exp, beta):
                 raise UnstableStep(f"beta < 2 needs every face slope above 1e-12 x the largest; "
                                    f"{np.count_nonzero(d <= floor)} of {d.size} are not")
             grad_part = np.maximum(d, floor) ** (beta - 2.0)
-        # f_face = 0 with m < 1 gives inf, which the check below rejects
-        diffusivity = (beta - 1.0) * grad_part * m_exp * f_face ** (m_exp - 1.0)
-    dmax = float(diffusivity.max())
+        diffusivity = (beta - 1.0) * grad_part * m_exp
+        # at m = 1 the face factor f^0 is 1 on every face
+        if m_exp != 1.0:
+            # f_face = 0 with m < 1 gives inf, which the check below rejects
+            diffusivity = diffusivity * np.maximum(f[:-1], f[1:]) ** (m_exp - 1.0)
+    dmax = float(np.max(diffusivity))
     if not math.isfinite(dmax):
         raise UnstableStep("m < 1 needs positive values at every node: "
                            "f^(m-1) is infinite where f = 0")
@@ -360,15 +362,19 @@ def debruijn_check(state: DiffusionState) -> DeBruijnReport:
 def debruijn_series(
     state: DiffusionState, t_final: float, n_checks: int, t_burn: float = 0.0
 ) -> list[DeBruijnReport]:
-    """Evolve to t_final, running the identity check at n_checks sample times.
+    """Evolve to t_final, running the identity check at n_checks sample times
+    from max(t_burn, state.t) to t_final.
 
-    An (m, beta) whose matched order is not positive is refused before any
-    evolution (`check_entropy_order`).
+    An (m, beta) whose matched order is not positive, or a t_final before the
+    first sample time, is refused before any evolution.
     """
     if n_checks < 1:
         raise ValueError("need at least one check")
     check_entropy_order(state.m_exp, state.beta)
     t0 = max(t_burn, state.t)
+    if t_final < t0:
+        raise ValueError(f"t_final = {t_final!r} lies before the first check at "
+                         f"max(t_burn, t) = {t0!r}")
     times = np.linspace(t0, t_final, n_checks)
     out = []
     for tc in times:

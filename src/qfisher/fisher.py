@@ -18,6 +18,9 @@ from .errors import NonConvergent, ParameterError
 from .grid import (
     GridDensity,
     GridSpec,
+    _axis_gradient,
+    _norm_of_magnitudes,
+    _Workspace,
     dual_exponent,
     lp_norm,
     support_floor,
@@ -308,7 +311,7 @@ class QFisherKernel:
             return self._p1_parts(gv, gradient)
         if gradient:
             raise ValueError("the I_{beta,q} gradient is one-dimensional")
-        return self._node_value(gv), None
+        return self._node_parts(gv)[0], None
 
     def _p1_parts(self, gv: np.ndarray, gradient: bool):
         beta, q, e, (h,) = self.beta, self.q, self.e, self.spacing
@@ -354,15 +357,38 @@ class QFisherKernel:
         grad[1:] += to_right
         return value, grad
 
-    def _node_value(self, gv: np.ndarray) -> float:
+    def _node_parts(self, gv: np.ndarray, ws: _Workspace | None = None,
+                    mask: np.ndarray | None = None) -> tuple[float, np.ndarray, float]:
+        """(I_{beta,q}, g^q, M_q) on the nodes (2D).  g^q is left in an array of
+        the workspace `ws` for a caller that needs it (which gives it back);
+        `mask` is gv above its support floor, for a caller that has it."""
         beta, q, w = self.beta, self.q, self.weights
-        grads = [np.gradient(gv, h, axis=a) for a, h in enumerate(self.spacing)]
-        dens_u = lp_norm(grads, self.dual)
-        mask = gv > support_floor(gv)
-        g_pow = np.where(mask, gv, 1.0) ** self.e
-        phi = float((w * np.where(mask, dens_u**beta * g_pow, 0.0)).sum())
-        m_q = float((w * gv**q).sum())
-        return (q / m_q) ** beta * phi
+        ws = _Workspace(gv.shape) if ws is None else ws
+        mask = gv > support_floor(gv) if mask is None else mask
+        grads = [_axis_gradient(gv, h, a, ws.take()) for a, h in enumerate(self.spacing)]
+        if self.dual != 2.0:  # squares need no |.|
+            grads = [np.abs(c, out=c) for c in grads]
+        u = _norm_of_magnitudes(grads, self.dual)
+        ws.give(*(c for c in grads if c is not u))
+        # ||grad g||_*^beta g^e, where g^0 = 1 needs no pass
+        u **= beta
+        if self.e != 0.0:
+            g_e = ws.take()
+            g_e.fill(1.0)
+            np.copyto(g_e, gv, where=mask)
+            g_e **= self.e
+            u *= g_e
+            ws.give(g_e)
+        # finite off the support, where g^e is 1 (unless |grad g|^beta overflows),
+        # so multiplying by the mask zeroes it there
+        u *= mask
+        u *= w
+        phi = float(u.sum())
+        g_q = np.power(gv, q, out=u)
+        t = np.multiply(w, g_q, out=ws.take())
+        m_q = float(t.sum())
+        ws.give(t)
+        return (q / m_q) ** beta * phi, g_q, m_q
 
 
 def q_fisher(g: GridDensity, beta: float, q: float, norm_p: float = 2.0) -> float:

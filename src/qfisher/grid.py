@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -133,24 +133,86 @@ def lp_norm(components, p: float) -> np.ndarray:
     `GridSpec.open_mesh()`); the result has their broadcast shape.  They are
     folded left to right with binary ufuncs, which is the order a reduction
     over stacked full-size components takes, so both give the same bits.
-    numpy takes an array (not a 0-d scalar) to the power 1.0, 2.0 or 0.5 as
-    a copy, `square` or `sqrt`, so p = 1 and p = 2 need no branch of their own.
-    Any other p scales by the largest component, top * (sum (c/top)^p)^(1/p),
+    p = 1 and p = 2 sum |c|^p unscaled.  Any other p scales by the largest
+    component, top * (sum (c/top)^p)^(1/p),
     so that |c|^p neither underflows (p near 1 or large, |c| < 1) nor
     overflows (large p, |c| > 1).
     """
-    comps = [np.abs(np.asarray(c, dtype=float)) for c in components]
+    return _norm_of_magnitudes([np.abs(np.asarray(c, dtype=float)) for c in components], p)
+
+
+def _norm_of_magnitudes(comps: list[np.ndarray], p: float) -> np.ndarray:
+    """`lp_norm` of the magnitudes |c| held in float arrays that the caller
+    gives up (at p = 2 they may hold c itself: the squares are the same).
+    Each pass writes into its operand where that has the result's shape, so
+    the result may be the first array.  The passes are those of lp_norm's
+    formula, in its order."""
     if len(comps) == 1:
         return comps[0]
+    shape = np.broadcast_shapes(*(np.shape(c) for c in comps))
+
+    def own(a):  # an array of the result's shape, which a pass may write into
+        return a if isinstance(a, np.ndarray) and a.shape == shape else None
+
+    def fold(op, arrays):
+        acc = arrays[0]
+        for c in arrays[1:]:
+            acc = op(acc, c, out=own(acc))
+        return acc
+
+    if p == 2.0:
+        return _ipow(fold(np.add, [_ipow(c, p) for c in comps]), 1.0 / p)
     if p == np.inf:
-        return reduce(np.maximum, comps)
+        return fold(np.maximum, comps)
     if p < 1.0:
         raise ValueError("p-norm needs p >= 1")
-    if p in (1.0, 2.0):
-        return reduce(np.add, [c**p for c in comps]) ** (1.0 / p)
-    top = reduce(np.maximum, comps)
+    if p == 1.0:
+        return fold(np.add, comps)
+    top = fold(np.maximum, [np.maximum(comps[0], comps[1])] + comps[2:])
     safe = np.where((top > 0.0) & (top < np.inf), top, 1.0)
-    return top * reduce(np.add, [(c / safe) ** p for c in comps]) ** (1.0 / p)
+    total = fold(np.add, [_ipow(np.divide(c, safe, out=own(c)), p) for c in comps])
+    total = _ipow(total, 1.0 / p)
+    total *= top
+    return total
+
+
+def _ipow(a, s):
+    """a ** s, written into a when it is an array: `**=` picks the ufunc that
+    `**` does, so both give the same bits and warnings."""
+    a **= s
+    return a
+
+
+def _axis_gradient(values: np.ndarray, h: float, axis: int, out: np.ndarray | None = None):
+    """np.gradient(values, h, axis=axis) written into `out` (a new array when
+    None) by slices, with the same passes: central differences inside,
+    one-sided differences at the two ends."""
+    out = np.empty(values.shape) if out is None else out
+    f, d = np.moveaxis(values, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(f[2:], f[:-2], out=d[1:-1])
+    d[1:-1] /= 2.0 * h
+    np.subtract(f[1:2], f[:1], out=d[:1])
+    d[:1] /= h
+    np.subtract(f[-1:], f[-2:-1], out=d[-1:])
+    d[-1:] /= h
+    return out
+
+
+class _Workspace:
+    """Grid-sized float arrays for one computation: `take` hands out a free
+    one, made on first need, and `give` returns arrays for reuse.  A check
+    that passes one workspace through its steps makes as many arrays as it
+    holds at once, not one per pass."""
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.shape = shape
+        self._free: list[np.ndarray] = []
+
+    def take(self) -> np.ndarray:
+        return self._free.pop() if self._free else np.empty(self.shape)
+
+    def give(self, *arrays: np.ndarray) -> None:
+        self._free.extend(arrays)
 
 
 def boundary_abs_max(values) -> float:
@@ -299,7 +361,7 @@ class GridDensity:
 
     def spatial_gradient(self) -> list[np.ndarray]:
         """Central-difference gradient per axis (one-sided at the domain edge)."""
-        return [np.gradient(self.values, h, axis=a) for a, h in enumerate(self.grid.spacing)]
+        return [_axis_gradient(self.values, h, a) for a, h in enumerate(self.grid.spacing)]
 
     def on_shifted_grid(self, delta) -> "GridDensity":
         """Same values with the origin moved to `delta` (pure relabeling)."""

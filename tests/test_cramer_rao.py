@@ -1,5 +1,7 @@
 """Estimation bounds: scalar, multidim, matrix-weighted, functional, single-density."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from qfisher import (
     QGaussianParams,
     SingularFisherMatrix,
     covariance_bound_check,
+    escort,
     functional_cr_check,
     gaussian_location_family,
     make_q_gaussian,
@@ -21,6 +24,7 @@ from qfisher import (
     zoo,
 )
 from qfisher.fisher import ParametricFamily
+from qfisher.grid import support_floor
 
 PAIR22 = HolderPair.from_alpha(2.0)
 
@@ -235,6 +239,83 @@ def test_q_cr_one_node_spike_stays_above_the_bound():
     rep = q_cr_check(g, PAIR22, q=1.5)
     assert rep.lhs >= 1.0
     assert rep.lhs == pytest.approx(1.0825, abs=1e-4)
+
+
+def _norm_reference(comps, p):
+    # lp_norm's formula on full-size components, one allocating pass each
+    a = [np.abs(c) for c in comps]
+    if p in (1.0, 2.0):
+        return (a[0] ** p + a[1] ** p) ** (1.0 / p)
+    top = np.maximum(a[0], a[1])
+    safe = np.where((top > 0.0) & (top < np.inf), top, 1.0)
+    return top * ((a[0] / safe) ** p + (a[1] / safe) ** p) ** (1.0 / p)
+
+
+def _node_check_reference(g, alpha, beta, q, norm_p):
+    """m_alpha, I_{beta,q}, K and residual of a 2D check, composed from
+    moment, the node I_{beta,q}, escort(g, q) with np.gradient and the
+    equality fit, each written from its formula with fresh arrays."""
+    gv, w, spacing = g.values, g.grid.trap_weights(), g.grid.spacing
+    mask = gv > support_floor(gv)
+    mesh = g.grid.mesh()
+    r = _norm_reference(mesh, norm_p)
+    m_alpha = float((w * (r**alpha * gv)).sum())
+    grads = [np.gradient(gv, h, axis=a) for a, h in enumerate(spacing)]
+    u = _norm_reference(grads, norm_p / (norm_p - 1.0))
+    g_pow = np.where(mask, gv, 1.0) ** (beta * (q - 1.0) + 1.0 - beta)
+    phi = float((w * np.where(mask, u**beta * g_pow, 0.0)).sum())
+    info = (q / float((w * gv**q).sum())) ** beta * phi
+    grad_f = [np.gradient(escort(g, q).values, h, axis=a) for a, h in enumerate(spacing)]
+    safe = np.where(r > 0.0, r, 1.0)
+    v = [gv * r ** (alpha - 1.0) * (np.sign(x) * (np.abs(x) / safe) ** (norm_p - 1.0))
+         for x in mesh]
+    wm = w * mask
+    num = sum(float((wm * gf * vi).sum()) for gf, vi in zip(grad_f, v))
+    den = sum(float((wm * vi * vi).sum()) for vi in v)
+    base = sum(float((wm * gf * gf).sum()) for gf in grad_f)
+    k = -num / den
+    res = sum(float((wm * (gf + k * vi) ** 2).sum()) for gf, vi in zip(grad_f, v))
+    return m_alpha, info, k, float(np.sqrt(max(res, 0.0) / base))
+
+
+def _matched_2d(q, alpha, norm_p, points):
+    p = QGaussianParams(q=q, alpha=alpha, gamma=1.0, dims=2, norm_p=norm_p)
+    half = suggested_half_extent(p)
+    return make_q_gaussian(p, GridSpec.box(-half, half, points, 2))
+
+
+# e = beta(q-1)+1-beta is 0, < 0, > 0, < 0 and > 0; the last two have p != 2
+@pytest.mark.parametrize("points", [129, 257])
+@pytest.mark.parametrize("q,alpha,norm_p",
+                         [(1.5, 2.0, 2.0), (1.0, 2.0, 2.0), (2.0, 2.0, 2.0), (0.8, 1.5, 1.5),
+                          (1.5, 3.0, 3.0), (None, 2.0, 2.0)])
+def test_2d_q_cr_check_is_its_composition_bit_for_bit(points, q, alpha, norm_p):
+    if q is None:
+        # a zoo member whose support floor leaves out thousands of nodes
+        q, g = 1.5, zoo.random_density(GridSpec.box(-10.0, 10.0, points, 2), 4)
+        assert np.count_nonzero(g.values <= support_floor(g.values)) > 1000
+    else:
+        g = _matched_2d(q, alpha, norm_p, points)
+    pair = HolderPair.from_alpha(alpha)
+    rep = q_cr_check(g, pair, q, norm_p)
+    d = rep.diagnostics
+    got = (d["m_alpha"], d["i_beta_q"], d["K"], d["residual_rel"])
+    assert got == _node_check_reference(g, alpha, pair.beta, q, norm_p)
+    assert rep.lhs == d["m_alpha"] ** (1.0 / alpha) * d["i_beta_q"] ** (1.0 / pair.beta)
+
+
+def test_2d_q_cr_check_holds_few_grid_arrays_at_once():
+    # the 2D check works in one workspace of grid arrays; one array per pass
+    # kept about 10 alive at once, which showed as peak RSS in the benchmark
+    g = _matched_2d(1.5, 2.0, 2.0, 257)
+    q_cr_check(g, PAIR22, 1.5)  # the grid's axes and trapezoid weights are cached
+    tracemalloc.start()
+    try:
+        q_cr_check(g, PAIR22, 1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.0 * g.values.nbytes
 
 
 def test_covariance_bound_efficient_1d():

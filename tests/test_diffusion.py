@@ -105,6 +105,18 @@ def test_unstable_dt_raises():
         step(s, 5000.0 * stable_dt(s))
 
 
+@pytest.mark.parametrize("beta", [2.0, 3.0])
+def test_stable_dt_at_m1_is_the_face_formula_bit_for_bit(beta):
+    # 0.4 dx^2 / max of (beta-1)|D|^(beta-2) m f_face^(m-1), here with m = 1
+    s = DiffusionState(density=zoo.random_density(GridSpec.line(-6.0, 6.0, 512), 2), t=0.0,
+                       m_exp=1.0, beta=beta)
+    f, dx = s.density.values, s.dx
+    d = np.abs((f[1:] - f[:-1]) / dx)
+    grad_part = 1.0 if beta == 2.0 else np.maximum(d, 1e-12 * d.max()) ** (beta - 2.0)
+    diffusivity = (beta - 1.0) * grad_part * 1.0 * np.maximum(f[:-1], f[1:]) ** 0.0
+    assert stable_dt(s) == 0.4 * dx**2 / float(diffusivity.max())
+
+
 def test_flat_state_has_no_stable_scale():
     grid = GridSpec.line(-1.0, 1.0, 128)
     flat = GridDensity.from_values(grid, np.ones(128), check_boundary=False)
@@ -239,6 +251,17 @@ def test_series_validates_n_checks():
     s = _heat_state(points=512)
     with pytest.raises(ValueError):
         debruijn_series(s, t_final=0.01, n_checks=0)
+
+
+@pytest.mark.parametrize("n_checks", [1, 3])
+def test_series_refuses_a_t_final_before_its_first_check(n_checks):
+    # the first check is at max(t_burn, t); refused before any evolution
+    s = _heat_state(points=256)
+    with pytest.raises(ValueError, match="t_final"):
+        debruijn_series(s, t_final=0.01, n_checks=n_checks, t_burn=0.02)
+    with pytest.raises(ValueError, match="t_final"):
+        debruijn_series(replace(s, t=0.02), t_final=0.01, n_checks=n_checks)
+    assert s.counters.rhs_evals == 0
 
 
 @pytest.mark.parametrize("m_exp, beta", [(1.0, 1.2), (1.0, 1.5), (0.2, 1.8)])

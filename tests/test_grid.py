@@ -159,6 +159,9 @@ def test_lp_norm_accepts_broadcastable_components(p):
         top = np.maximum.reduce(stacked)
         expect = top * np.add.reduce((stacked / top) ** p) ** (1.0 / p)
     assert np.array_equal(lp_norm(shifted, p), expect)
+    # scalar components give a scalar
+    node = lp_norm([c[3, 5, 2] for c in full], p)
+    assert np.ndim(node) == 0 and node == pytest.approx(expect[3, 5, 2], rel=1e-15)
     # and, at p = 1 and p = 2, the bits of the plain sum and of sqrt of squares
     if p in (1.0, 2.0):
         x, y = (np.abs(c) for c in full[:2])
