@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .densities import _escort_mass, _moment_and_radius, escort, moment, warn_if_truncated
-from .errors import JacobianSingular, SingularFisherMatrix
+from .errors import JacobianSingular, ParameterError, SingularFisherMatrix
 from .fisher import (ParametricFamily, QFisherKernel, _as_theta, _gradient_on,
                      central_difference, fisher_matrix, p1_moment_weights, q_fisher)
 from .grid import (GridDensity, HolderPair, _axis_gradient, _Workspace, dual_exponent, lp_norm,
@@ -182,6 +182,9 @@ def covariance_bound_check(
     """Monte Carlo check of E_g[(T-h)(T-h)^T] >= etadot^T I_{2,g}^{-1} etadot."""
     if abs(prob.pair.beta - 2.0) > 1e-12:
         raise ValueError("covariance bound requires beta = 2")
+    if not n_samples >= 2:
+        raise ParameterError(("n_samples",), "must be at least 2 for a sample covariance "
+                             "and its standard error")
     t0 = _as_theta(theta, prob.fam.theta_dim)
     rng = np.random.default_rng(seed)
     xs = sample_density(prob.g, n_samples, rng)

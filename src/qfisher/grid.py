@@ -199,17 +199,21 @@ def _axis_gradient(values: np.ndarray, h: float, axis: int, out: np.ndarray | No
 
 
 class _Workspace:
-    """Grid-sized float arrays for one computation: `take` hands out a free
-    one, made on first need, and `give` returns arrays for reuse.  A check
-    that passes one workspace through its steps makes as many arrays as it
-    holds at once, not one per pass."""
+    """Arrays of one shape (a grid's, or a batch of draws') for one
+    computation: `take` hands out a free one of the dtype asked for, made on
+    first need, and `give` returns arrays for reuse.  A computation that
+    passes one workspace through its steps makes as many arrays as it holds
+    at once, not one per pass."""
 
     def __init__(self, shape: tuple[int, ...]):
         self.shape = shape
         self._free: list[np.ndarray] = []
 
-    def take(self) -> np.ndarray:
-        return self._free.pop() if self._free else np.empty(self.shape)
+    def take(self, dtype=float) -> np.ndarray:
+        for i in range(len(self._free) - 1, -1, -1):
+            if self._free[i].dtype == dtype:
+                return self._free.pop(i)
+        return np.empty(self.shape, dtype)
 
     def give(self, *arrays: np.ndarray) -> None:
         self._free.extend(arrays)

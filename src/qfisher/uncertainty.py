@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cramer_rao import BoundReport
-from .densities import QGaussianParams, _escort_weights, m_q_functional, make_q_gaussian
+from .densities import QGaussianParams, _escort_mass, make_q_gaussian
 from .errors import AliasingWarning, BoundaryMassWarning, GridTooCoarse, ParameterError
 from .grid import GridDensity, GridSpec, boundary_abs_max
 
@@ -102,15 +102,24 @@ def frequency_grid(grid: GridSpec) -> GridSpec:
 
 def fourier_transform(psi: WaveFunction) -> WaveFunction:
     """Unitary FFT with the e^{-2 pi i x.xi} kernel and origin phase correction."""
-    bmax = boundary_abs_max(psi.values)
-    vmax = float(np.abs(psi.values).max())
+    mag = np.abs(psi.values)
+    bmax, vmax = boundary_abs_max(mag), float(mag.max())
+    del mag
+    return _transform(psi, bmax, vmax, stacklevel=3)[0]
+
+
+def _transform(psi: WaveFunction, bmax: float, vmax: float,
+               stacklevel: int) -> tuple[WaveFunction, np.ndarray]:
+    """`fourier_transform` of psi, whose |psi| peaks at `vmax` and at `bmax`
+    on the box faces, and |psi_hat|^2 as a new array.  Warnings name the
+    caller `stacklevel` frames up."""
     truncated = bmax > BOUNDARY_PSI_REL_TOL * vmax
     if truncated:
         warnings.warn(
             f"boundary |psi| = {bmax:.3e} exceeds {BOUNDARY_PSI_REL_TOL:.0e} x max; "
             "the transform will pick up truncation ringing",
             BoundaryMassWarning,
-            stacklevel=2,
+            stacklevel=stacklevel,
         )
     out_grid = frequency_grid(psi.grid)
     values = np.fft.fftshift(np.fft.fftn(psi.values))
@@ -125,7 +134,9 @@ def fourier_transform(psi: WaveFunction) -> WaveFunction:
     values *= cell
 
     w = out_grid.trap_weights()
-    dens = w * np.abs(values) ** 2
+    sq = np.abs(values)
+    sq **= 2
+    dens = w * sq
     # the norm `WaveFunction.from_values` would take, bit for bit
     total = float(dens.sum())
     tail = np.zeros(out_grid.shape, dtype=bool)
@@ -135,11 +146,12 @@ def fourier_transform(psi: WaveFunction) -> WaveFunction:
         shape[axis] = len(ax)
         tail |= np.abs(ax).reshape(shape) >= edge
     tail_mass = float(dens[tail].sum()) / max(total, 1e-300)
+    del dens
     if tail_mass > SPECTRAL_TAIL_FRACTION:
         warnings.warn(
             f"spectral tail holds {tail_mass:.2e} of the mass; grid is too coarse for psi",
             AliasingWarning,
-            stacklevel=2,
+            stacklevel=stacklevel,
         )
     # a clean input keeps unit norm but for Nyquist content, which the trapezoid
     # weights halve at the frequency grid's ends; a truncated one was warned
@@ -151,13 +163,16 @@ def fourier_transform(psi: WaveFunction) -> WaveFunction:
             "content at the Nyquist frequency, which the grid does not resolve"
         )
     if truncated:
-        return WaveFunction.from_values(out_grid, values, normalize=True)
+        psi_hat = WaveFunction.from_values(out_grid, values, normalize=True)
+        np.abs(psi_hat.values, out=sq)
+        sq **= 2
+        return psi_hat, sq
     # a NaN norm passes the check above; from_values refuses it with this message
     if math.isnan(total):
         raise ValueError("wave function contains non-finite entries")
     # of unit norm, and finite: from_values would only copy it
     values.flags.writeable = False
-    return WaveFunction(out_grid, values)
+    return WaveFunction(out_grid, values), sq
 
 
 def uncertainty_check(psi: WaveFunction, p: UncertaintyParams) -> BoundReport:
@@ -165,21 +180,52 @@ def uncertainty_check(psi: WaveFunction, p: UncertaintyParams) -> BoundReport:
 
     lhs = (M_{k/2}^{1/2} / M_{kq/2}) E_{k/2}[|x|^gamma]^{1/gamma}
           E[|xi|^theta]^{1/theta}, the xi-moment taken plainly under |psihat|^2.
+
+    Each side is summed in the order of its composition from `escort`,
+    `m_q_functional` and `GridDensity.expectation`.  The x side runs in three
+    grid arrays, which are gone before the transform makes its own.
     """
     if psi.grid.dims != p.dims:
         raise ValueError(f"params declare dims = {p.dims} but psi lives in {psi.grid.dims}D")
-    rho = psi.density()
+    if psi.values.shape != psi.grid.shape:
+        raise ValueError(f"values shape {psi.values.shape} != grid shape {psi.grid.shape}")
     k = p.k
-    # the escort of order k/2 is rho^(k/2) / M_{k/2}: one power pass gives both,
-    # and its x-moment is summed in the order `GridDensity.expectation` takes
-    rho_pow, m_half_k = _escort_weights(rho, k / 2.0)
-    m_half_kq = m_q_functional(rho, k * p.q / 2.0)
-    w = rho.grid.trap_weights()
-    x_mom = float((w * rho.grid.radius(2.0) ** p.gamma_exp * (rho_pow / m_half_k)).sum())
+    w = psi.grid.trap_weights()
+    # |psi| once: its maxima feed the transform's truncation test, and squared
+    # in place it is rho = |psi|^2.  That is >= 0 and never -0, so the
+    # np.where(rho > 0, rho, 0) the escort and M_q take leaves it as it is,
+    # but for NaN, which it maps to 0
+    rho = np.abs(psi.values)
+    bmax, vmax = boundary_abs_max(rho), float(rho.max())
+    rho **= 2
+    if math.isnan(vmax):
+        np.copyto(rho, 0.0, where=np.isnan(rho))
+    # the escort of order k/2 is rho^(k/2) / M_{k/2}; the weighted sum of each
+    # power is its M
+    rho_pow = rho.copy()
+    rho_pow **= k / 2.0
+    m_half_k = _escort_mass(float((w * rho_pow).sum()))
+    rho **= k * p.q / 2.0
+    rho *= w
+    m_half_kq = float(rho.sum())
+    del rho
+    field = psi.grid.radius(2.0)
+    field **= p.gamma_exp
+    field *= w
+    rho_pow /= m_half_k
+    field *= rho_pow
+    x_mom = float(field.sum())
+    del rho_pow, field
 
-    psi_hat = fourier_transform(psi)
-    rho_hat = psi_hat.density()
-    xi_mom = rho_hat.expectation(rho_hat.grid.radius(2.0) ** p.theta_exp)
+    # its warnings name this line, as when this called `fourier_transform`
+    psi_hat, rho_hat = _transform(psi, bmax, vmax, stacklevel=2)
+    grid_hat = psi_hat.grid
+    del psi_hat
+    field = grid_hat.radius(2.0)
+    field **= p.theta_exp
+    field *= grid_hat.trap_weights()
+    field *= rho_hat
+    xi_mom = float(field.sum())
 
     lhs = (
         math.sqrt(m_half_k)

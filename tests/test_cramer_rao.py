@@ -10,6 +10,7 @@ from qfisher import (
     GridDensity,
     GridSpec,
     HolderPair,
+    ParameterError,
     QGaussianParams,
     SingularFisherMatrix,
     covariance_bound_check,
@@ -344,6 +345,31 @@ def test_covariance_bound_2d_statistic():
     assert rep.bound[1, 1] == pytest.approx(1.5**2, rel=1e-3)
     assert rep.min_eig > -3.0 * rep.stderr
     assert rep.psd_margin >= 0.0
+
+
+@pytest.mark.parametrize("n_samples", [1, 0, -3])
+def test_covariance_check_refuses_fewer_than_two_samples(n_samples, monkeypatch):
+    # one draw has no sample covariance's standard error (ddof = 1), none has
+    # no sample covariance at all: both used to come back as NaN with warnings
+    grid = GridSpec.box(-8.0, 8.0, 33, 2)
+    fam = gaussian_location_family(grid, sigma=1.0)
+    prob = EstimationProblem(
+        fam=fam,
+        statistic=lambda coords: np.stack(coords),
+        h=lambda theta: theta,
+        h_jacobian=lambda theta: np.eye(2),
+        g=fam.at((0.0, 0.0)),
+        pair=PAIR22,
+        m_dim=2,
+    )
+
+    def no_draws(*args):
+        raise AssertionError("drew before checking n_samples")
+
+    monkeypatch.setattr("qfisher.cramer_rao.sample_density", no_draws)
+    with pytest.raises(ParameterError, match="n_samples") as err:
+        covariance_bound_check(prob, (0.0, 0.0), n_samples=n_samples, seed=0)
+    assert err.value.names == ("n_samples",)
 
 
 def test_statistic_shape_validation():

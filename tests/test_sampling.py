@@ -1,11 +1,13 @@
 """Sampler moments against quadrature moments (same piecewise-linear law)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfisher import GridDensity, GridSpec, sample_density, zoo
+from qfisher import GridDensity, GridSpec, gaussian_location_family, sample_density, zoo
 from qfisher.sampling import _cdf, _count_at_most, _sample_pl_1d
 
 
@@ -88,6 +90,62 @@ def test_3d_unsupported():
         sample_density(g, 10, np.random.default_rng(0))
 
 
+def _pl_1d_formulas(x, v, u):
+    """Inverse-CDF draws from the piecewise-linear law of node values v, written
+    from the formulas with fresh arrays: the pinned reference for
+    `_sample_pl_1d`, which works in place."""
+    h = float(x[1] - x[0])
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (v[:-1] + v[1:]) * h)])
+    total = cdf[-1]
+    if total <= 0.0:
+        raise ValueError("cannot sample from zero-mass values")
+    target = u * total
+    seg = np.clip(np.searchsorted(cdf, target, side="right") - 1, 0, len(v) - 2)
+    du = target - cdf[seg]
+    # position s in the segment: a s + dv s^2 / 2 = du / h, linear when dv ~ 0
+    a = v[seg]
+    b = v[seg + 1]
+    dv = b - a
+    rhs = 2.0 * du / h
+    linear = np.abs(dv) <= 1e-12 * np.maximum(np.maximum(a, b), 1e-300)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = np.maximum(a * a + dv * rhs, 0.0)
+        s = (np.sqrt(disc) - a) / np.where(linear, 1.0, dv)
+    lin = np.flatnonzero(linear)
+    a_lin = a[lin]
+    s[lin] = np.where(a_lin > 0.0, du[lin] / (h * np.maximum(a_lin, 1e-300)), 0.0)
+    s = np.clip(s, 0.0, 1.0)
+    return x[seg] + s * h, seg, s
+
+
+def _indicator_1d():
+    grid = GridSpec.line(-3.0, 3.0, 128)
+    (x,) = grid.axes()
+    return GridDensity.from_values(grid, np.where(np.abs(x) < 2.0, 1.0, 0.0), check_boundary=False)
+
+
+@pytest.mark.parametrize("make, n, seed", [
+    (lambda: zoo.gaussian_density(GridSpec.line(-10.0, 10.0, 512), 0.0, 1.0), 50_000, 1),
+    (lambda: zoo.mixture_density(GridSpec.line(-10.0, 10.0, 1024), (-1.0, 1.2), (0.6, 0.9), (0.4, 0.6)),
+     50_000, 2),
+    (_indicator_1d, 20_000, 3),
+], ids=["gauss-512", "mixture-1024", "indicator"])
+def test_1d_draws_match_the_pinned_formulas(make, n, seed):
+    g = make()
+    (x,) = g.grid.axes()
+    u = np.random.default_rng(seed).random(n)
+    got = _sample_pl_1d(x, g.values, u)
+    ref = _pl_1d_formulas(x, g.values, u)
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b)
+    rng = np.random.default_rng(seed)
+    assert np.array_equal(sample_density(g, n, rng), ref[0][None, :])
+    # one block of n uniforms, as before
+    rng_ref = np.random.default_rng(seed)
+    rng_ref.random(n)
+    assert rng.random() == rng_ref.random()
+
+
 def _row_by_row_2d(g, n, rng):
     """The 2D sampler as one loop over the chosen rows, each drawing its own
     uniforms in ascending row order: the reference the one-pass sampler must
@@ -96,7 +154,7 @@ def _row_by_row_2d(g, n, rng):
     h1 = float(x1[1] - x1[0])
     vals = g.values
     row_mass = (0.5 * (vals[:, :-1] + vals[:, 1:]) * h1).sum(axis=1)
-    pts0, seg0, s0 = _sample_pl_1d(x0, row_mass, rng.random(n))
+    pts0, seg0, s0 = _pl_1d_formulas(x0, row_mass, rng.random(n))
     w_hi = s0 * row_mass[seg0 + 1]
     w_lo = (1.0 - s0) * row_mass[seg0]
     take_hi = rng.random(n) < w_hi / np.maximum(w_lo + w_hi, 1e-300)
@@ -104,7 +162,7 @@ def _row_by_row_2d(g, n, rng):
     out1 = np.empty(n)
     for r in np.unique(rows):
         sel = rows == r
-        out1[sel] = _sample_pl_1d(x1, vals[r], rng.random(int(sel.sum())))[0]
+        out1[sel] = _pl_1d_formulas(x1, vals[r], rng.random(int(sel.sum())))[0]
     return np.stack([pts0, out1])
 
 
@@ -128,7 +186,9 @@ def _two_rows():
     (lambda: zoo.random_density(GridSpec.box(-10.0, 10.0, 513, 2), 2024), 100_000, 5),
     (_rows_and_spike, 20_000, 6),
     (_two_rows, 5_000, 7),
-], ids=["zoo-513", "empty-rows-and-spike", "two-rows"])
+    (lambda: gaussian_location_family(GridSpec.box(-11.0, 11.0, 257, 2), sigma=(1.0, 1.5)).at((0.0, 0.0)),
+     100_000, 8),
+], ids=["zoo-513", "empty-rows-and-spike", "two-rows", "gauss-257"])
 def test_2d_draws_match_row_by_row_reference(make, n, seed):
     g = make()
     rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -136,6 +196,37 @@ def test_2d_draws_match_row_by_row_reference(make, n, seed):
     assert np.array_equal(got, _row_by_row_2d(g, n, rng_b))
     # both consumed the same uniforms, so later draws agree too
     assert rng_a.random() == rng_b.random()
+
+
+def test_2d_sampler_holds_few_draw_arrays_at_once():
+    # the draw stage works in one workspace of draw-sized arrays; one array per
+    # pass kept about 22 alive at once, which showed as peak RSS in the benchmark
+    g = gaussian_location_family(GridSpec.box(-11.0, 11.0, 257, 2), sigma=(1.0, 1.5)).at((0.0, 0.0))
+    n = 100_000
+    sample_density(g, n, np.random.default_rng(1))  # the grid's axes are cached
+    tracemalloc.start()
+    try:
+        sample_density(g, n, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (2, n) result and the row CDFs count in too
+    assert peak <= 13 * 8 * n
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_negative_draw_count_raises_before_drawing(dims):
+    g = zoo.gaussian_density(GridSpec.box(-8.0, 8.0, 64, dims))
+    rng = np.random.default_rng(4)
+    with pytest.raises(ValueError, match="n = -1"):
+        sample_density(g, -1, rng)
+    assert rng.random() == np.random.default_rng(4).random()
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_zero_draws_give_an_empty_sample(dims):
+    g = zoo.gaussian_density(GridSpec.box(-8.0, 8.0, 64, dims))
+    assert sample_density(g, 0, np.random.default_rng(4)).shape == (dims, 0)
 
 
 class _ZeroUniforms:

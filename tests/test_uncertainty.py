@@ -1,5 +1,8 @@
 """Fourier analysis on the grid and the entropic-moment uncertainty bound."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -203,7 +206,7 @@ def _product_through_escort(psi, p):
     xi_mom = rho_hat.expectation(rho_hat.grid.radius(2.0) ** p.theta_exp)
     lhs = (np.sqrt(m_half_k) / m_half_kq * x_mom ** (1.0 / p.gamma_exp)
            * xi_mom ** (1.0 / p.theta_exp))
-    return lhs, m_half_k, m_half_kq, x_mom
+    return lhs, m_half_k, m_half_kq, x_mom, xi_mom
 
 
 @pytest.mark.parametrize("grid", [GridSpec.line(-10.0, 10.0, 1024), GridSpec.box(-10.0, 10.0, 129, 2)],
@@ -214,7 +217,64 @@ def test_uncertainty_check_matches_escort_composition_bit_for_bit(grid, q, gamma
     for seed in range(4):
         psi = WaveFunction.from_values(grid, zoo.random_wavefunction(grid, seed))
         rep = uncertainty_check(psi, p)
-        lhs, m_half_k, m_half_kq, x_mom = _product_through_escort(psi, p)
+        lhs, m_half_k, m_half_kq, x_mom, xi_mom = _product_through_escort(psi, p)
         d = rep.diagnostics
         assert (d["m_k_half"], d["m_kq_half"], d["x_moment"]) == (m_half_k, m_half_kq, x_mom)
+        assert d["xi_moment"] == xi_mom
         assert rep.lhs == lhs
+
+
+def _recorded(f, *args):
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        out = f(*args)
+    return out, [(w.category, str(w.message)) for w in rec]
+
+
+def _truncated_psi(grid):
+    # |psi| is about 1e-3 of its max at the box faces: the transform warns and
+    # renormalizes
+    r2 = sum(c * c for c in grid.open_mesh())
+    return WaveFunction.from_values(grid, np.broadcast_to(np.exp(-r2 / (4.0 * 1.9**2)), grid.shape))
+
+
+@pytest.mark.parametrize("grid", [GridSpec.line(-10.0, 10.0, 1024), GridSpec.box(-10.0, 10.0, 129, 2)],
+                         ids=["1d-1024", "2d-129"])
+@pytest.mark.parametrize("case", ["theta-3", "compact-support", "truncated"])
+def test_uncertainty_check_matches_composition_on_zeros_truncation_and_theta_3(grid, case):
+    if case == "theta-3":
+        inputs = [(WaveFunction.from_values(grid, zoo.random_wavefunction(grid, seed)),
+                   UncertaintyParams(q=q, beta=2.0, theta_exp=3.0, dims=grid.dims))
+                  for seed, q in ((0, 0.9), (1, 1.2))]
+    elif case == "compact-support":
+        p = UncertaintyParams(q=1.5, beta=2.0, dims=grid.dims)
+        inputs = [(saturating_wavefunction(grid, p), p)]
+        assert np.any(inputs[0][0].values == 0.0)
+    else:
+        inputs = [(_truncated_psi(grid), UncertaintyParams(q=q, beta=2.0, dims=grid.dims))
+                  for q in (1.0, 1.2)]
+    for psi, p in inputs:
+        rep, got_warnings = _recorded(uncertainty_check, psi, p)
+        (lhs, m_half_k, m_half_kq, x_mom, xi_mom), ref_warnings = _recorded(_product_through_escort, psi, p)
+        d = rep.diagnostics
+        assert (d["m_k_half"], d["m_kq_half"], d["x_moment"], d["xi_moment"]) == (
+            m_half_k, m_half_kq, x_mom, xi_mom)
+        assert rep.lhs == lhs
+        assert got_warnings == ref_warnings
+        assert (BoundaryMassWarning in {c for c, _ in got_warnings}) == (case == "truncated")
+
+
+def test_uncertainty_check_holds_few_grid_arrays_at_once():
+    # the x side runs in three grid arrays, and the transform's in its two
+    # complex ones and two more; one array per pass kept about 7 alive at once
+    grid = GridSpec.box(-11.0, 11.0, 257, 2)
+    p = UncertaintyParams(q=1.2, beta=2.0, dims=2)
+    psi = saturating_wavefunction(grid, p)
+    uncertainty_check(psi, p)  # the grids' axes and trapezoid weights are cached
+    tracemalloc.start()
+    try:
+        uncertainty_check(psi, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.0 * 8 * psi.values.size
