@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 import qfisher
-from qfisher import cli
+from qfisher import cli, zoo
 from qfisher.cli import COMMANDS, build_parser, main
 from qfisher.densities import tsallis_entropy
 from qfisher.grid import GridDensity, GridSpec
@@ -847,3 +847,68 @@ def test_summary_exit_status_matches_return_code(tmp_path):
     rc = main(["uncertainty", "--out-dir", str(out)])
     assert rc == 0
     assert _summary(out, "uncertainty_summary.json")["exit_status"] == rc
+
+
+def _file_start(grid):
+    return zoo.mixture_density(grid, (-0.8, 1.4), (0.5, 0.9), (0.7, 0.3))
+
+
+# each named input of qcr-check and minimize, as its handler builds it on the
+# [-10, 10] box (qcr-check's box when --half-width is left at 0)
+NAMED_INPUTS = {
+    ("qcr-check", "gauss"): lambda grid: zoo.gaussian_density(grid, 0.0, 1.0),
+    ("qcr-check", "uniform"): lambda grid: zoo.smoothed_uniform(grid, -10.0 / 3.0, 10.0 / 3.0,
+                                                                edge=0.25),
+    ("qcr-check", "mixture"): lambda grid: zoo.mixture_density(grid, (-1.2, 1.1), (0.7, 0.45),
+                                                               (0.6, 0.4)),
+    ("qcr-check", "file"): _file_start,
+    ("minimize", "mixture"): lambda grid: zoo.mixture_density(grid, (-1.2, 1.1), (0.7, 0.45),
+                                                              (0.6, 0.4)),
+    ("minimize", "uniform"): lambda grid: zoo.smoothed_uniform(grid, -10.0 / 3.0, 10.0 / 3.0,
+                                                               edge=0.05),
+    ("minimize", "gauss"): lambda grid: zoo.gaussian_density(grid, 0.0, 1.0),
+    ("minimize", "file"): _file_start,
+}
+NAMED_KEY = {"qcr-check": "density", "minimize": "init"}
+
+
+def _library_results(subcommand, g):
+    """The summary results of `subcommand` on the density g, from the library."""
+    if subcommand == "qcr-check":
+        return dataclasses.asdict(qfisher.q_cr_check(g, qfisher.HolderPair.from_alpha(2.0), 1.5))
+    res = qfisher.minimize_q_fisher(g, qfisher.MinimizationConfig(q=1.5, alpha=2.0,
+                                                                  max_iters=5000, tol=1e-3))
+    fitted = qfisher.fit_q_gaussian(res.argmin, 1.5, 2.0)
+    c = res.counters
+    return {"final_objective": res.objective, "converged": res.converged,
+            "stalled": res.stalled, "n_iters": res.n_iters, "stop_reason": res.stop_reason,
+            "l1_to_fitted_q_gaussian": qfisher.l1_distance(res.argmin, fitted),
+            "counters": {"evaluations": c.evaluations, "rejected_trials": c.rejected_trials},
+            "dilations": c.dilations}
+
+
+@pytest.mark.parametrize("subcommand, kind", list(NAMED_INPUTS),
+                         ids=[f"{s}-{k}" for s, k in NAMED_INPUTS])
+def test_named_inputs_are_the_library_densities(tmp_path, subcommand, kind):
+    grid = GridSpec.line(-10.0, 10.0, 257)
+    g = NAMED_INPUTS[subcommand, kind](grid)
+    argv = [subcommand, f"--{NAMED_KEY[subcommand]}", kind, "--grid-points", "257"]
+    if kind == "file":
+        g.save_json(tmp_path / "start.json")
+        argv += ["--density-file", str(tmp_path / "start.json")]
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 0
+    results = _summary(out, subcommand.replace("-", "_") + "_summary.json")["results"]
+    assert results == json.loads(json.dumps(_library_results(subcommand, g)))
+
+
+@pytest.mark.parametrize("subcommand", ["qcr-check", "minimize"])
+def test_file_input_on_a_single_point_grid_is_config_error(tmp_path, capsys, subcommand):
+    # the grid is checked before the file is read, as for every other input
+    _file_start(GridSpec.line(-10.0, 10.0, 257)).save_json(tmp_path / "start.json")
+    out = tmp_path / "out"
+    argv = [subcommand, f"--{NAMED_KEY[subcommand]}", "file", "--density-file",
+            str(tmp_path / "start.json"), "--grid-points", "1", "--out-dir", str(out)]
+    assert main(argv) == 64
+    assert "invalid grid" in capsys.readouterr().err
+    assert not out.exists()

@@ -21,10 +21,11 @@ from qfisher import (
     matrix_cr_check,
     multidim_cr_check,
     q_cr_check,
+    q_fisher,
     suggested_half_extent,
     zoo,
 )
-from qfisher.fisher import ParametricFamily
+from qfisher.fisher import ParametricFamily, QFisherKernel
 from qfisher.grid import support_floor
 
 PAIR22 = HolderPair.from_alpha(2.0)
@@ -285,24 +286,45 @@ def _matched_2d(q, alpha, norm_p, points):
     return make_q_gaussian(p, GridSpec.box(-half, half, points, 2))
 
 
-# e = beta(q-1)+1-beta is 0, < 0, > 0, < 0 and > 0; the last two have p != 2
-@pytest.mark.parametrize("points", [129, 257])
-@pytest.mark.parametrize("q,alpha,norm_p",
-                         [(1.5, 2.0, 2.0), (1.0, 2.0, 2.0), (2.0, 2.0, 2.0), (0.8, 1.5, 1.5),
-                          (1.5, 3.0, 3.0), (None, 2.0, 2.0)])
-def test_2d_q_cr_check_is_its_composition_bit_for_bit(points, q, alpha, norm_p):
+def _case_2d(points, q, alpha, norm_p):
+    """(g, q) of a 2D case: the matched q-Gaussian, or for q None a zoo
+    member whose support floor leaves out thousands of nodes."""
     if q is None:
-        # a zoo member whose support floor leaves out thousands of nodes
-        q, g = 1.5, zoo.random_density(GridSpec.box(-10.0, 10.0, points, 2), 4)
+        g = zoo.random_density(GridSpec.box(-10.0, 10.0, points, 2), 4)
         assert np.count_nonzero(g.values <= support_floor(g.values)) > 1000
-    else:
-        g = _matched_2d(q, alpha, norm_p, points)
+        return g, 1.5
+    return _matched_2d(q, alpha, norm_p, points), q
+
+
+# e = beta(q-1)+1-beta is 0, < 0, > 0, < 0 and > 0; the last two have p != 2
+CASES_2D = pytest.mark.parametrize("q,alpha,norm_p",
+                                   [(1.5, 2.0, 2.0), (1.0, 2.0, 2.0), (2.0, 2.0, 2.0),
+                                    (0.8, 1.5, 1.5), (1.5, 3.0, 3.0), (None, 2.0, 2.0)])
+
+
+@pytest.mark.parametrize("points", [129, 257])
+@CASES_2D
+def test_2d_q_cr_check_is_its_composition_bit_for_bit(points, q, alpha, norm_p):
+    g, q = _case_2d(points, q, alpha, norm_p)
     pair = HolderPair.from_alpha(alpha)
     rep = q_cr_check(g, pair, q, norm_p)
     d = rep.diagnostics
     got = (d["m_alpha"], d["i_beta_q"], d["K"], d["residual_rel"])
     assert got == _node_check_reference(g, alpha, pair.beta, q, norm_p)
     assert rep.lhs == d["m_alpha"] ** (1.0 / alpha) * d["i_beta_q"] ** (1.0 / pair.beta)
+
+
+@pytest.mark.parametrize("points", [129, 257])
+@CASES_2D
+def test_2d_q_fisher_is_the_checks_information_bit_for_bit(points, q, alpha, norm_p):
+    g, q = _case_2d(points, q, alpha, norm_p)
+    beta = HolderPair.from_alpha(alpha).beta
+    info = q_cr_check(g, HolderPair.from_alpha(alpha), q, norm_p).diagnostics["i_beta_q"]
+    assert q_fisher(g, beta, q, norm_p) == info
+    kernel = QFisherKernel(g.grid, beta, q, norm_p)
+    assert kernel.parts(g.values) == (info, None)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        kernel.parts(g.values, gradient=True)
 
 
 def test_2d_q_cr_check_holds_few_grid_arrays_at_once():

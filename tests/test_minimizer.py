@@ -294,3 +294,37 @@ def test_result_objective_is_last_trace_entry():
     res = minimize_q_fisher(start, cfg)
     assert res.objective == res.objective_trace[-1]
     assert min(res.objective_trace) == res.objective_trace[-1]
+
+
+def test_failed_quasi_newton_direction_retries_along_the_steepest_one(monkeypatch):
+    # a two-loop direction of -1e-300 grad has a negative slope, but every
+    # trial along it lands on u itself, so J never drops and all MAX_TRIALS
+    # trials are rejected; the descent must then clear its memory and step
+    # along the preconditioned steepest direction instead
+    objectives, two_loop_calls = [], []
+    objective_parts = minimizer._objective_parts
+
+    def counted_objective(*args):
+        j_val, grad = objective_parts(*args)
+        objectives.append(j_val)
+        return j_val, grad
+
+    def tiny_two_loop(grad, steps, changes, metric):
+        two_loop_calls.append(len(objectives))
+        return -1e-300 * grad
+
+    monkeypatch.setattr(minimizer, "_objective_parts", counted_objective)
+    monkeypatch.setattr(minimizer, "_two_loop", tiny_two_loop)
+    grid = GridSpec.line(-10.0, 10.0, 257)
+    start = zoo.mixture_density(grid, (-1.2, 1.1), (0.7, 0.45), (0.6, 0.4))
+    res = minimize_q_fisher(start, MinimizationConfig(q=1.5, alpha=2.0, max_iters=400))
+    assert two_loop_calls
+    # J at u when the two-loop direction is taken, then MAX_TRIALS rejected
+    # trials that each read it back, then the accepted steepest step
+    at = two_loop_calls[0]
+    current = objectives[at - 1]
+    trials = objectives[at:at + minimizer.MAX_TRIALS]
+    assert trials == [current] * minimizer.MAX_TRIALS
+    assert objectives[at + minimizer.MAX_TRIALS] < current
+    assert res.counters.rejected_trials >= minimizer.MAX_TRIALS * len(two_loop_calls)
+    assert res.stop_reason == "tol"
