@@ -363,25 +363,31 @@ def cmd_fisher(params: dict) -> tuple[int, dict, dict]:
     }
 
 
+def _named_density(params: dict, key: str, grid: GridSpec, edge: float) -> GridDensity:
+    """The density that config key `key` names (gauss, uniform, mixture or
+    file) on the line grid `grid`, which the caller has built and checked;
+    `edge` is the uniform plateau's shoulder width."""
+    kind, half = params[key], grid.hi[0]
+    if kind == "gauss":
+        return zoo.gaussian_density(grid, 0.0, 1.0)
+    if kind == "uniform":
+        return zoo.smoothed_uniform(grid, -half / 3.0, half / 3.0, edge=edge)
+    if kind == "mixture":
+        return zoo.mixture_density(grid, (-1.2, 1.1), (0.7, 0.45), (0.6, 0.4))
+    return _load_density(params["density_file"], f"{key} = file")
+
+
 def _qcr_density(params: dict) -> GridDensity:
-    kind = params["density"]
     n = params["grid_points"]
     half = params["half_width"]
-    if kind == "qgauss":
+    if params["density"] == "qgauss":
         p = _build(densities.QGaussianParams, params, q="q", alpha="alpha", gamma="gamma")
         if half <= 0.0:
             half = densities.suggested_half_extent(p)
         return densities.make_q_gaussian(p, _line_grid(half, n))
     if half <= 0.0:
         half = 10.0
-    grid = _line_grid(half, n)
-    if kind == "gauss":
-        return zoo.gaussian_density(grid, 0.0, 1.0)
-    if kind == "uniform":
-        return zoo.smoothed_uniform(grid, -half / 3.0, half / 3.0, edge=half / 40.0)
-    if kind == "mixture":
-        return zoo.mixture_density(grid, (-1.2, 1.1), (0.7, 0.45), (0.6, 0.4))
-    return _load_density(params["density_file"], "density = file")
+    return _named_density(params, "density", _line_grid(half, n), half / 40.0)
 
 
 def cmd_qcr_check(params: dict) -> tuple[int, dict, dict]:
@@ -400,14 +406,7 @@ def cmd_minimize(params: dict) -> tuple[int, dict, dict]:
                  tol="tol")
 
     grid = _line_grid(params["half_width"], params["grid_points"])
-    if params["init"] == "mixture":
-        start = zoo.mixture_density(grid, (-1.2, 1.1), (0.7, 0.45), (0.6, 0.4))
-    elif params["init"] == "uniform":
-        start = zoo.smoothed_uniform(grid, -params["half_width"] / 3.0, params["half_width"] / 3.0)
-    elif params["init"] == "gauss":
-        start = zoo.gaussian_density(grid, 0.0, 1.0)
-    else:
-        start = _load_density(params["density_file"], "init = file")
+    start = _named_density(params, "init", grid, 0.05)
 
     result = minimizer.minimize_q_fisher(start, cfg)
     final_obj, counters = result.objective, result.counters

@@ -13,10 +13,10 @@ from typing import Callable
 
 import numpy as np
 
-from .densities import _escort_mass, _moment_and_radius, escort, moment, warn_if_truncated
+from .densities import _escort_mass, _moment_and_radius, warn_if_truncated
 from .errors import JacobianSingular, ParameterError, SingularFisherMatrix
 from .fisher import (ParametricFamily, QFisherKernel, _as_theta, _gradient_on,
-                     central_difference, fisher_matrix, p1_moment_weights, q_fisher)
+                     central_difference, fisher_matrix, p1_moment_weights)
 from .grid import (GridDensity, HolderPair, _axis_gradient, _Workspace, dual_exponent, lp_norm,
                    support_floor)
 from .sampling import sample_density
@@ -230,18 +230,16 @@ def _norm_gradient_field(grid, norm_p: float, r: np.ndarray, ws: _Workspace) -> 
 
 def _equality_field_fit(
     grad_f: list[np.ndarray], g: GridDensity, alpha: float, norm_p: float,
-    r: np.ndarray | None = None, mask: np.ndarray | None = None, ws: _Workspace | None = None,
-) -> tuple[float, float]:
-    """Least-squares K and relative residual for grad f = -K g ||x||^(alpha-1) grad ||x||.
+    r: np.ndarray, mask: np.ndarray, ws: _Workspace,
+) -> tuple[float, float, bool]:
+    """Least-squares K and relative residual for grad f = -K g ||x||^(alpha-1) grad ||x||,
+    and whether they say the equality holds (a residual below FIELD_FIT_TOL, K > 0).
 
-    A caller that has the ||x||_p field `r` (which the fit overwrites), the
-    support mask of g or a workspace `ws` passes them in.  Each weighted sum
+    `r` is the ||x||_p field, which the fit overwrites, `mask` the support
+    mask of g and `ws` a workspace of the grid's shape.  Each weighted sum
     is (w * a * b).sum() with w the trapezoid weights times the mask.
     """
     gv = g.values
-    ws = _Workspace(gv.shape) if ws is None else ws
-    r = g.grid.radius(norm_p) if r is None else r
-    mask = gv > support_floor(gv) if mask is None else mask
     gr = np.power(r, alpha - 1.0, out=ws.take())  # g ||x||^(alpha-1)
     gr *= gv
     v = _norm_gradient_field(g.grid, norm_p, r, ws)
@@ -258,7 +256,7 @@ def _equality_field_fit(
     den = sum(weighted(vi, vi) for vi in v)
     base = sum(weighted(gf, gf) for gf in grad_f)
     if den <= 0.0 or base <= 0.0:
-        return 0.0, 1.0
+        return 0.0, 1.0, False
     k = -num / den
 
     def misfit(gf, vi):  # (w * (gf + k vi)^2).sum()
@@ -266,7 +264,8 @@ def _equality_field_fit(
         return float(np.multiply(w, np.square(t, out=t), out=t).sum())
 
     res = sum(misfit(gf, vi) for gf, vi in zip(grad_f, v))
-    return k, float(np.sqrt(max(res, 0.0) / base))
+    residual = float(np.sqrt(max(res, 0.0) / base))
+    return k, residual, residual < FIELD_FIT_TOL and k > 0.0
 
 
 def functional_cr_check(
@@ -288,13 +287,15 @@ def functional_cr_check(
         g = g.on_shifted_grid(mu)
     alpha, beta = pair.alpha, pair.beta
     pstar = dual_exponent(norm_p)
-    lhs_moment = moment(g, alpha, norm_p) ** (1.0 / alpha)
+    m_alpha, r = _moment_and_radius(g, alpha, norm_p)
+    lhs_moment = m_alpha ** (1.0 / alpha)
     grad_f = f.spatial_gradient()
     lhs_info = g.masked_power_integral(lp_norm(grad_f, pstar), beta) ** (1.0 / beta)
     lhs = lhs_moment * lhs_info
     rhs = float(f.grid.dims)
-    k, residual = _equality_field_fit(grad_f, g, alpha, norm_p)
-    saturated = residual < FIELD_FIT_TOL and k > 0.0
+    gv = g.values
+    k, residual, saturated = _equality_field_fit(grad_f, g, alpha, norm_p, r,
+                                                 gv > support_floor(gv), _Workspace(gv.shape))
     return BoundReport.make(
         lhs,
         rhs,
@@ -309,23 +310,40 @@ def q_cr_check(g: GridDensity, pair: HolderPair, q: float, norm_p: float = 2.0) 
 
     Equality holds exactly on generalized Gaussians; the saturated flag fits
     the equality condition through the escort pair f = g^q / M_q.
+
+    Only the source of m_alpha, I_{beta,q}, g^q and M_q (the integral of
+    g^q) depends on the dimension.  In 1D m_alpha and I_{beta,q} are those
+    of the P1 interpolant, which `QFisherKernel` integrates, and g^q and M_q
+    are what `escort(g, q)` normalizes; in 2D all are node sums, g^q and M_q
+    coming with I_{beta,q} from the kernel (g >= 0, so g^q is the escort's
+    power).  The rest runs once, in one workspace: the support mask, the
+    ||x||_p field (which the 2D moment also takes), the escort's gradient
+    from g^q / M_q in place, and the equality-field fit.
     """
     alpha, beta = pair.alpha, pair.beta
+    gv, ws = g.values, _Workspace(g.grid.shape)
+    mask = gv > support_floor(gv)
     if g.grid.dims == 1:
-        # the alpha-moment of the P1 interpolant, which q_fisher integrates
-        summand = p1_moment_weights(g.grid, alpha) * g.values
+        summand = p1_moment_weights(g.grid, alpha) * gv
         warn_if_truncated(summand)
         m_alpha = float(summand.sum())
-        info = q_fisher(g, beta, q, norm_p)
-        k, residual = _equality_field_fit(escort(g, q).spatial_gradient(), g, alpha, norm_p)
+        info = QFisherKernel(g.grid, beta, q, norm_p).parts(gv)[0]
+        g_q = np.where(gv > 0.0, gv, 0.0) ** q
+        m_q = g.integral(g_q)
+        r = g.grid.radius(norm_p)
     else:
-        m_alpha, info, k, residual = _node_check_terms(g, alpha, beta, q, norm_p)
+        integrand = ws.take()
+        m_alpha, r = _moment_and_radius(g, alpha, norm_p, integrand)
+        ws.give(integrand)
+        info, g_q, m_q = QFisherKernel(g.grid, beta, q, norm_p)._node_parts(gv, ws, mask)
+    g_q /= _escort_mass(m_q)
+    grad_f = [_axis_gradient(g_q, h, a, ws.take()) for a, h in enumerate(g.grid.spacing)]
+    ws.give(g_q)
+    k, residual, saturated = _equality_field_fit(grad_f, g, alpha, norm_p, r, mask, ws)
     lhs = m_alpha ** (1.0 / alpha) * info ** (1.0 / beta)
-    rhs = float(g.grid.dims)
-    saturated = residual < FIELD_FIT_TOL and k > 0.0
     return BoundReport.make(
         lhs,
-        rhs,
+        float(g.grid.dims),
         saturated=saturated,
         diagnostics={
             "m_alpha": m_alpha,
@@ -334,28 +352,3 @@ def q_cr_check(g: GridDensity, pair: HolderPair, q: float, norm_p: float = 2.0) 
             "residual_rel": residual,
         },
     )
-
-
-def _node_check_terms(g: GridDensity, alpha: float, beta: float, q: float,
-                      norm_p: float) -> tuple[float, float, float, float]:
-    """m_alpha, I_{beta,q}, K and the fit residual of a check on the nodes.
-
-    The bits, warnings and errors are those of `moment`, `q_fisher`,
-    `escort(g, q).spatial_gradient()` and `_equality_field_fit` in turn, but
-    each grid field is computed once, in one workspace: the ||x||_p field
-    serves the moment and the fit, the support mask I_{beta,q} and the fit,
-    and g^q and its trapezoid sum serve I_{beta,q} (as M_q) and the escort,
-    whose gradient is taken from g^q / M_q in place (g >= 0, so g^q is the
-    escort's power).
-    """
-    gv, ws = g.values, _Workspace(g.grid.shape)
-    mask = gv > support_floor(gv)
-    integrand = ws.take()
-    m_alpha, r = _moment_and_radius(g, alpha, norm_p, integrand)
-    ws.give(integrand)
-    info, g_q, m_q = QFisherKernel(g.grid, beta, q, norm_p)._node_parts(gv, ws, mask)
-    g_q /= _escort_mass(m_q)
-    grad_f = [_axis_gradient(g_q, h, a, ws.take()) for a, h in enumerate(g.grid.spacing)]
-    ws.give(g_q)
-    k, residual = _equality_field_fit(grad_f, g, alpha, norm_p, r, mask, ws)
-    return m_alpha, info, k, residual

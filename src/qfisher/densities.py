@@ -15,7 +15,7 @@ from .errors import (
     ParameterError,
     TruncationWarning,
 )
-from .grid import GridDensity, GridSpec, boundary_abs_max, lp_norm
+from .grid import GridDensity, GridSpec, boundary_abs_max
 
 # q values closer to 1 than this are treated as the stretched-Gaussian limit.
 Q_ONE_EPS = 1e-12
@@ -146,16 +146,9 @@ def escort(g: GridDensity, q: float) -> GridDensity:
     """Escort distribution g^q / integral(g^q)."""
     if not (q > 0.0 and np.isfinite(q)):
         raise ValueError("escort order must be a positive real")
-    vals, _ = _escort_weights(g, q)
-    return GridDensity.from_values(g.grid, vals, normalize=True, check_boundary=False)
-
-
-def _escort_weights(g: GridDensity, q: float) -> tuple[np.ndarray, float]:
-    """(g^q, integral of g^q), the escort before normalization; DegenerateEscort
-    when the integral underflows or is not finite.  Dividing the first by the
-    second gives the bits of `escort(g, q).values`."""
     vals = np.where(g.values > 0.0, g.values, 0.0) ** q
-    return vals, _escort_mass(g.integral(vals))
+    _escort_mass(g.integral(vals))  # DegenerateEscort where g^q cannot be normalized
+    return GridDensity.from_values(g.grid, vals, normalize=True, check_boundary=False)
 
 
 def _escort_mass(z: float) -> float:

@@ -13,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 
+from .densities import QGaussianParams, block_average, coarse_grain, q_exponential_shape
 from .divergences import chi_beta_g
 from .errors import NonConvergent, ParameterError
 from .grid import (
@@ -25,6 +26,7 @@ from .grid import (
     lp_norm,
     support_floor,
 )
+from .zoo import gaussian_density, laplace_smoothed_density
 
 # central_difference steps by FD_STEP * max(1, |theta_j|)
 FD_STEP = 1e-3
@@ -311,7 +313,7 @@ class QFisherKernel:
             return self._p1_parts(gv, gradient)
         if gradient:
             raise ValueError("the I_{beta,q} gradient is one-dimensional")
-        return self._node_parts(gv)[0], None
+        return self._node_parts(gv, _Workspace(gv.shape), gv > support_floor(gv))[0], None
 
     def _p1_parts(self, gv: np.ndarray, gradient: bool):
         beta, q, e, (h,) = self.beta, self.q, self.e, self.spacing
@@ -357,14 +359,12 @@ class QFisherKernel:
         grad[1:] += to_right
         return value, grad
 
-    def _node_parts(self, gv: np.ndarray, ws: _Workspace | None = None,
-                    mask: np.ndarray | None = None) -> tuple[float, np.ndarray, float]:
-        """(I_{beta,q}, g^q, M_q) on the nodes (2D).  g^q is left in an array of
-        the workspace `ws` for a caller that needs it (which gives it back);
-        `mask` is gv above its support floor, for a caller that has it."""
+    def _node_parts(self, gv: np.ndarray, ws: _Workspace,
+                    mask: np.ndarray) -> tuple[float, np.ndarray, float]:
+        """(I_{beta,q}, g^q, M_q) on the nodes (2D), in arrays of the workspace
+        `ws`; g^q is left in one of them for a caller that needs it (which
+        gives it back).  `mask` is gv above its support floor."""
         beta, q, w = self.beta, self.q, self.weights
-        ws = _Workspace(gv.shape) if ws is None else ws
-        mask = gv > support_floor(gv) if mask is None else mask
         grads = [_axis_gradient(gv, h, a, ws.take()) for a, h in enumerate(self.spacing)]
         if self.dual != 2.0:  # squares need no |.|
             grads = [np.abs(c, out=c) for c in grads]
@@ -458,8 +458,6 @@ def fisher_matrix_data_processing(
     coarse map is linear in f), so the matrix ordering is structural rather
     than numerical luck.
     """
-    from .densities import block_average, coarse_grain
-
     grads = _gradient_on(fam, g, theta)
     before = FisherMatrix(_matrix_from_parts(grads, g))
     grads_c = np.stack([block_average(gj, factor) for gj in grads])
@@ -474,8 +472,6 @@ def fisher_matrix_data_processing(
 
 def gaussian_location_family(grid: GridSpec, sigma=1.0) -> ParametricFamily:
     """Translation family of a (diagonal) normal with fixed scale."""
-    from .zoo import gaussian_density
-
     def build(theta: np.ndarray) -> GridDensity:
         return gaussian_density(grid, mean=theta, sigma=sigma)
 
@@ -483,8 +479,6 @@ def gaussian_location_family(grid: GridSpec, sigma=1.0) -> ParametricFamily:
 
 
 def laplace_location_family(grid: GridSpec, eps: float = 0.005) -> ParametricFamily:
-    from .zoo import laplace_smoothed_density
-
     def build(theta: np.ndarray) -> GridDensity:
         return laplace_smoothed_density(grid, theta=float(theta[0]), eps=eps)
 
@@ -495,8 +489,6 @@ def q_gaussian_location_family(grid: GridSpec, q: float, alpha: float, gamma: fl
     """Translation family of a generalized Gaussian of full support (q <= 1): a
     compact-support member moves mass off its support under every shift, which
     makes chi^beta_g(f_{theta+t}, f_theta) infinite, so q > 1 raises ParameterError."""
-    from .densities import QGaussianParams, q_exponential_shape
-
     params = QGaussianParams(q=q, alpha=alpha, gamma=gamma, dims=grid.dims)
     if params.compact_support:
         raise ParameterError(("q",), "must be at most 1: a compact-support family moves mass "
@@ -512,8 +504,6 @@ def q_gaussian_location_family(grid: GridSpec, q: float, alpha: float, gamma: fl
 
 def gaussian_scale_family(grid: GridSpec) -> ParametricFamily:
     """N(0, theta^2) as a generic-kind family (theta differentiation by FD)."""
-    from .zoo import gaussian_density
-
     def build(theta: np.ndarray) -> GridDensity:
         return gaussian_density(grid, mean=0.0, sigma=float(theta[0]))
 

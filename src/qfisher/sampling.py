@@ -26,10 +26,9 @@ from .grid import GridDensity, _Workspace
 
 
 def _segment_positions(v: np.ndarray, h: float, seg: np.ndarray, du: np.ndarray,
-                       ws: _Workspace | None = None) -> np.ndarray:
+                       ws: _Workspace) -> np.ndarray:
     """Fractional position s in [0, 1] inside each chosen linear segment,
     in an array of `ws` (a workspace of the draws' shape)."""
-    ws = _Workspace(du.shape) if ws is None else ws
     a = np.take(v, seg, out=ws.take(), mode="clip")
     dv = np.take(v[1:], seg, out=ws.take(), mode="clip")  # b = v[seg + 1]
     # node values are >= 0, so max(a, b) is the larger magnitude

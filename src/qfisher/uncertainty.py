@@ -28,25 +28,36 @@ SPECTRAL_TAIL_FRACTION = 1e-6
 
 @dataclass(frozen=True)
 class WaveFunction:
+    """Finite complex values on a grid, of unit L2 norm under trapezoid
+    quadrature when built by `from_values`, which scales them to it.
+
+    The constructor checks the shape and finiteness and holds the values
+    read-only: a read-only array is kept as it is (as complex), anything else
+    is copied.
+    """
+
     grid: GridSpec
-    values: np.ndarray  # complex, L2-normalized under trapezoid quadrature
+    values: np.ndarray
+
+    def __post_init__(self):
+        v = self.values
+        read_only = isinstance(v, np.ndarray) and not v.flags.writeable
+        v = (np.asarray if read_only else np.array)(v, dtype=complex)
+        if v.shape != self.grid.shape:
+            raise ValueError(f"values shape {v.shape} does not match grid {self.grid.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("wave function contains non-finite entries")
+        v.flags.writeable = False
+        object.__setattr__(self, "values", v)
 
     @classmethod
-    def from_values(cls, grid: GridSpec, values, normalize: bool = True) -> "WaveFunction":
-        arr = np.asarray(values, dtype=complex)
-        if arr.shape != grid.shape:
-            raise ValueError(f"values shape {arr.shape} does not match grid {grid.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("wave function contains non-finite entries")
-        w = grid.trap_weights()
-        norm = math.sqrt(float((w * np.abs(arr) ** 2).sum()))
+    def from_values(cls, grid: GridSpec, values) -> "WaveFunction":
+        """`values` scaled to unit L2 norm."""
+        arr = cls(grid, values).values
+        norm = math.sqrt(float((grid.trap_weights() * np.abs(arr) ** 2).sum()))
         if norm <= 0.0:
             raise ValueError("wave function is identically zero")
-        if normalize:
-            arr = arr / norm
-        elif abs(norm - 1.0) > L2_NORM_TOL:
-            raise ValueError(f"L2 norm {norm} deviates from 1 beyond {L2_NORM_TOL}")
-        arr = arr.copy()
+        arr = arr / norm
         arr.flags.writeable = False
         return cls(grid, arr)
 
@@ -162,16 +173,14 @@ def _transform(psi: WaveFunction, bmax: float, vmax: float,
             f"transform L2 norm {norm:.10f} deviates from 1 beyond {L2_NORM_TOL:g}: psi has "
             "content at the Nyquist frequency, which the grid does not resolve"
         )
+    # read-only, so neither constructor below copies it
+    values.flags.writeable = False
     if truncated:
-        psi_hat = WaveFunction.from_values(out_grid, values, normalize=True)
+        psi_hat = WaveFunction.from_values(out_grid, values)
         np.abs(psi_hat.values, out=sq)
         sq **= 2
         return psi_hat, sq
-    # a NaN norm passes the check above; from_values refuses it with this message
-    if math.isnan(total):
-        raise ValueError("wave function contains non-finite entries")
-    # of unit norm, and finite: from_values would only copy it
-    values.flags.writeable = False
+    # within L2_NORM_TOL of unit norm, so it is kept unscaled
     return WaveFunction(out_grid, values), sq
 
 
@@ -187,19 +196,14 @@ def uncertainty_check(psi: WaveFunction, p: UncertaintyParams) -> BoundReport:
     """
     if psi.grid.dims != p.dims:
         raise ValueError(f"params declare dims = {p.dims} but psi lives in {psi.grid.dims}D")
-    if psi.values.shape != psi.grid.shape:
-        raise ValueError(f"values shape {psi.values.shape} != grid shape {psi.grid.shape}")
     k = p.k
     w = psi.grid.trap_weights()
     # |psi| once: its maxima feed the transform's truncation test, and squared
-    # in place it is rho = |psi|^2.  That is >= 0 and never -0, so the
-    # np.where(rho > 0, rho, 0) the escort and M_q take leaves it as it is,
-    # but for NaN, which it maps to 0
+    # in place it is rho = |psi|^2.  That is >= 0, never -0 and never NaN, so
+    # the np.where(rho > 0, rho, 0) the escort and M_q take leaves it as it is
     rho = np.abs(psi.values)
     bmax, vmax = boundary_abs_max(rho), float(rho.max())
     rho **= 2
-    if math.isnan(vmax):
-        np.copyto(rho, 0.0, where=np.isnan(rho))
     # the escort of order k/2 is rho^(k/2) / M_{k/2}; the weighted sum of each
     # power is its M
     rho_pow = rho.copy()
@@ -267,4 +271,4 @@ def saturating_wavefunction(grid: GridSpec, p: UncertaintyParams) -> WaveFunctio
         gamma = (eps ** (-p.k * one_m_q) - 1.0) / (one_m_q * (0.8 * half) ** 2)
     shape_params = QGaussianParams(q=p.q, alpha=2.0, gamma=gamma, dims=grid.dims)
     dens = make_q_gaussian(shape_params, grid)
-    return WaveFunction.from_values(grid, dens.values ** (1.0 / p.k), normalize=True)
+    return WaveFunction.from_values(grid, dens.values ** (1.0 / p.k))

@@ -35,12 +35,33 @@ def test_wavefunction_normalization_contract():
     psi = WaveFunction.from_values(GRID, raw)
     w = GRID.trap_weights()
     assert float((w * np.abs(psi.values) ** 2).sum()) == pytest.approx(1.0, abs=1e-14)
-    with pytest.raises(ValueError):
-        WaveFunction.from_values(GRID, raw, normalize=False)
+    with pytest.raises(ValueError, match="does not match grid"):
+        WaveFunction.from_values(GRID, raw[:-1])
     with pytest.raises(ValueError):
         WaveFunction.from_values(GRID, np.zeros_like(x))
     with pytest.raises(ValueError):
         WaveFunction.from_values(GRID, np.full_like(x, np.nan))
+
+
+def test_constructor_checks_shape_and_finiteness_and_holds_values_read_only():
+    # the values a wave function is built from directly are checked as
+    # from_values' are, so no later step meets a mismatched or NaN array
+    with pytest.raises(ValueError, match=r"values shape \(64, 32\) does not match grid \(64, 64\)"):
+        WaveFunction(GridSpec.box(-8.0, 8.0, 64, 2), np.ones((64, 32), complex))
+    (x,) = GRID.axes()
+    for bad in (np.nan, np.inf):
+        raw = np.exp(-(x**2) / 4.0)
+        raw[1000] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            WaveFunction(GRID, raw)
+    # a writeable array is copied, a read-only complex one kept as it is
+    raw = np.exp(-(x**2) / 4.0).astype(complex)
+    psi = WaveFunction(GRID, raw)
+    assert psi.values is not raw and not psi.values.flags.writeable
+    raw[0] = 1.0
+    assert psi.values[0] != 1.0
+    assert WaveFunction(GRID, psi.values).values is psi.values
+    assert WaveFunction(GRID, np.exp(-(x**2))).values.dtype == complex
 
 
 def test_density_view_has_unit_mass():
@@ -185,8 +206,8 @@ def test_nyquist_ripple_is_too_coarse(amplitude):
 def test_transform_is_read_only_and_refuses_non_finite_values():
     phat = fourier_transform(_gaussian_psi(GRID, 1.3))
     assert not phat.values.flags.writeable
-    # a WaveFunction built directly skips from_values' checks; the transform
-    # still refuses what they would have refused
+    # a WaveFunction built directly is checked at construction, so the
+    # ValueError comes from the constructor before the transform runs
     (x,) = GRID.axes()
     raw = np.exp(-(x**2) / 4.0).astype(complex)
     raw[1000] = np.nan
