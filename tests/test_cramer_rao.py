@@ -25,7 +25,8 @@ from qfisher import (
     suggested_half_extent,
     zoo,
 )
-from qfisher.fisher import ParametricFamily, QFisherKernel
+from qfisher.errors import BoundaryMassWarning, TruncationWarning
+from qfisher.fisher import ParametricFamily, QFisherKernel, p1_moment_weights
 from qfisher.grid import support_floor
 
 PAIR22 = HolderPair.from_alpha(2.0)
@@ -259,25 +260,67 @@ def _node_check_reference(g, alpha, beta, q, norm_p):
     equality fit, each written from its formula with fresh arrays."""
     gv, w, spacing = g.values, g.grid.trap_weights(), g.grid.spacing
     mask = gv > support_floor(gv)
-    mesh = g.grid.mesh()
-    r = _norm_reference(mesh, norm_p)
+    r = _norm_reference(g.grid.mesh(), norm_p)
     m_alpha = float((w * (r**alpha * gv)).sum())
     grads = [np.gradient(gv, h, axis=a) for a, h in enumerate(spacing)]
     u = _norm_reference(grads, norm_p / (norm_p - 1.0))
     g_pow = np.where(mask, gv, 1.0) ** (beta * (q - 1.0) + 1.0 - beta)
     phi = float((w * np.where(mask, u**beta * g_pow, 0.0)).sum())
     info = (q / float((w * gv**q).sum())) ** beta * phi
-    grad_f = [np.gradient(escort(g, q).values, h, axis=a) for a, h in enumerate(spacing)]
+    return (m_alpha, info) + _fit_reference(g, q, alpha, norm_p, r)
+
+
+def _fit_reference(g, q, alpha, norm_p, r):
+    """K and residual of the equality fit of escort(g, q), with np.gradient,
+    against g ||x||^(alpha-1) grad ||x||, `r` being the ||x||_p field."""
+    gv, w = g.values, g.grid.trap_weights()
+    mask = gv > support_floor(gv)
+    grad_f = [np.gradient(escort(g, q).values, h, axis=a) for a, h in enumerate(g.grid.spacing)]
     safe = np.where(r > 0.0, r, 1.0)
     v = [gv * r ** (alpha - 1.0) * (np.sign(x) * (np.abs(x) / safe) ** (norm_p - 1.0))
-         for x in mesh]
+         for x in g.grid.mesh()]
     wm = w * mask
     num = sum(float((wm * gf * vi).sum()) for gf, vi in zip(grad_f, v))
     den = sum(float((wm * vi * vi).sum()) for vi in v)
     base = sum(float((wm * gf * gf).sum()) for gf in grad_f)
     k = -num / den
     res = sum(float((wm * (gf + k * vi) ** 2).sum()) for gf, vi in zip(grad_f, v))
-    return m_alpha, info, k, float(np.sqrt(max(res, 0.0) / base))
+    return k, float(np.sqrt(max(res, 0.0) / base))
+
+
+@pytest.mark.parametrize("case", ["matched", "zoo", "mixture", "uniform"])
+@pytest.mark.parametrize("q,alpha,norm_p", [(1.5, 2.0, 2.0), (1.0, 2.0, 2.0), (0.8, 1.5, 2.0),
+                                            (2.0, 3.0, 2.0), (1.5, 2.0, 3.0)])
+def test_1d_q_cr_check_is_its_composition_bit_for_bit(case, q, alpha, norm_p):
+    # the P1 moment, q_fisher, and the fit of escort(g, q)'s np.gradient; in
+    # 1D ||x||_p is |x| for every p
+    grid = GridSpec.line(-10.0, 10.0, 1025)
+    if case == "matched":
+        p = QGaussianParams(q=q, alpha=alpha, gamma=1.0)
+        half = suggested_half_extent(p)
+        g = make_q_gaussian(p, GridSpec.line(-half, half, 1025))
+    elif case == "zoo":
+        g = zoo.random_density(grid, 5)
+    elif case == "mixture":
+        g = zoo.mixture_density(grid, (-1.2, 1.1), (0.7, 0.45), (0.6, 0.4))
+    else:
+        g = zoo.smoothed_uniform(grid, -3.0, 3.0, edge=0.25)
+    pair = HolderPair.from_alpha(alpha)
+    d = q_cr_check(g, pair, q, norm_p).diagnostics
+    m_alpha = float((p1_moment_weights(g.grid, alpha) * g.values).sum())
+    info = q_fisher(g, pair.beta, q, norm_p)
+    (x,) = g.grid.axes()
+    assert (d["m_alpha"], d["i_beta_q"], d["K"], d["residual_rel"]) == (
+        m_alpha, info) + _fit_reference(g, q, alpha, norm_p, np.abs(x))
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_truncation_warning_names_the_caller_of_q_cr_check(dims):
+    with pytest.warns(BoundaryMassWarning):
+        g = zoo.gaussian_density(GridSpec.box(-3.0, 3.0, 129, dims), 0.0, 1.0)
+    with pytest.warns(TruncationWarning, match="likely truncated") as rec:
+        q_cr_check(g, PAIR22, 1.5)
+    assert [w.filename for w in rec] == [__file__]
 
 
 def _matched_2d(q, alpha, norm_p, points):
@@ -318,10 +361,10 @@ def test_2d_q_cr_check_is_its_composition_bit_for_bit(points, q, alpha, norm_p):
 @CASES_2D
 def test_2d_q_fisher_is_the_checks_information_bit_for_bit(points, q, alpha, norm_p):
     g, q = _case_2d(points, q, alpha, norm_p)
-    beta = HolderPair.from_alpha(alpha).beta
-    info = q_cr_check(g, HolderPair.from_alpha(alpha), q, norm_p).diagnostics["i_beta_q"]
-    assert q_fisher(g, beta, q, norm_p) == info
-    kernel = QFisherKernel(g.grid, beta, q, norm_p)
+    pair = HolderPair.from_alpha(alpha)
+    info = q_cr_check(g, pair, q, norm_p).diagnostics["i_beta_q"]
+    assert q_fisher(g, pair.beta, q, norm_p) == info
+    kernel = QFisherKernel(g.grid, pair.beta, q, norm_p)
     assert kernel.parts(g.values) == (info, None)
     with pytest.raises(ValueError, match="one-dimensional"):
         kernel.parts(g.values, gradient=True)
