@@ -314,9 +314,9 @@ def q_cr_check(g: GridDensity, pair: HolderPair, q: float, norm_p: float = 2.0) 
     Only the source of m_alpha, I_{beta,q}, g^q and M_q (the integral of
     g^q) depends on the dimension.  In 1D m_alpha and I_{beta,q} are those
     of the P1 interpolant, which `QFisherKernel` integrates, and g^q and M_q
-    are what `escort(g, q)` normalizes; in 2D all are node sums, g^q and M_q
-    coming with I_{beta,q} from the kernel (g >= 0, so g^q is the escort's
-    power).  The rest runs once, in one workspace: the support mask, the
+    are what `escort(g, q)` normalizes; in 2D all four are taken on the
+    nodes, g^q and M_q coming with I_{beta,q} from the kernel (g >= 0, so
+    g^q is the escort's power).  The rest runs once, in one workspace: the support mask, the
     ||x||_p field (which the 2D moment also takes), the escort's gradient
     from g^q / M_q in place, and the equality-field fit.
     """
