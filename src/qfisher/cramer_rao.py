@@ -13,12 +13,12 @@ from typing import Callable
 
 import numpy as np
 
-from .densities import _escort_mass, _moment_and_radius, warn_if_truncated
+from .densities import _escort_mass, _moment, warn_if_truncated
 from .errors import JacobianSingular, ParameterError, SingularFisherMatrix
 from .fisher import (ParametricFamily, QFisherKernel, _as_theta, _gradient_on,
                      central_difference, fisher_matrix, p1_moment_weights)
-from .grid import (GridDensity, HolderPair, _axis_gradient, _Workspace, dual_exponent, lp_norm,
-                   support_floor)
+from .grid import (GridDensity, HolderPair, boundary_abs_max, dual_exponent, lp_norm, row_strips,
+                   strip_gradient, strip_radius, support_floor)
 from .sampling import sample_density
 
 SATURATION_REL_TOL = 1e-2
@@ -210,60 +210,52 @@ def covariance_bound_check(
     )
 
 
-def _norm_gradient_field(grid, norm_p: float, r: np.ndarray, ws: _Workspace) -> list[np.ndarray]:
-    """Components of grad ||x||_p, zero at the origin (there sign(x) = 0), in
-    arrays of `ws`.  `r` is the ||x||_p field; it is made safe to divide by in
-    place.  At p = 2 a component is x / r, the bits of sign(x) (|x|/r)^1."""
-    np.copyto(r, 1.0, where=~(r > 0.0))
-    out = []
-    for x in grid.open_mesh():
-        c = ws.take()
-        if norm_p == 2.0:
-            np.divide(x, r, out=c)
-        else:
-            np.divide(np.abs(x), r, out=c)
-            c **= norm_p - 1.0
-            c *= np.sign(x)
-        out.append(c)
-    return out
-
-
-def _equality_field_fit(
-    grad_f: list[np.ndarray], g: GridDensity, alpha: float, norm_p: float,
-    r: np.ndarray, mask: np.ndarray, ws: _Workspace,
-) -> tuple[float, float, bool]:
+def _equality_field_fit(f_values: np.ndarray, g: GridDensity, alpha: float,
+                        norm_p: float) -> tuple[float, float, bool]:
     """Least-squares K and relative residual for grad f = -K g ||x||^(alpha-1) grad ||x||,
-    and whether they say the equality holds (a residual below FIELD_FIT_TOL, K > 0).
+    f given by its node values, and whether they say the equality holds (a
+    residual below FIELD_FIT_TOL, K > 0).
 
-    `r` is the ||x||_p field, which the fit overwrites, `mask` the support
-    mask of g and `ws` a workspace of the grid's shape.  Each weighted sum
-    is (w * a * b).sum() with w the trapezoid weights times the mask.
+    Each weighted sum is (w * a * b).sum() with w the trapezoid weights times
+    the support mask of g.  The sums run strip by strip (`grid.row_strips`)
+    in two passes, first those that fix K and then the misfit at K, and each
+    pass recomputes the fields of its strip: grad f from the strip and its
+    halo, and ||x||_p and the equality field from the coordinates.
     """
-    gv = g.values
-    gr = np.power(r, alpha - 1.0, out=ws.take())  # g ||x||^(alpha-1)
-    gr *= gv
-    v = _norm_gradient_field(g.grid, norm_p, r, ws)
-    for c in v:
-        c *= gr
-    ws.give(r, gr)
-    w = np.multiply(g.grid.trap_weights(), mask, out=ws.take())
-    t = ws.take()
+    gv, grid = g.values, g.grid
+    floor, weights, mesh = support_floor(gv), grid.trap_weights(), grid.open_mesh()
 
-    def weighted(a, b):
-        return float(np.multiply(np.multiply(w, a, out=t), b, out=t).sum())
+    def fields(rows):
+        """w, grad f and g ||x||^(alpha-1) grad ||x|| on the strip `rows`;
+        grad ||x||_p is 0 at the origin (there sign(x) = 0), and at p = 2 a
+        component is x / r, the bits of sign(x) (|x|/r)^1."""
+        r = strip_radius(mesh, rows, norm_p)
+        gr = np.power(r, alpha - 1.0) * gv[rows]
+        np.copyto(r, 1.0, where=~(r > 0.0))  # safe to divide by
+        coords = [mesh[0][rows], *mesh[1:]]
+        if norm_p == 2.0:
+            v = [x / r * gr for x in coords]
+        else:
+            v = [(np.abs(x) / r) ** (norm_p - 1.0) * np.sign(x) * gr for x in coords]
+        w = weights[rows] * (gv[rows] > floor)
+        return w, strip_gradient(f_values, rows, grid.spacing), v
 
-    num = sum(weighted(gf, vi) for gf, vi in zip(grad_f, v))
-    den = sum(weighted(vi, vi) for vi in v)
-    base = sum(weighted(gf, gf) for gf in grad_f)
+    num = den = base = 0.0
+    for rows in row_strips(gv.shape):
+        w, grad_f, v = fields(rows)
+        for gf, vi in zip(grad_f, v):
+            wg = w * gf
+            num += float((wg * vi).sum())
+            den += float((w * vi * vi).sum())
+            base += float((wg * gf).sum())
     if den <= 0.0 or base <= 0.0:
         return 0.0, 1.0, False
     k = -num / den
-
-    def misfit(gf, vi):  # (w * (gf + k vi)^2).sum()
-        np.add(gf, np.multiply(k, vi, out=t), out=t)
-        return float(np.multiply(w, np.square(t, out=t), out=t).sum())
-
-    res = sum(misfit(gf, vi) for gf, vi in zip(grad_f, v))
+    res = 0.0
+    for rows in row_strips(gv.shape):
+        w, grad_f, v = fields(rows)
+        for gf, vi in zip(grad_f, v):
+            res += float((w * (gf + k * vi) ** 2).sum())
     residual = float(np.sqrt(max(res, 0.0) / base))
     return k, residual, residual < FIELD_FIT_TOL and k > 0.0
 
@@ -287,15 +279,12 @@ def functional_cr_check(
         g = g.on_shifted_grid(mu)
     alpha, beta = pair.alpha, pair.beta
     pstar = dual_exponent(norm_p)
-    m_alpha, r = _moment_and_radius(g, alpha, norm_p)
-    lhs_moment = m_alpha ** (1.0 / alpha)
+    lhs_moment = _moment(g, alpha, norm_p) ** (1.0 / alpha)
     grad_f = f.spatial_gradient()
     lhs_info = g.masked_power_integral(lp_norm(grad_f, pstar), beta) ** (1.0 / beta)
     lhs = lhs_moment * lhs_info
     rhs = float(f.grid.dims)
-    gv = g.values
-    k, residual, saturated = _equality_field_fit(grad_f, g, alpha, norm_p, r,
-                                                 gv > support_floor(gv), _Workspace(gv.shape))
+    k, residual, saturated = _equality_field_fit(f.values, g, alpha, norm_p)
     return BoundReport.make(
         lhs,
         rhs,
@@ -315,31 +304,25 @@ def q_cr_check(g: GridDensity, pair: HolderPair, q: float, norm_p: float = 2.0) 
     g^q) depends on the dimension.  In 1D m_alpha and I_{beta,q} are those
     of the P1 interpolant, which `QFisherKernel` integrates, and g^q and M_q
     are what `escort(g, q)` normalizes; in 2D all four are taken on the
-    nodes, g^q and M_q coming with I_{beta,q} from the kernel (g >= 0, so
-    g^q is the escort's power).  The rest runs once, in one workspace: the support mask, the
-    ||x||_p field (which the 2D moment also takes), the escort's gradient
-    from g^q / M_q in place, and the equality-field fit.
+    nodes, strip by strip, g^q and M_q coming with I_{beta,q} from the
+    kernel (g >= 0, so g^q is the escort's power).  The escort g^q / M_q is
+    then formed in place, and it is the only grid-sized array the check
+    keeps: the equality-field fit streams over strips too.
     """
     alpha, beta = pair.alpha, pair.beta
-    gv, ws = g.values, _Workspace(g.grid.shape)
-    mask = gv > support_floor(gv)
+    gv = g.values
     if g.grid.dims == 1:
         summand = p1_moment_weights(g.grid, alpha) * gv
-        warn_if_truncated(summand)
+        warn_if_truncated(float(summand.max()), boundary_abs_max(summand))
         m_alpha = float(summand.sum())
         info = QFisherKernel(g.grid, beta, q, norm_p).parts(gv)[0]
         g_q = np.where(gv > 0.0, gv, 0.0) ** q
         m_q = g.integral(g_q)
-        r = g.grid.radius(norm_p)
     else:
-        integrand = ws.take()
-        m_alpha, r = _moment_and_radius(g, alpha, norm_p, integrand)
-        ws.give(integrand)
-        info, g_q, m_q = QFisherKernel(g.grid, beta, q, norm_p)._node_parts(gv, ws, mask)
+        m_alpha = _moment(g, alpha, norm_p)
+        info, g_q, m_q = QFisherKernel(g.grid, beta, q, norm_p)._node_parts(gv)
     g_q /= _escort_mass(m_q)
-    grad_f = [_axis_gradient(g_q, h, a, ws.take()) for a, h in enumerate(g.grid.spacing)]
-    ws.give(g_q)
-    k, residual, saturated = _equality_field_fit(grad_f, g, alpha, norm_p, r, mask, ws)
+    k, residual, saturated = _equality_field_fit(g_q, g, alpha, norm_p)
     lhs = m_alpha ** (1.0 / alpha) * info ** (1.0 / beta)
     return BoundReport.make(
         lhs,

@@ -15,7 +15,7 @@ from .errors import (
     ParameterError,
     TruncationWarning,
 )
-from .grid import GridDensity, GridSpec, boundary_abs_max
+from .grid import GridDensity, GridSpec, row_strips, strip_face_abs_max, strip_radius
 
 # q values closer to 1 than this are treated as the stretched-Gaussian limit.
 Q_ONE_EPS = 1e-12
@@ -161,39 +161,41 @@ def _escort_mass(z: float) -> float:
 
 def moment(g: GridDensity, alpha: float, norm_p: float = 2.0) -> float:
     """m_alpha[g] = E_g[||x||_p^alpha]; warns when the integrand is boundary-heavy."""
-    return _moment_and_radius(g, alpha, norm_p)[0]
+    return _moment(g, alpha, norm_p)
 
 
-def _moment_and_radius(g: GridDensity, alpha: float, norm_p: float,
-                       out: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """`moment`, and the ||x||_p field it took, for a caller that needs that
-    field too; the integrand is written into `out` (a new array when None)."""
+def _moment(g: GridDensity, alpha: float, norm_p: float) -> float:
+    """`moment`, summed strip by strip (`grid.row_strips`) with ||x||_p
+    recomputed per strip; its TruncationWarning names the caller of the
+    function that calls this."""
     if alpha <= 0.0:
         raise ValueError("moment order must be positive")
     if norm_p < 1.0:
         raise ValueError("norm_p must be >= 1")
-    r = g.grid.radius(norm_p)
-    integrand = np.power(r, alpha, out=out)
-    integrand *= g.values
-    warn_if_truncated(integrand, stacklevel=4)
-    # w * integrand, as `GridDensity.integral` sums it
-    integrand *= g.grid.trap_weights()
-    return float(integrand.sum()), r
+    gv, w, mesh = g.values, g.grid.trap_weights(), g.grid.open_mesh()
+    total = imax = bmax = 0.0
+    for rows in row_strips(gv.shape):
+        integrand = np.power(strip_radius(mesh, rows, norm_p), alpha) * gv[rows]
+        imax = max(imax, float(integrand.max()))
+        bmax = max(bmax, strip_face_abs_max(integrand, rows, len(gv)))
+        # w * integrand, as `GridDensity.integral` sums it
+        total += float((w[rows] * integrand).sum())
+    warn_if_truncated(imax, bmax, stacklevel=4)
+    return total
 
 
-def warn_if_truncated(integrand: np.ndarray, stacklevel: int = 3) -> None:
-    """TruncationWarning when a moment integrand is not negligible at the
-    boundary; `stacklevel` 3 names the caller of the function that calls this."""
-    imax = float(integrand.max())
-    if imax > 0.0:
-        bmax = boundary_abs_max(integrand)
-        if bmax > 1e-6 * imax:
-            warnings.warn(
-                f"moment integrand at boundary is {bmax / imax:.2e} of its max; "
-                "value is likely truncated",
-                TruncationWarning,
-                stacklevel=stacklevel,
-            )
+def warn_if_truncated(imax: float, bmax: float, stacklevel: int = 3) -> None:
+    """TruncationWarning when a moment integrand, whose largest value is
+    `imax` and largest |value| on the grid's faces `bmax`, is not negligible
+    at the boundary; `stacklevel` 3 names the caller of the function that
+    calls this."""
+    if imax > 0.0 and bmax > 1e-6 * imax:
+        warnings.warn(
+            f"moment integrand at boundary is {bmax / imax:.2e} of its max; "
+            "value is likely truncated",
+            TruncationWarning,
+            stacklevel=stacklevel,
+        )
 
 
 def m_q_functional(g: GridDensity, q: float) -> float:

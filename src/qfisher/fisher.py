@@ -19,11 +19,11 @@ from .errors import NonConvergent, ParameterError
 from .grid import (
     GridDensity,
     GridSpec,
-    _axis_gradient,
     _norm_of_magnitudes,
-    _Workspace,
     dual_exponent,
     lp_norm,
+    row_strips,
+    strip_gradient,
     support_floor,
 )
 from .zoo import gaussian_density, laplace_smoothed_density
@@ -289,7 +289,9 @@ class QFisherKernel:
 
     In 2D the integrand is evaluated at the nodes with the `np.gradient`
     stencil and summed by the trapezoid rule over the nodes above the
-    support floor; that path has a value and no gradient.
+    support floor; that path has a value and no gradient.  It streams over
+    strips of grid rows (`grid.row_strips`), each with a halo of one row for
+    the stencil, so only g^q is a grid-sized array.
     """
 
     def __init__(self, grid: GridSpec, beta: float, q: float, norm_p: float = 2.0):
@@ -313,7 +315,7 @@ class QFisherKernel:
             return self._p1_parts(gv, gradient)
         if gradient:
             raise ValueError("the I_{beta,q} gradient is one-dimensional")
-        return self._node_parts(gv, _Workspace(gv.shape), gv > support_floor(gv))[0], None
+        return self._node_parts(gv)[0], None
 
     def _p1_parts(self, gv: np.ndarray, gradient: bool):
         beta, q, e, (h,) = self.beta, self.q, self.e, self.spacing
@@ -359,36 +361,28 @@ class QFisherKernel:
         grad[1:] += to_right
         return value, grad
 
-    def _node_parts(self, gv: np.ndarray, ws: _Workspace,
-                    mask: np.ndarray) -> tuple[float, np.ndarray, float]:
-        """(I_{beta,q}, g^q, M_q) on the nodes (2D), in arrays of the workspace
-        `ws`; g^q is left in one of them for a caller that needs it (which
-        gives it back).  `mask` is gv above its support floor."""
-        beta, q, w = self.beta, self.q, self.weights
-        grads = [_axis_gradient(gv, h, a, ws.take()) for a, h in enumerate(self.spacing)]
-        if self.dual != 2.0:  # squares need no |.|
-            grads = [np.abs(c, out=c) for c in grads]
-        u = _norm_of_magnitudes(grads, self.dual)
-        ws.give(*(c for c in grads if c is not u))
-        # ||grad g||_*^beta g^e, where g^0 = 1 needs no pass
-        u **= beta
-        if self.e != 0.0:
-            g_e = ws.take()
-            g_e.fill(1.0)
-            np.copyto(g_e, gv, where=mask)
-            g_e **= self.e
-            u *= g_e
-            ws.give(g_e)
-        # finite off the support, where g^e is 1 (unless |grad g|^beta overflows),
-        # so multiplying by the mask zeroes it there
-        u *= mask
-        u *= w
-        phi = float(u.sum())
-        g_q = np.power(gv, q, out=u)
-        t = np.multiply(w, g_q, out=ws.take())
-        m_q = float(t.sum())
-        ws.give(t)
-        return (q / m_q) ** beta * phi, g_q, m_q
+    def _node_parts(self, gv: np.ndarray) -> tuple[float, np.ndarray, float]:
+        """(I_{beta,q}, g^q, M_q) on the nodes (2D), strip by strip; g^q is
+        a new grid array, for a caller that needs it."""
+        beta, e, w = self.beta, self.e, self.weights
+        floor = support_floor(gv)
+        g_q = np.power(gv, self.q)
+        phi = m_q = 0.0
+        for rows in row_strips(gv.shape):
+            g = gv[rows]
+            mask = g > floor
+            grads = strip_gradient(gv, rows, self.spacing)
+            if self.dual != 2.0:  # squares need no |.|
+                grads = [np.abs(c) for c in grads]
+            u = _norm_of_magnitudes(grads, self.dual) ** beta
+            if e != 0.0:  # g^0 = 1 needs no pass
+                u *= np.where(mask, g, 1.0) ** e
+            # finite off the support, where g^e is 1 (unless |grad g|^beta
+            # overflows), so multiplying by the mask zeroes it there
+            u *= mask
+            phi += float((u * w[rows]).sum())
+            m_q += float((w[rows] * g_q[rows]).sum())
+        return (self.q / m_q) ** beta * phi, g_q, m_q
 
 
 def q_fisher(g: GridDensity, beta: float, q: float, norm_p: float = 2.0) -> float:

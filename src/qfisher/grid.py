@@ -9,9 +9,10 @@ keeps every downstream check deterministic.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -141,56 +142,73 @@ def lp_norm(components, p: float) -> np.ndarray:
     return _norm_of_magnitudes([np.abs(np.asarray(c, dtype=float)) for c in components], p)
 
 
-def _norm_of_magnitudes(comps: list[np.ndarray], p: float) -> np.ndarray:
-    """`lp_norm` of the magnitudes |c| held in float arrays that the caller
-    gives up (at p = 2 they may hold c itself: the squares are the same).
-    Each pass writes into its operand where that has the result's shape, so
-    the result may be the first array.  The passes are those of lp_norm's
-    formula, in its order."""
+def _norm_of_magnitudes(comps: list, p: float):
+    """`lp_norm` of the magnitudes |c| (at p = 2 they may be c itself: the
+    squares are the same)."""
     if len(comps) == 1:
         return comps[0]
-    shape = np.broadcast_shapes(*(np.shape(c) for c in comps))
-
-    def own(a):  # an array of the result's shape, which a pass may write into
-        return a if isinstance(a, np.ndarray) and a.shape == shape else None
-
-    def fold(op, arrays):
-        acc = arrays[0]
-        for c in arrays[1:]:
-            acc = op(acc, c, out=own(acc))
-        return acc
-
     if p == 2.0:
-        return _ipow(fold(np.add, [_ipow(c, p) for c in comps]), 1.0 / p)
+        return reduce(np.add, [c**p for c in comps]) ** (1.0 / p)
     if p == np.inf:
-        return fold(np.maximum, comps)
+        return reduce(np.maximum, comps)
     if p < 1.0:
         raise ValueError("p-norm needs p >= 1")
     if p == 1.0:
-        return fold(np.add, comps)
-    top = fold(np.maximum, [np.maximum(comps[0], comps[1])] + comps[2:])
+        return reduce(np.add, comps)
+    top = reduce(np.maximum, comps)
     safe = np.where((top > 0.0) & (top < np.inf), top, 1.0)
-    total = fold(np.add, [_ipow(np.divide(c, safe, out=own(c)), p) for c in comps])
-    total = _ipow(total, 1.0 / p)
-    total *= top
-    return total
+    return reduce(np.add, [(c / safe) ** p for c in comps]) ** (1.0 / p) * top
 
 
-def _ipow(a, s):
-    """a ** s, written into a when it is an array: `**=` picks the ufunc that
-    `**` does, so both give the same bits and warnings."""
-    a **= s
-    return a
+# nodes (or draws) per block of a streamed pass: 2D work runs over strips of
+# grid rows and the sampler over batches of draws, so its temporaries scale
+# with a block, not with the grid or the sample
+BLOCK = 16384
 
 
-def _axis_gradient(values: np.ndarray, h: float, axis: int, out: np.ndarray | None = None):
-    """np.gradient(values, h, axis=axis) written into `out` (a new array when
-    None) by slices, with the same passes: central differences inside,
-    one-sided differences at the two ends."""
-    out = np.empty(values.shape) if out is None else out
+def blocks(n: int, size: int) -> list[slice]:
+    """Slices of `size` items that cover range(n) once, in order; the last
+    one ends at n."""
+    return [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
+
+
+def row_strips(shape: tuple[int, ...]) -> list[slice]:
+    """`blocks` of rows (axis 0) of a grid array of `shape`, each of about
+    BLOCK nodes and at least one row.  A line is one strip, so 1D sums are
+    those of the whole array."""
+    if len(shape) == 1:
+        return [slice(0, shape[0])]
+    return blocks(shape[0], max(1, BLOCK // math.prod(shape[1:])))
+
+
+def strip_radius(mesh: list[np.ndarray], rows: slice, norm_p: float) -> np.ndarray:
+    """||x||_p on the rows `rows` of a grid whose `open_mesh()` is `mesh`:
+    those rows of `GridSpec.radius(norm_p)`, bit for bit."""
+    x0, *rest = mesh
+    return _norm_of_magnitudes([np.abs(c) for c in (x0[rows], *rest)], norm_p)
+
+
+def strip_gradient(values: np.ndarray, rows: slice, spacing) -> list[np.ndarray]:
+    """`np.gradient(values, *spacing)` on the rows `rows` of a grid array, bit
+    for bit, from those rows and a halo of one row on each side: central
+    differences inside, one-sided ones at the grid's faces only."""
+    top = max(rows.start - 1, 0)
+    inner = slice(rows.start - top, rows.stop - top)
+    d0 = _axis_gradient(values[top:rows.stop + 1], spacing[0], 0)[inner]
+    return [d0] + [_axis_gradient(values[rows], h, a) for a, h in enumerate(spacing[1:], 1)]
+
+
+def _axis_gradient(values: np.ndarray, h: float, axis: int) -> np.ndarray:
+    """np.gradient(values, h, axis=axis) with the same passes: central
+    differences inside, one-sided differences at the two ends.  The central
+    pass runs over the flattened array, node i against i -+ stride, and the
+    ends, where it crossed a face, are then overwritten."""
+    out = np.empty(values.shape)
+    s = math.prod(values.shape[axis + 1:])
+    f, d = values.ravel(), out.ravel()
+    np.subtract(f[2 * s:], f[:-2 * s], out=d[s:-s])
+    d[s:-s] /= 2.0 * h
     f, d = np.moveaxis(values, axis, 0), np.moveaxis(out, axis, 0)
-    np.subtract(f[2:], f[:-2], out=d[1:-1])
-    d[1:-1] /= 2.0 * h
     np.subtract(f[1:2], f[:1], out=d[:1])
     d[:1] /= h
     np.subtract(f[-1:], f[-2:-1], out=d[-1:])
@@ -198,33 +216,18 @@ def _axis_gradient(values: np.ndarray, h: float, axis: int, out: np.ndarray | No
     return out
 
 
-class _Workspace:
-    """Arrays of one shape (a grid's, or a batch of draws') for one
-    computation: `take` hands out a free one of the dtype asked for, made on
-    first need, and `give` returns arrays for reuse.  A computation that
-    passes one workspace through its steps makes as many arrays as it holds
-    at once, not one per pass."""
-
-    def __init__(self, shape: tuple[int, ...]):
-        self.shape = shape
-        self._free: list[np.ndarray] = []
-
-    def take(self, dtype=float) -> np.ndarray:
-        for i in range(len(self._free) - 1, -1, -1):
-            if self._free[i].dtype == dtype:
-                return self._free.pop(i)
-        return np.empty(self.shape, dtype)
-
-    def give(self, *arrays: np.ndarray) -> None:
-        self._free.extend(arrays)
-
-
 def boundary_abs_max(values) -> float:
     """Largest |value| on the outer faces of a grid-shaped array."""
     v = np.asarray(values)
-    return max(
-        float(np.abs(np.take(v, i, axis=a)).max()) for a in range(v.ndim) for i in (0, -1)
-    )
+    return strip_face_abs_max(v, slice(0, len(v)), len(v))
+
+
+def strip_face_abs_max(strip: np.ndarray, rows: slice, n_rows: int) -> float:
+    """Largest |value| of `strip`, the rows `rows` of a grid array with
+    `n_rows` rows, on that array's outer faces."""
+    faces = [np.take(strip, i, axis=a) for a in range(1, strip.ndim) for i in (0, -1)]
+    faces += [strip[i] for i, edge in ((0, rows.start == 0), (-1, rows.stop == n_rows)) if edge]
+    return max(float(np.abs(f).max()) for f in faces)
 
 
 def support_floor(values: np.ndarray) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .cramer_rao import BoundReport
 from .densities import QGaussianParams, _escort_mass, make_q_gaussian
-from .errors import AliasingWarning, BoundaryMassWarning, GridTooCoarse, ParameterError
+from .errors import AliasingWarning, BoundaryMassWarning, GridTooCoarse, NonIntegrable, ParameterError
 from .grid import GridDensity, GridSpec, boundary_abs_max
 
 L2_NORM_TOL = 1e-9
@@ -52,11 +52,15 @@ class WaveFunction:
 
     @classmethod
     def from_values(cls, grid: GridSpec, values) -> "WaveFunction":
-        """`values` scaled to unit L2 norm."""
+        """`values` scaled to unit L2 norm.  An all-zero psi raises
+        ValueError, and one whose norm overflows or underflows NonIntegrable."""
         arr = cls(grid, values).values
-        norm = math.sqrt(float((grid.trap_weights() * np.abs(arr) ** 2).sum()))
-        if norm <= 0.0:
-            raise ValueError("wave function is identically zero")
+        with np.errstate(over="ignore"):
+            norm = math.sqrt(float((grid.trap_weights() * np.abs(arr) ** 2).sum()))
+        if not 0.0 < norm < math.inf:
+            if not arr.any():
+                raise ValueError("wave function is identically zero")
+            raise NonIntegrable(f"wave function L2 norm {norm!r} overflows or underflows")
         arr = arr / norm
         arr.flags.writeable = False
         return cls(grid, arr)

@@ -27,6 +27,7 @@ from qfisher import (
 )
 from qfisher.errors import BoundaryMassWarning, TruncationWarning
 from qfisher.fisher import ParametricFamily, QFisherKernel, p1_moment_weights
+import qfisher.grid as grid_module
 from qfisher.grid import support_floor
 
 PAIR22 = HolderPair.from_alpha(2.0)
@@ -347,7 +348,9 @@ CASES_2D = pytest.mark.parametrize("q,alpha,norm_p",
 
 @pytest.mark.parametrize("points", [129, 257])
 @CASES_2D
-def test_2d_q_cr_check_is_its_composition_bit_for_bit(points, q, alpha, norm_p):
+def test_2d_q_cr_check_is_its_composition_bit_for_bit(points, q, alpha, norm_p, monkeypatch):
+    # with the whole grid in one strip the check sums as the reference does
+    monkeypatch.setattr(grid_module, "BLOCK", points * points)
     g, q = _case_2d(points, q, alpha, norm_p)
     pair = HolderPair.from_alpha(alpha)
     rep = q_cr_check(g, pair, q, norm_p)
@@ -355,6 +358,19 @@ def test_2d_q_cr_check_is_its_composition_bit_for_bit(points, q, alpha, norm_p):
     got = (d["m_alpha"], d["i_beta_q"], d["K"], d["residual_rel"])
     assert got == _node_check_reference(g, alpha, pair.beta, q, norm_p)
     assert rep.lhs == d["m_alpha"] ** (1.0 / alpha) * d["i_beta_q"] ** (1.0 / pair.beta)
+
+
+@pytest.mark.parametrize("points", [129, 257])
+@CASES_2D
+def test_2d_q_cr_check_is_its_composition_to_1e_12(points, q, alpha, norm_p):
+    # in strips of BLOCK nodes every node's value is the reference's, and the
+    # strip sums regroup the reference's whole-grid sums
+    g, q = _case_2d(points, q, alpha, norm_p)
+    assert len(grid_module.row_strips(g.values.shape)) > 1
+    pair = HolderPair.from_alpha(alpha)
+    d = q_cr_check(g, pair, q, norm_p).diagnostics
+    got = (d["m_alpha"], d["i_beta_q"], d["K"], d["residual_rel"])
+    assert got == pytest.approx(_node_check_reference(g, alpha, pair.beta, q, norm_p), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("points", [129, 257])
@@ -370,18 +386,30 @@ def test_2d_q_fisher_is_the_checks_information_bit_for_bit(points, q, alpha, nor
         kernel.parts(g.values, gradient=True)
 
 
-def test_2d_q_cr_check_holds_few_grid_arrays_at_once():
-    # the 2D check works in one workspace of grid arrays; one array per pass
-    # kept about 10 alive at once, which showed as peak RSS in the benchmark
-    g = _matched_2d(1.5, 2.0, 2.0, 257)
-    q_cr_check(g, PAIR22, 1.5)  # the grid's axes and trapezoid weights are cached
+def _peak_bytes(call):
+    call()  # the grid's axes and trapezoid weights are cached
     tracemalloc.start()
     try:
-        q_cr_check(g, PAIR22, 1.5)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 7.0 * g.values.nbytes
+
+
+def test_2d_q_cr_check_holds_few_grid_arrays_at_once():
+    # the 2D check streams over strips of rows and keeps one grid array, g^q;
+    # one array per pass kept about 10 alive at once, which showed as peak RSS
+    # in the benchmark, and a workspace of grid arrays 6.2.  At 257 columns a
+    # strip is 63 rows, a quarter of the grid: 4.0 grid arrays in all
+    g = _matched_2d(1.5, 2.0, 2.0, 257)
+    assert _peak_bytes(lambda: q_cr_check(g, PAIR22, 1.5)) <= 4.5 * g.values.nbytes
+
+
+def test_2d_q_fisher_holds_few_grid_arrays_at_once():
+    # g^q and the temporaries of a 31-row strip: 1.4 grid arrays at 513
+    # points, where whole-grid gradients held 2.2
+    g = _matched_2d(1.5, 2.0, 2.0, 513)
+    assert _peak_bytes(lambda: q_fisher(g, 2.0, 1.5)) <= 1.6 * g.values.nbytes
 
 
 def test_covariance_bound_efficient_1d():

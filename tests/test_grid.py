@@ -16,7 +16,9 @@ from qfisher import (
     zoo,
 )
 from qfisher.errors import BoundaryMassWarning, NonIntegrable, TruncationWarning
-from qfisher.grid import _trap_weights, write_csv
+import qfisher.grid as grid_module
+from qfisher.grid import (BLOCK, _trap_weights, blocks, boundary_abs_max, row_strips,
+                           strip_face_abs_max, strip_gradient, strip_radius, write_csv)
 from qfisher.uncertainty import WaveFunction, fourier_transform
 
 
@@ -182,6 +184,57 @@ def test_axis_gradient_equals_np_gradient_bit_for_bit(shape):
     ref = np.gradient(dens.values, *grid.spacing)
     ref = list(ref) if isinstance(ref, (list, tuple)) else [ref]
     assert [a.tobytes() for a in dens.spatial_gradient()] == [a.tobytes() for a in ref]
+
+
+@pytest.mark.parametrize("n, size", [(0, 4), (1, 4), (8, 4), (9, 4), (11, 4), (3, 1)])
+def test_blocks_cover_every_item_once(n, size):
+    # n a multiple of the block or not, a last block of one item, and n = 0
+    got = blocks(n, size)
+    assert [i for b in got for i in range(b.start, b.stop)] == list(range(n))
+    assert all(b.stop - b.start == size for b in got[:-1])
+    assert all(0 < b.stop - b.start <= size for b in got)
+
+
+@pytest.mark.parametrize("shape, rows", [((513, 513), 31), ((257, 257), 63), ((2, 7), 2),
+                                         ((9, BLOCK // 4), 4), ((3, 2 * BLOCK), 1),
+                                         ((400, 9, 11), 165), ((4 * BLOCK,), 4 * BLOCK)])
+def test_row_strips_cover_every_row_once(shape, rows):
+    # strips of BLOCK // (nodes per row) rows, at least one; (9, BLOCK // 4)
+    # ends on a strip of one row, and a line is one strip however long
+    got = row_strips(shape)
+    assert [i for b in got for i in range(b.start, b.stop)] == list(range(shape[0]))
+    assert [b.stop - b.start for b in got[:-1]] == [rows] * (len(got) - 1)
+
+
+@pytest.mark.parametrize("shape, block", [((7, 5), 10), ((7, 5), 5), ((2, 9), 9), ((2, 9), 100),
+                                          ((6, 4, 3), 24), ((5, 2, 6), 12), ((33,), 4)])
+def test_strip_gradient_is_np_gradient_at_every_node(shape, block, monkeypatch):
+    # strips of 2 rows with a last one of 1, strips of one row (a seam at
+    # every row), a 2-row grid in one strip and in two, 3D slabs, and a line
+    monkeypatch.setattr(grid_module, "BLOCK", block)
+    rng = np.random.default_rng(4)
+    values = rng.normal(size=shape)
+    spacing = tuple(rng.uniform(0.05, 2.0, size=len(shape)))
+    strips = row_strips(shape)
+    assert len(strips) > 1 or shape[0] == 2 or len(shape) == 1
+    parts = [strip_gradient(values, rows, spacing) for rows in strips]
+    ref = np.gradient(values, *spacing)
+    ref = list(ref) if isinstance(ref, (list, tuple)) else [ref]
+    for a, expect in enumerate(ref):
+        assert np.concatenate([p[a] for p in parts]).tobytes() == expect.tobytes()
+
+
+def test_strip_radius_and_face_maximum_are_the_whole_grids_rows(monkeypatch):
+    monkeypatch.setattr(grid_module, "BLOCK", 3 * 7)
+    grid = GridSpec((-2.0, -1.0), (3.0, 4.0), (8, 7))
+    rng = np.random.default_rng(5)
+    field = rng.normal(size=grid.shape)
+    strips = row_strips(grid.shape)
+    for p in (1.0, 1.5, 2.0, np.inf):
+        got = np.concatenate([strip_radius(grid.open_mesh(), rows, p) for rows in strips])
+        assert got.tobytes() == grid.radius(p).tobytes()
+    faces = [strip_face_abs_max(field[rows], rows, len(field)) for rows in strips]
+    assert max(faces) == boundary_abs_max(field)
 
 
 def test_dual_exponent_pairs():

@@ -1,5 +1,6 @@
 """Fourier analysis on the grid and the entropic-moment uncertainty bound."""
 
+import math
 import tracemalloc
 import warnings
 
@@ -20,6 +21,7 @@ from qfisher import (
     zoo,
 )
 from qfisher.densities import escort, m_q_functional
+from qfisher.errors import NonIntegrable
 
 GRID = GridSpec.line(-12.0, 12.0, 2049)
 
@@ -41,6 +43,24 @@ def test_wavefunction_normalization_contract():
         WaveFunction.from_values(GRID, np.zeros_like(x))
     with pytest.raises(ValueError):
         WaveFunction.from_values(GRID, np.full_like(x, np.nan))
+
+
+@pytest.mark.parametrize("peak", [1e200, 1e-200])
+def test_norm_that_overflows_or_underflows_is_refused(peak):
+    # |psi|^2 overflows at a 1e200 peak and underflows at 1e-200, so the
+    # trapezoid norm is inf or 0; psi / norm used to come back as psi = 0
+    (x,) = GRID.axes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonIntegrable, match="L2 norm"):
+            WaveFunction.from_values(GRID, peak * np.exp(-(x**2)))
+        # inside the range the values are psi / norm, as before
+        raw = (1e150 * np.exp(-(x**2))).astype(complex)
+        norm = math.sqrt(float((GRID.trap_weights() * np.abs(raw) ** 2).sum()))
+        assert WaveFunction.from_values(GRID, raw).values.tobytes() == (raw / norm).tobytes()
+    with pytest.raises(ValueError, match="identically zero") as err:
+        WaveFunction.from_values(GRID, np.zeros_like(x))
+    assert not isinstance(err.value, NonIntegrable)
 
 
 def test_constructor_checks_shape_and_finiteness_and_holds_values_read_only():
