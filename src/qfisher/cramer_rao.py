@@ -217,18 +217,21 @@ def _equality_field_fit(f_values: np.ndarray, g: GridDensity, alpha: float,
     residual below FIELD_FIT_TOL, K > 0).
 
     Each weighted sum is (w * a * b).sum() with w the trapezoid weights times
-    the support mask of g.  The sums run strip by strip (`grid.row_strips`)
-    in two passes, first those that fix K and then the misfit at K, and each
-    pass recomputes the fields of its strip: grad f from the strip and its
-    halo, and ||x||_p and the equality field from the coordinates.
+    the support mask of g.  One pass over strips (`grid.row_strips`) takes
+    num = sum w grad f . v, den = sum w v . v and base = sum w grad f . grad f,
+    v the equality field, with the fields of each strip computed there: grad f
+    from the strip and its halo, ||x||_p and v from the coordinates.  K =
+    -num / den solves the normal equation, so the misfit at K,
+    sum w (grad f + K v)^2 = base + 2 K num + K^2 den, is base + K num.
     """
     gv, grid = g.values, g.grid
     floor, weights, mesh = support_floor(gv), grid.trap_weights(), grid.open_mesh()
 
-    def fields(rows):
-        """w, grad f and g ||x||^(alpha-1) grad ||x|| on the strip `rows`;
-        grad ||x||_p is 0 at the origin (there sign(x) = 0), and at p = 2 a
-        component is x / r, the bits of sign(x) (|x|/r)^1."""
+    num = den = base = 0.0
+    for rows in row_strips(gv.shape):
+        # g ||x||^(alpha-1) grad ||x||; grad ||x||_p is 0 at the origin (there
+        # sign(x) = 0), and at p = 2 a component is x / r, the bits of
+        # sign(x) (|x|/r)^1
         r = strip_radius(mesh, rows, norm_p)
         gr = np.power(r, alpha - 1.0) * gv[rows]
         np.copyto(r, 1.0, where=~(r > 0.0))  # safe to divide by
@@ -238,12 +241,7 @@ def _equality_field_fit(f_values: np.ndarray, g: GridDensity, alpha: float,
         else:
             v = [(np.abs(x) / r) ** (norm_p - 1.0) * np.sign(x) * gr for x in coords]
         w = weights[rows] * (gv[rows] > floor)
-        return w, strip_gradient(f_values, rows, grid.spacing), v
-
-    num = den = base = 0.0
-    for rows in row_strips(gv.shape):
-        w, grad_f, v = fields(rows)
-        for gf, vi in zip(grad_f, v):
+        for gf, vi in zip(strip_gradient(f_values, rows, grid.spacing), v):
             wg = w * gf
             num += float((wg * vi).sum())
             den += float((w * vi * vi).sum())
@@ -251,12 +249,7 @@ def _equality_field_fit(f_values: np.ndarray, g: GridDensity, alpha: float,
     if den <= 0.0 or base <= 0.0:
         return 0.0, 1.0, False
     k = -num / den
-    res = 0.0
-    for rows in row_strips(gv.shape):
-        w, grad_f, v = fields(rows)
-        for gf, vi in zip(grad_f, v):
-            res += float((w * (gf + k * vi) ** 2).sum())
-    residual = float(np.sqrt(max(res, 0.0) / base))
+    residual = float(np.sqrt(max(base + k * num, 0.0) / base))
     return k, residual, residual < FIELD_FIT_TOL and k > 0.0
 
 
@@ -280,8 +273,13 @@ def functional_cr_check(
     alpha, beta = pair.alpha, pair.beta
     pstar = dual_exponent(norm_p)
     lhs_moment = _moment(g, alpha, norm_p) ** (1.0 / alpha)
-    grad_f = f.spatial_gradient()
-    lhs_info = g.masked_power_integral(lp_norm(grad_f, pstar), beta) ** (1.0 / beta)
+    grad_norm = lp_norm(f.spatial_gradient(), pstar)
+    # where f and g both lie outside their supports the score is 0/0: the
+    # stencil's slope into the first zero node past a compact support's edge
+    # is no mass of f where g vanishes
+    outside = (f.values <= support_floor(f.values)) & (g.values <= support_floor(g.values))
+    grad_norm[outside] = 0.0
+    lhs_info = g.masked_power_integral(grad_norm, beta) ** (1.0 / beta)
     lhs = lhs_moment * lhs_info
     rhs = float(f.grid.dims)
     k, residual, saturated = _equality_field_fit(f.values, g, alpha, norm_p)
@@ -307,7 +305,8 @@ def q_cr_check(g: GridDensity, pair: HolderPair, q: float, norm_p: float = 2.0) 
     nodes, strip by strip, g^q and M_q coming with I_{beta,q} from the
     kernel (g >= 0, so g^q is the escort's power).  The escort g^q / M_q is
     then formed in place, and it is the only grid-sized array the check
-    keeps: the equality-field fit streams over strips too.
+    keeps: the equality-field fit streams over strips too, in one pass that
+    takes its misfit from the normal equation (`_equality_field_fit`).
     """
     alpha, beta = pair.alpha, pair.beta
     gv = g.values

@@ -9,6 +9,7 @@ and the (beta, q) form driven by a single density via its escort pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -184,9 +185,11 @@ def gradient_adjoint(v: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=64)
 def p1_moment_weights(grid: GridSpec, alpha: float) -> np.ndarray:
     """W_i = integral of |x|^alpha phi_i over a 1D grid, phi_i the hat function of
     node i, so that W . g is the alpha-moment of the linear interpolant of g.
+    Cached per (grid, alpha) and read-only, as the trapezoid weights are.
 
     W is the second difference of G(x) = |x|^(alpha+2) / ((alpha+1)(alpha+2))
     over h, with G's slope F(x) = x |x|^alpha / (alpha+1) closing the two
@@ -203,7 +206,9 @@ def p1_moment_weights(grid: GridSpec, alpha: float) -> np.ndarray:
     w[1:-1] = big_g[2:] - 2.0 * big_g[1:-1] + big_g[:-2]
     w[0] = big_g[1] - big_g[0] - h * slope[0]
     w[-1] = big_g[-2] - big_g[-1] + h * slope[-1]
-    return w / h
+    w /= h
+    w.setflags(write=False)
+    return w
 
 
 def _cell_power_integrals(g: np.ndarray, s: np.ndarray, h: float, keep: np.ndarray | None,

@@ -5,7 +5,9 @@ e^{-2 pi i x.xi} dx, under which the bound constant is n/(2 pi k q) and a
 Gaussian saturates the q = 1, beta = 2 case at 1/(4 pi).  The discrete
 transform is the FFT with an explicit phase factor for the grid origin; it
 is exactly unitary in the trapezoid inner product up to the (tiny) boundary
-terms, which the preconditions keep below rounding scale.
+terms, which the preconditions keep below rounding scale.  The uncertainty
+check needs only |psihat|^2, which the phase factor leaves as it is, so it
+takes that power spectrum straight from the FFT.
 """
 
 from __future__ import annotations
@@ -13,13 +15,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .cramer_rao import BoundReport
 from .densities import QGaussianParams, _escort_mass, make_q_gaussian
 from .errors import AliasingWarning, BoundaryMassWarning, GridTooCoarse, NonIntegrable, ParameterError
-from .grid import GridDensity, GridSpec, boundary_abs_max
+from .grid import (GridDensity, GridSpec, boundary_abs_max, row_strips, strip_face_abs_max,
+                   strip_radius)
 
 L2_NORM_TOL = 1e-9
 BOUNDARY_PSI_REL_TOL = 1e-8
@@ -116,26 +120,13 @@ def frequency_grid(grid: GridSpec) -> GridSpec:
 
 
 def fourier_transform(psi: WaveFunction) -> WaveFunction:
-    """Unitary FFT with the e^{-2 pi i x.xi} kernel and origin phase correction."""
+    """Unitary FFT with the e^{-2 pi i x.xi} kernel and origin phase correction.
+
+    Its |psi_hat|^2 is held to `_check_spectrum`'s rules, and the transform
+    of a psi truncated at the box faces is renormalized to unit L2 norm."""
     mag = np.abs(psi.values)
     bmax, vmax = boundary_abs_max(mag), float(mag.max())
     del mag
-    return _transform(psi, bmax, vmax, stacklevel=3)[0]
-
-
-def _transform(psi: WaveFunction, bmax: float, vmax: float,
-               stacklevel: int) -> tuple[WaveFunction, np.ndarray]:
-    """`fourier_transform` of psi, whose |psi| peaks at `vmax` and at `bmax`
-    on the box faces, and |psi_hat|^2 as a new array.  Warnings name the
-    caller `stacklevel` frames up."""
-    truncated = bmax > BOUNDARY_PSI_REL_TOL * vmax
-    if truncated:
-        warnings.warn(
-            f"boundary |psi| = {bmax:.3e} exceeds {BOUNDARY_PSI_REL_TOL:.0e} x max; "
-            "the transform will pick up truncation ringing",
-            BoundaryMassWarning,
-            stacklevel=stacklevel,
-        )
     out_grid = frequency_grid(psi.grid)
     values = np.fft.fftshift(np.fft.fftn(psi.values))
     cell = 1.0
@@ -147,45 +138,105 @@ def _transform(psi: WaveFunction, bmax: float, vmax: float,
         shape[axis] = n
         values *= phase.reshape(shape)
     values *= cell
+    power = np.abs(values)
+    power **= 2
+    truncated = _check_spectrum(power, out_grid, bmax, vmax, stacklevel=3)
+    # read-only, so neither constructor below copies it
+    values.flags.writeable = False
+    if truncated:
+        return WaveFunction.from_values(out_grid, values)
+    # within L2_NORM_TOL of unit norm, so it is kept unscaled
+    return WaveFunction(out_grid, values)
 
-    w = out_grid.trap_weights()
-    sq = np.abs(values)
-    sq **= 2
-    dens = w * sq
-    # the norm `WaveFunction.from_values` would take, bit for bit
-    total = float(dens.sum())
-    tail = np.zeros(out_grid.shape, dtype=bool)
-    for axis, ax in enumerate(out_grid.axes()):
-        edge = 0.9 * float(np.abs(ax).max())
-        shape = [1] * out_grid.dims
-        shape[axis] = len(ax)
-        tail |= np.abs(ax).reshape(shape) >= edge
-    tail_mass = float(dens[tail].sum()) / max(total, 1e-300)
-    del dens
+
+def _power_spectrum(psi: WaveFunction) -> np.ndarray:
+    """|psi_hat|^2 = cell^2 |FFT psi|^2 on `frequency_grid(psi.grid)`, in its
+    (fftshifted) order, as a new array: `fourier_transform`'s |values|^2 but
+    for rounding, since its phase factor has modulus 1.
+
+    The transform of a real psi is Hermitian, psi_hat(-xi) = conj psi_hat(xi),
+    so for one the half spectrum of `np.fft.rfftn` (last axis xi >= 0) fills
+    the rest by the mirror xi -> -xi; a complex psi takes `np.fft.fftn`.
+    """
+    if psi.values.imag.any():
+        power = np.fft.fftshift(np.abs(np.fft.fftn(psi.values)))
+    else:
+        power = _shifted_from_half(np.abs(np.fft.rfftn(psi.values.real)), psi.grid.shape)
+    power **= 2
+    power *= math.prod(psi.grid.spacing) ** 2
+    return power
+
+
+def _shifted_from_half(half: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The fftshifted array of `shape` whose unshifted entries at last-axis
+    indices 0 .. n//2 are `half` and which is even under k -> -k (mod shape),
+    as |FFT| of a real array is."""
+    # on a shifted axis of m points, position j holds frequency index
+    # (j - m//2) % m, and its mirror -j the index (m//2 - j) % m
+    direct = np.ix_(*[(np.arange(m) - m // 2) % m for m in shape[:-1]])
+    mirror = np.ix_(*[(m // 2 - np.arange(m)) % m for m in shape[:-1]])
+    n = shape[-1]
+    c, odd = n // 2, n % 2
+    out = np.empty(shape)
+    # last-axis indices 0 .. n - c - 1 go to positions c on; at even n the
+    # Nyquist index c to position 0; the negative indices n - i to positions
+    # c - i (i = 1 .. c - 1 + odd), read mirrored at i
+    out[..., c:] = half[(*direct, slice(0, n - c))]
+    if not odd:
+        out[..., 0] = half[(*direct, c)]
+    out[..., 1 - odd:c] = half[(*mirror, slice(c - 1 + odd, 0, -1))]
+    return out
+
+
+def _check_spectrum(power: np.ndarray, grid_hat: GridSpec, bmax: float, vmax: float,
+                    stacklevel: int) -> bool:
+    """Hold |psi_hat|^2 = `power` on `grid_hat` to the transform's rules, psi
+    being a wave function whose |psi| peaks at `vmax` and at `bmax` on the box
+    faces; returns whether psi is truncated there.
+
+    A truncated psi is warned about (BoundaryMassWarning), and its ringing
+    breaks exact unitarity, so `power` is renormalized in place to unit mass.
+    A spectral tail (some |xi_a| at or above 0.9 of its axis' largest) holding
+    more than SPECTRAL_TAIL_FRACTION of the mass draws an AliasingWarning.  An
+    untruncated psi must keep unit L2 norm within L2_NORM_TOL, or
+    GridTooCoarse is raised.  The masses are trapezoid sums strip by strip;
+    warnings name the caller `stacklevel` frames up.
+    """
+    truncated = bmax > BOUNDARY_PSI_REL_TOL * vmax
+    if truncated:
+        warnings.warn(
+            f"boundary |psi| = {bmax:.3e} exceeds {BOUNDARY_PSI_REL_TOL:.0e} x max; "
+            "the transform will pick up truncation ringing",
+            BoundaryMassWarning,
+            stacklevel=stacklevel,
+        )
+    w, mesh = grid_hat.trap_weights(), grid_hat.open_mesh()
+    far = [np.abs(xi) >= 0.9 * float(np.abs(xi).max()) for xi in mesh]
+    total = tail = 0.0
+    for rows in row_strips(power.shape):
+        dens = w[rows] * power[rows]
+        total += float(dens.sum())
+        in_tail = reduce(np.logical_or, [far[0][rows], *far[1:]])
+        tail += float(dens[np.broadcast_to(in_tail, dens.shape)].sum())
+    tail_mass = tail / max(total, 1e-300)
     if tail_mass > SPECTRAL_TAIL_FRACTION:
         warnings.warn(
             f"spectral tail holds {tail_mass:.2e} of the mass; grid is too coarse for psi",
             AliasingWarning,
             stacklevel=stacklevel,
         )
+    if truncated:
+        power /= total
+        return True
     # a clean input keeps unit norm but for Nyquist content, which the trapezoid
-    # weights halve at the frequency grid's ends; a truncated one was warned
-    # about, and its ringing breaks exact unitarity, so it is renormalized
+    # weights halve at the frequency grid's ends
     norm = math.sqrt(total)
-    if not truncated and abs(norm - 1.0) > L2_NORM_TOL:
+    if abs(norm - 1.0) > L2_NORM_TOL:
         raise GridTooCoarse(
             f"transform L2 norm {norm:.10f} deviates from 1 beyond {L2_NORM_TOL:g}: psi has "
             "content at the Nyquist frequency, which the grid does not resolve"
         )
-    # read-only, so neither constructor below copies it
-    values.flags.writeable = False
-    if truncated:
-        psi_hat = WaveFunction.from_values(out_grid, values)
-        np.abs(psi_hat.values, out=sq)
-        sq **= 2
-        return psi_hat, sq
-    # within L2_NORM_TOL of unit norm, so it is kept unscaled
-    return WaveFunction(out_grid, values), sq
+    return False
 
 
 def uncertainty_check(psi: WaveFunction, p: UncertaintyParams) -> BoundReport:
@@ -194,46 +245,60 @@ def uncertainty_check(psi: WaveFunction, p: UncertaintyParams) -> BoundReport:
     lhs = (M_{k/2}^{1/2} / M_{kq/2}) E_{k/2}[|x|^gamma]^{1/gamma}
           E[|xi|^theta]^{1/theta}, the xi-moment taken plainly under |psihat|^2.
 
-    Each side is summed in the order of its composition from `escort`,
-    `m_q_functional` and `GridDensity.expectation`.  The x side runs in three
-    grid arrays, which are gone before the transform makes its own.
+    Each side is summed strip by strip (`grid.row_strips`), each node's terms
+    in the order of its composition from `escort`, `m_q_functional` and
+    `GridDensity.expectation`.  The x side takes one pass over psi; there each
+    strip's escort is normalized by the strip's own mass and the strip sums
+    are weighted by their shares of M_{k/2}, so one strip (every 1D grid) sums
+    the escort's bits.  The xi side sums `_power_spectrum`, the one grid
+    array the check makes, under `_check_spectrum`'s rules.
     """
     if psi.grid.dims != p.dims:
         raise ValueError(f"params declare dims = {p.dims} but psi lives in {psi.grid.dims}D")
     k = p.k
-    w = psi.grid.trap_weights()
-    # |psi| once: its maxima feed the transform's truncation test, and squared
-    # in place it is rho = |psi|^2.  That is >= 0, never -0 and never NaN, so
-    # the np.where(rho > 0, rho, 0) the escort and M_q take leaves it as it is
-    rho = np.abs(psi.values)
-    bmax, vmax = boundary_abs_max(rho), float(rho.max())
-    rho **= 2
-    # the escort of order k/2 is rho^(k/2) / M_{k/2}; the weighted sum of each
-    # power is its M
-    rho_pow = rho.copy()
-    rho_pow **= k / 2.0
-    m_half_k = _escort_mass(float((w * rho_pow).sum()))
-    rho **= k * p.q / 2.0
-    rho *= w
-    m_half_kq = float(rho.sum())
-    del rho
-    field = psi.grid.radius(2.0)
-    field **= p.gamma_exp
-    field *= w
-    rho_pow /= m_half_k
-    field *= rho_pow
-    x_mom = float(field.sum())
-    del rho_pow, field
+    grid = psi.grid
+    w, mesh = grid.trap_weights(), grid.open_mesh()
+    vmax = bmax = m_half_k = m_half_kq = 0.0
+    shares = []  # (strip mass, strip x sum)
+    for rows in row_strips(grid.shape):
+        # |psi| once: its maxima feed the transform's truncation test, and
+        # squared in place it is rho = |psi|^2.  That is >= 0, never -0 and
+        # never NaN, so the np.where(rho > 0, rho, 0) the escort and M_q take
+        # leaves it as it is
+        rho = np.abs(psi.values[rows])
+        vmax = max(vmax, float(rho.max()))
+        bmax = max(bmax, strip_face_abs_max(rho, rows, grid.shape[0]))
+        rho **= 2
+        # the escort of order k/2 is rho^(k/2) / M_{k/2}; the weighted sum of
+        # each power is its M
+        rho_pow = rho ** (k / 2.0)
+        mass = float((w[rows] * rho_pow).sum())
+        m_half_k += mass
+        rho **= k * p.q / 2.0
+        rho *= w[rows]
+        m_half_kq += float(rho.sum())
+        if 0.0 < mass < math.inf:
+            field = strip_radius(mesh, rows, 2.0)
+            field **= p.gamma_exp
+            field *= w[rows]
+            rho_pow /= mass
+            field *= rho_pow
+            shares.append((mass, float(field.sum())))
+    m_half_k = _escort_mass(m_half_k)
+    x_mom = sum((mass / m_half_k * x for mass, x in shares), 0.0)
 
-    # its warnings name this line, as when this called `fourier_transform`
-    psi_hat, rho_hat = _transform(psi, bmax, vmax, stacklevel=2)
-    grid_hat = psi_hat.grid
-    del psi_hat
-    field = grid_hat.radius(2.0)
-    field **= p.theta_exp
-    field *= grid_hat.trap_weights()
-    field *= rho_hat
-    xi_mom = float(field.sum())
+    grid_hat = frequency_grid(grid)
+    power = _power_spectrum(psi)
+    # its warnings name this line of the check
+    _check_spectrum(power, grid_hat, bmax, vmax, stacklevel=2)
+    w, mesh = grid_hat.trap_weights(), grid_hat.open_mesh()
+    xi_mom = 0.0
+    for rows in row_strips(power.shape):
+        field = strip_radius(mesh, rows, 2.0)
+        field **= p.theta_exp
+        field *= w[rows]
+        field *= power[rows]
+        xi_mom += float(field.sum())
 
     lhs = (
         math.sqrt(m_half_k)

@@ -13,6 +13,7 @@ from qfisher import (
     ParameterError,
     QGaussianParams,
     SingularFisherMatrix,
+    SupportMismatch,
     covariance_bound_check,
     escort,
     functional_cr_check,
@@ -26,6 +27,7 @@ from qfisher import (
     zoo,
 )
 from qfisher.errors import BoundaryMassWarning, TruncationWarning
+from qfisher.cramer_rao import FIELD_FIT_TOL
 from qfisher.fisher import ParametricFamily, QFisherKernel, p1_moment_weights
 import qfisher.grid as grid_module
 from qfisher.grid import support_floor
@@ -200,6 +202,28 @@ def test_functional_bound_recenters_offset_density():
     assert rep1.saturated
 
 
+@pytest.mark.parametrize("q,alpha", [(1.5, 2.0), (2.0, 3.0)])
+def test_functional_bound_on_matched_compact_support(q, alpha):
+    # the stencil's slope into the first zero node past the support's edge
+    # is no mass of f where g vanishes: f and g are both 0 there
+    p = QGaussianParams(q=q, alpha=alpha, gamma=1.0)
+    half = suggested_half_extent(p)
+    g = make_q_gaussian(p, GridSpec.line(-half, half, 4097))
+    assert np.count_nonzero(g.values == 0.0) > 100
+    rep = functional_cr_check(g, g, HolderPair.from_alpha(alpha))
+    assert np.isfinite(rep.lhs)
+    assert rep.margin >= -1e-6
+
+
+def test_functional_bound_refuses_mass_of_f_where_g_vanishes():
+    # g vanishes past |x| = sqrt(2), where the Gaussian f still has mass
+    grid = GridSpec.line(-8.0, 8.0, 4097)
+    g = make_q_gaussian(QGaussianParams(q=1.5, alpha=2.0, gamma=1.0), grid)
+    f = zoo.gaussian_density(grid, 0.0, 1.0)
+    with pytest.raises(SupportMismatch, match="where g vanishes"):
+        functional_cr_check(f, g, PAIR22)
+
+
 def test_functional_bound_slack_for_mixture():
     grid = GridSpec.line(-14.0, 14.0, 4096)
     mix = zoo.mixture_density(grid, (-1.5, 1.5), (0.7, 0.7), (0.5, 0.5))
@@ -271,9 +295,11 @@ def _node_check_reference(g, alpha, beta, q, norm_p):
     return (m_alpha, info) + _fit_reference(g, q, alpha, norm_p, r)
 
 
-def _fit_reference(g, q, alpha, norm_p, r):
-    """K and residual of the equality fit of escort(g, q), with np.gradient,
-    against g ||x||^(alpha-1) grad ||x||, `r` being the ||x||_p field."""
+def _fit_terms(g, q, alpha, norm_p, r):
+    """grad f of escort(g, q) by np.gradient, the equality field
+    g ||x||^(alpha-1) grad ||x|| and the trapezoid weights on the support of
+    g, `r` being the ||x||_p field, with num, den and base, the sums that fix
+    K."""
     gv, w = g.values, g.grid.trap_weights()
     mask = gv > support_floor(gv)
     grad_f = [np.gradient(escort(g, q).values, h, axis=a) for a, h in enumerate(g.grid.spacing)]
@@ -284,28 +310,51 @@ def _fit_reference(g, q, alpha, norm_p, r):
     num = sum(float((wm * gf * vi).sum()) for gf, vi in zip(grad_f, v))
     den = sum(float((wm * vi * vi).sum()) for vi in v)
     base = sum(float((wm * gf * gf).sum()) for gf in grad_f)
+    return grad_f, v, wm, num, den, base
+
+
+def _fit_reference(g, q, alpha, norm_p, r):
+    """K and residual of the equality fit, K = -num / den from the normal
+    equation and the misfit at K from it too: base + K num."""
+    num, den, base = _fit_terms(g, q, alpha, norm_p, r)[3:]
+    k = -num / den
+    return k, float(np.sqrt(max(base + k * num, 0.0) / base))
+
+
+def _two_pass_fit_reference(g, q, alpha, norm_p, r):
+    """K and residual of the equality fit with the misfit summed at K in a
+    second pass, sum w (grad f + K v)^2: the fit before its closed form."""
+    grad_f, v, wm, num, den, base = _fit_terms(g, q, alpha, norm_p, r)
     k = -num / den
     res = sum(float((wm * (gf + k * vi) ** 2).sum()) for gf, vi in zip(grad_f, v))
     return k, float(np.sqrt(max(res, 0.0) / base))
 
 
-@pytest.mark.parametrize("case", ["matched", "zoo", "mixture", "uniform"])
-@pytest.mark.parametrize("q,alpha,norm_p", [(1.5, 2.0, 2.0), (1.0, 2.0, 2.0), (0.8, 1.5, 2.0),
-                                            (2.0, 3.0, 2.0), (1.5, 2.0, 3.0)])
-def test_1d_q_cr_check_is_its_composition_bit_for_bit(case, q, alpha, norm_p):
-    # the P1 moment, q_fisher, and the fit of escort(g, q)'s np.gradient; in
-    # 1D ||x||_p is |x| for every p
+def _case_1d(case, q, alpha):
     grid = GridSpec.line(-10.0, 10.0, 1025)
     if case == "matched":
         p = QGaussianParams(q=q, alpha=alpha, gamma=1.0)
         half = suggested_half_extent(p)
-        g = make_q_gaussian(p, GridSpec.line(-half, half, 1025))
-    elif case == "zoo":
-        g = zoo.random_density(grid, 5)
-    elif case == "mixture":
-        g = zoo.mixture_density(grid, (-1.2, 1.1), (0.7, 0.45), (0.6, 0.4))
-    else:
-        g = zoo.smoothed_uniform(grid, -3.0, 3.0, edge=0.25)
+        return make_q_gaussian(p, GridSpec.line(-half, half, 1025))
+    if case == "zoo":
+        return zoo.random_density(grid, 5)
+    if case == "mixture":
+        return zoo.mixture_density(grid, (-1.2, 1.1), (0.7, 0.45), (0.6, 0.4))
+    return zoo.smoothed_uniform(grid, -3.0, 3.0, edge=0.25)
+
+
+CASE_1D = pytest.mark.parametrize("case", ["matched", "zoo", "mixture", "uniform"])
+PARAMS_1D = pytest.mark.parametrize("q,alpha,norm_p", [(1.5, 2.0, 2.0), (1.0, 2.0, 2.0),
+                                                       (0.8, 1.5, 2.0), (2.0, 3.0, 2.0),
+                                                       (1.5, 2.0, 3.0)])
+
+
+@CASE_1D
+@PARAMS_1D
+def test_1d_q_cr_check_is_its_composition_bit_for_bit(case, q, alpha, norm_p):
+    # the P1 moment, q_fisher, and the fit of escort(g, q)'s np.gradient; in
+    # 1D ||x||_p is |x| for every p
+    g = _case_1d(case, q, alpha)
     pair = HolderPair.from_alpha(alpha)
     d = q_cr_check(g, pair, q, norm_p).diagnostics
     m_alpha = float((p1_moment_weights(g.grid, alpha) * g.values).sum())
@@ -364,13 +413,41 @@ def test_2d_q_cr_check_is_its_composition_bit_for_bit(points, q, alpha, norm_p, 
 @CASES_2D
 def test_2d_q_cr_check_is_its_composition_to_1e_12(points, q, alpha, norm_p):
     # in strips of BLOCK nodes every node's value is the reference's, and the
-    # strip sums regroup the reference's whole-grid sums
+    # strip sums regroup the reference's whole-grid sums; the misfit base +
+    # K num cancels, which amplifies that regrouping in residual_rel
     g, q = _case_2d(points, q, alpha, norm_p)
     assert len(grid_module.row_strips(g.values.shape)) > 1
     pair = HolderPair.from_alpha(alpha)
     d = q_cr_check(g, pair, q, norm_p).diagnostics
-    got = (d["m_alpha"], d["i_beta_q"], d["K"], d["residual_rel"])
-    assert got == pytest.approx(_node_check_reference(g, alpha, pair.beta, q, norm_p), rel=1e-12, abs=0.0)
+    *ref, ref_residual = _node_check_reference(g, alpha, pair.beta, q, norm_p)
+    got = (d["m_alpha"], d["i_beta_q"], d["K"])
+    assert got == pytest.approx(tuple(ref), rel=1e-12, abs=0.0)
+    assert d["residual_rel"] == pytest.approx(ref_residual, rel=0.0, abs=1e-9)
+
+
+def _assert_fit_is_the_two_pass_fit(rep, g, q, alpha, norm_p, r):
+    # base + K num cancels where the fit is close, so it keeps about half
+    # the digits of the misfit summed at K
+    k, residual = _two_pass_fit_reference(g, q, alpha, norm_p, r)
+    d = rep.diagnostics
+    assert d["residual_rel"] == pytest.approx(residual, rel=0.0, abs=1e-7)
+    assert rep.saturated == (residual < FIELD_FIT_TOL and k > 0.0)
+
+
+@pytest.mark.parametrize("points", [129, 257])
+@CASES_2D
+def test_2d_closed_form_fit_is_the_two_pass_fit(points, q, alpha, norm_p):
+    g, q = _case_2d(points, q, alpha, norm_p)
+    rep = q_cr_check(g, HolderPair.from_alpha(alpha), q, norm_p)
+    _assert_fit_is_the_two_pass_fit(rep, g, q, alpha, norm_p, _norm_reference(g.grid.mesh(), norm_p))
+
+
+@CASE_1D
+@PARAMS_1D
+def test_1d_closed_form_fit_is_the_two_pass_fit(case, q, alpha, norm_p):
+    g = _case_1d(case, q, alpha)
+    rep = q_cr_check(g, HolderPair.from_alpha(alpha), q, norm_p)
+    _assert_fit_is_the_two_pass_fit(rep, g, q, alpha, norm_p, np.abs(g.grid.axes()[0]))
 
 
 @pytest.mark.parametrize("points", [129, 257])

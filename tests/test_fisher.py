@@ -27,6 +27,7 @@ from qfisher import (
     theta_gradient,
     zoo,
 )
+from qfisher.fisher import p1_moment_weights
 
 GRID = GridSpec.line(-12.0, 12.0, 2048)
 
@@ -97,6 +98,27 @@ def test_q_fisher_compact_support_is_finite_and_stable():
     assert np.isfinite(v) and v > 0.0
     finer = q_fisher(make_q_gaussian(p, GridSpec.line(-1.8, 1.8, 8192)), beta=2.0, q=1.5)
     assert finer == pytest.approx(v, rel=5e-3)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+def test_p1_moment_weights_are_cached_and_read_only(alpha):
+    # the second difference of G(x) = |x|^(alpha+2) / ((alpha+1)(alpha+2))
+    # over h, closed at the ends by G's slope x |x|^alpha / (alpha+1)
+    grid = GridSpec.line(-7.0, 9.0, 513)
+    (x,) = grid.axes()
+    h = grid.spacing[0]
+    big_g = np.abs(x) ** (alpha + 2.0) / ((alpha + 1.0) * (alpha + 2.0))
+    slope = x * np.abs(x) ** alpha / (alpha + 1.0)
+    ref = np.concatenate([[big_g[1] - big_g[0] - h * slope[0]],
+                          big_g[2:] - 2.0 * big_g[1:-1] + big_g[:-2],
+                          [big_g[-2] - big_g[-1] + h * slope[-1]]]) / h
+    w = p1_moment_weights(grid, alpha)
+    assert w.tobytes() == ref.tobytes()
+    assert not w.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        w[0] = 1.0
+    assert p1_moment_weights(grid, alpha) is w
+    assert p1_moment_weights(GridSpec.line(-7.0, 9.0, 513), alpha) is w
 
 
 def test_q_fisher_validates_inputs():

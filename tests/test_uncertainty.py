@@ -22,6 +22,9 @@ from qfisher import (
 )
 from qfisher.densities import escort, m_q_functional
 from qfisher.errors import NonIntegrable
+import qfisher.grid as grid_module
+from qfisher.grid import GridDensity, boundary_abs_max
+from qfisher.uncertainty import _check_spectrum, _power_spectrum
 
 GRID = GridSpec.line(-12.0, 12.0, 2049)
 
@@ -235,34 +238,56 @@ def test_transform_is_read_only_and_refuses_non_finite_values():
         fourier_transform(WaveFunction(GRID, raw))
 
 
+def _spectral_density(psi):
+    """|psi_hat|^2 as a density: the power spectrum held to the transform's
+    rules, as uncertainty_check takes it."""
+    mag = np.abs(psi.values)
+    grid_hat = frequency_grid(psi.grid)
+    power = _power_spectrum(psi)
+    _check_spectrum(power, grid_hat, boundary_abs_max(mag), float(mag.max()), stacklevel=2)
+    return GridDensity(grid_hat, power)
+
+
 def _product_through_escort(psi, p):
     """The product composed from `m_q_functional` and `escort`, each raising
-    |psi|^2 to its own power: the reference for uncertainty_check's one pass."""
+    |psi|^2 to its own power, and the power spectrum: the reference for
+    uncertainty_check's one pass."""
     rho = psi.density()
     m_half_k = m_q_functional(rho, p.k / 2.0)
     m_half_kq = m_q_functional(rho, p.k * p.q / 2.0)
     esc = escort(rho, p.k / 2.0)
     x_mom = esc.expectation(esc.grid.radius(2.0) ** p.gamma_exp)
-    rho_hat = fourier_transform(psi).density()
+    rho_hat = _spectral_density(psi)
     xi_mom = rho_hat.expectation(rho_hat.grid.radius(2.0) ** p.theta_exp)
     lhs = (np.sqrt(m_half_k) / m_half_kq * x_mom ** (1.0 / p.gamma_exp)
            * xi_mom ** (1.0 / p.theta_exp))
     return lhs, m_half_k, m_half_kq, x_mom, xi_mom
 
 
+def _report_values(rep):
+    d = rep.diagnostics
+    return rep.lhs, d["m_k_half"], d["m_kq_half"], d["x_moment"], d["xi_moment"]
+
+
+def _one_strip(grid, monkeypatch):
+    """A 2D check sums as its composition does when the whole grid is one
+    strip; a 1D grid always is."""
+    monkeypatch.setattr(grid_module, "BLOCK", math.prod(grid.shape))
+
+
 @pytest.mark.parametrize("grid", [GridSpec.line(-10.0, 10.0, 1024), GridSpec.box(-10.0, 10.0, 129, 2)],
                          ids=["1d-1024", "2d-129"])
 @pytest.mark.parametrize("q, gamma_exp", [(0.9, 2.0), (1.0, 2.0), (1.2, 3.0), (1.5, 2.0)])
-def test_uncertainty_check_matches_escort_composition_bit_for_bit(grid, q, gamma_exp):
+def test_uncertainty_check_matches_escort_composition_bit_for_bit(grid, q, gamma_exp, monkeypatch):
     p = UncertaintyParams(q=q, beta=2.0, gamma_exp=gamma_exp, dims=grid.dims)
-    for seed in range(4):
-        psi = WaveFunction.from_values(grid, zoo.random_wavefunction(grid, seed))
-        rep = uncertainty_check(psi, p)
-        lhs, m_half_k, m_half_kq, x_mom, xi_mom = _product_through_escort(psi, p)
-        d = rep.diagnostics
-        assert (d["m_k_half"], d["m_kq_half"], d["x_moment"]) == (m_half_k, m_half_kq, x_mom)
-        assert d["xi_moment"] == xi_mom
-        assert rep.lhs == lhs
+    psis = [WaveFunction.from_values(grid, zoo.random_wavefunction(grid, seed)) for seed in range(4)]
+    refs = [_product_through_escort(psi, p) for psi in psis]
+    # in strips of BLOCK nodes the sums regroup the composition's
+    for psi, ref in zip(psis, refs):
+        assert _report_values(uncertainty_check(psi, p)) == pytest.approx(ref, rel=1e-13, abs=0.0)
+    _one_strip(grid, monkeypatch)
+    for psi, ref in zip(psis, refs):
+        assert _report_values(uncertainty_check(psi, p)) == ref
 
 
 def _recorded(f, *args):
@@ -282,7 +307,8 @@ def _truncated_psi(grid):
 @pytest.mark.parametrize("grid", [GridSpec.line(-10.0, 10.0, 1024), GridSpec.box(-10.0, 10.0, 129, 2)],
                          ids=["1d-1024", "2d-129"])
 @pytest.mark.parametrize("case", ["theta-3", "compact-support", "truncated"])
-def test_uncertainty_check_matches_composition_on_zeros_truncation_and_theta_3(grid, case):
+def test_uncertainty_check_matches_composition_on_zeros_truncation_and_theta_3(grid, case, monkeypatch):
+    _one_strip(grid, monkeypatch)
     if case == "theta-3":
         inputs = [(WaveFunction.from_values(grid, zoo.random_wavefunction(grid, seed)),
                    UncertaintyParams(q=q, beta=2.0, theta_exp=3.0, dims=grid.dims))
@@ -305,9 +331,80 @@ def test_uncertainty_check_matches_composition_on_zeros_truncation_and_theta_3(g
         assert (BoundaryMassWarning in {c for c, _ in got_warnings}) == (case == "truncated")
 
 
+def _outcome(f):
+    """What f() returns, or the type and message of the GridTooCoarse it
+    raises, and the warnings it gives."""
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        try:
+            out = f()
+        except GridTooCoarse as err:
+            out = (type(err), str(err))
+    return out, [(w.category, str(w.message)) for w in rec]
+
+
+def _spectrum_inputs(grid, case):
+    r2 = sum(c * c for c in grid.open_mesh())
+    if case == "real":
+        return WaveFunction.from_values(grid, np.abs(zoo.random_wavefunction(grid, 3)))
+    if case == "complex":
+        return WaveFunction.from_values(grid, zoo.random_wavefunction(grid, 3))
+    if case == "truncated":
+        return _truncated_psi(grid)
+    if case == "compact-support":
+        return saturating_wavefunction(grid, UncertaintyParams(q=1.5, beta=2.0, dims=grid.dims))
+    if case == "aliased":
+        # a faint carrier at 0.92 of the top frequency of axis 0
+        x0 = grid.open_mesh()[0]
+        xi_max = float(np.abs(np.fft.fftfreq(grid.points[0], grid.spacing[0])).max())
+        bump = 0.01 * np.exp(-r2 / 16.0) * np.cos(2.0 * np.pi * 0.92 * xi_max * x0)
+        return WaveFunction.from_values(grid, np.broadcast_to(np.exp(-r2 / 4.0) + bump, grid.shape))
+    # a ripple at the top frequency of axis 0, which the grid does not resolve
+    ripple = 1.0 + 1e-3 * (-1.0) ** np.arange(grid.points[0]).reshape((-1,) + (1,) * (grid.dims - 1))
+    return WaveFunction.from_values(grid, np.exp(-r2 / 2.0) * ripple)
+
+
+@pytest.mark.parametrize("grid", [GridSpec.line(-10.0, 10.0, 1024), GridSpec.line(-12.0, 12.0, 129),
+                                  GridSpec.box(-10.0, 10.0, 129, 2),
+                                  GridSpec((-8.0, -9.0), (8.0, 9.0), (128, 129))],
+                         ids=["1d-1024", "1d-129", "2d-129", "2d-128x129"])
+@pytest.mark.parametrize("case", ["real", "complex", "truncated", "compact-support", "aliased",
+                                  "nyquist"])
+def test_power_spectrum_is_the_transforms_density(grid, case):
+    # the check's |psi_hat|^2 takes no phase factor, and a real psi's the real
+    # FFT: the transform's density but for rounding, under the same rules
+    psi = _spectrum_inputs(grid, case)
+    got, got_warnings = _outcome(lambda: _spectral_density(psi).values)
+    ref, ref_warnings = _outcome(lambda: fourier_transform(psi).density().values)
+    assert got_warnings == ref_warnings
+    assert isinstance(ref, tuple) == (case == "nyquist")
+    if isinstance(ref, tuple):
+        assert got == ref
+        return
+    assert np.abs(got - ref).max() <= 1e-13 * ref.max()
+    categories = {c for c, _ in got_warnings}
+    assert (case != "truncated") or BoundaryMassWarning in categories
+    assert (case != "aliased") or AliasingWarning in categories
+
+
+@pytest.mark.parametrize("grid", [GridSpec.line(-10.0, 10.0, 1024), GridSpec.line(-12.0, 12.0, 2049),
+                                  GridSpec((-8.0, -9.0), (8.0, 9.0), (128, 97)),
+                                  GridSpec((-8.0, -9.0), (8.0, 9.0), (97, 128)),
+                                  GridSpec((-4.0,) * 3, (4.0,) * 3, (16, 17, 18))],
+                         ids=["1d-1024", "1d-2049", "2d-128x97", "2d-97x128", "3d"])
+def test_real_and_complex_routes_of_the_power_spectrum_agree(grid):
+    # i psi has the same |FFT|^2 as psi and takes the complex route
+    psi = WaveFunction.from_values(grid, np.abs(zoo.random_wavefunction(grid, 7)))
+    turned = WaveFunction(grid, 1j * psi.values)
+    real_route, complex_route = _power_spectrum(psi), _power_spectrum(turned)
+    assert np.abs(real_route - complex_route).max() <= 1e-13 * complex_route.max()
+
+
 def test_uncertainty_check_holds_few_grid_arrays_at_once():
-    # the x side runs in three grid arrays, and the transform's in its two
-    # complex ones and two more; one array per pass kept about 7 alive at once
+    # the x side streams over strips of rows and the xi side holds the power
+    # spectrum, one grid array, and the real FFT's half spectrum: 2.1 grid
+    # arrays; three grid arrays on the x side and the complex transform's
+    # held 4.3
     grid = GridSpec.box(-11.0, 11.0, 257, 2)
     p = UncertaintyParams(q=1.2, beta=2.0, dims=2)
     psi = saturating_wavefunction(grid, p)
@@ -318,4 +415,4 @@ def test_uncertainty_check_holds_few_grid_arrays_at_once():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5.0 * 8 * psi.values.size
+    assert peak <= 2.4 * 8 * psi.values.size
