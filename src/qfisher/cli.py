@@ -487,7 +487,10 @@ def cmd_uncertainty(params: dict) -> tuple[int, dict, dict]:
         dens = zoo.gaussian_density(grid, 0.0, params["sigma"])
         psi = uncertainty.WaveFunction.from_values(grid, np.sqrt(dens.values))
     elif params["psi"] == "qgauss":
-        psi = uncertainty.saturating_wavefunction(grid, up)
+        try:
+            psi = uncertainty.saturating_wavefunction(grid, up)
+        except ParameterError as exc:
+            raise _key_error(exc, params, {"q": "q", "beta": "beta"}) from exc
     else:
         psi = uncertainty.WaveFunction.from_values(loaded.grid, np.sqrt(loaded.values))
 

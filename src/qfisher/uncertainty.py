@@ -13,6 +13,7 @@ takes that power spectrum straight from the FFT.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import reduce
@@ -247,50 +248,19 @@ def uncertainty_check(psi: WaveFunction, p: UncertaintyParams) -> BoundReport:
 
     Each side is summed strip by strip (`grid.row_strips`), each node's terms
     in the order of its composition from `escort`, `m_q_functional` and
-    `GridDensity.expectation`.  The x side takes one pass over psi; there each
-    strip's escort is normalized by the strip's own mass and the strip sums
-    are weighted by their shares of M_{k/2}, so one strip (every 1D grid) sums
-    the escort's bits.  The xi side sums `_power_spectrum`, the one grid
-    array the check makes, under `_check_spectrum`'s rules.
+    `GridDensity.expectation`.  The x side (`_x_side`) takes one pass over
+    psi and works only on its support; the xi side sums `_power_spectrum`,
+    the one grid array the check makes, under `_check_spectrum`'s rules.
     """
     if psi.grid.dims != p.dims:
         raise ValueError(f"params declare dims = {p.dims} but psi lives in {psi.grid.dims}D")
-    k = p.k
-    grid = psi.grid
-    w, mesh = grid.trap_weights(), grid.open_mesh()
-    vmax = bmax = m_half_k = m_half_kq = 0.0
-    shares = []  # (strip mass, strip x sum)
-    for rows in row_strips(grid.shape):
-        # |psi| once: its maxima feed the transform's truncation test, and
-        # squared in place it is rho = |psi|^2.  That is >= 0, never -0 and
-        # never NaN, so the np.where(rho > 0, rho, 0) the escort and M_q take
-        # leaves it as it is
-        rho = np.abs(psi.values[rows])
-        vmax = max(vmax, float(rho.max()))
-        bmax = max(bmax, strip_face_abs_max(rho, rows, grid.shape[0]))
-        rho **= 2
-        # the escort of order k/2 is rho^(k/2) / M_{k/2}; the weighted sum of
-        # each power is its M
-        rho_pow = rho ** (k / 2.0)
-        mass = float((w[rows] * rho_pow).sum())
-        m_half_k += mass
-        rho **= k * p.q / 2.0
-        rho *= w[rows]
-        m_half_kq += float(rho.sum())
-        if 0.0 < mass < math.inf:
-            field = strip_radius(mesh, rows, 2.0)
-            field **= p.gamma_exp
-            field *= w[rows]
-            rho_pow /= mass
-            field *= rho_pow
-            shares.append((mass, float(field.sum())))
-    m_half_k = _escort_mass(m_half_k)
-    x_mom = sum((mass / m_half_k * x for mass, x in shares), 0.0)
+    # its strip arrays are gone before the power spectrum is made
+    vmax, bmax, m_half_k, m_half_kq, x_mom = _x_side(psi, p)
 
-    grid_hat = frequency_grid(grid)
+    grid_hat = frequency_grid(psi.grid)
     power = _power_spectrum(psi)
-    # its warnings name this line of the check
-    _check_spectrum(power, grid_hat, bmax, vmax, stacklevel=2)
+    # its warnings name the caller of the check
+    _check_spectrum(power, grid_hat, bmax, vmax, stacklevel=3)
     w, mesh = grid_hat.trap_weights(), grid_hat.open_mesh()
     xi_mom = 0.0
     for rows in row_strips(power.shape):
@@ -310,7 +280,7 @@ def uncertainty_check(psi: WaveFunction, p: UncertaintyParams) -> BoundReport:
         lhs=float(lhs),
         rhs=p.bound,
         diagnostics={
-            "k": k,
+            "k": p.k,
             "lambda": p.lam,
             "m_k_half": float(m_half_k),
             "m_kq_half": float(m_half_kq),
@@ -320,6 +290,58 @@ def uncertainty_check(psi: WaveFunction, p: UncertaintyParams) -> BoundReport:
     )
 
 
+def _x_side(psi: WaveFunction, p: UncertaintyParams) -> tuple[float, float, float, float, float]:
+    """(max |psi|, its maximum on the box faces, M_{k/2}, M_{kq/2}, the
+    x moment E_{k/2}[|x|^gamma]) of `uncertainty_check`, in one pass over
+    the strips of psi.
+
+    Each strip's escort is normalized by the strip's own mass and the strip
+    sums are weighted by their shares of M_{k/2}, so one strip (every 1D
+    grid) sums the escort's bits.  A strip where psi is all zero adds +0.0
+    to every sum and 0 to every maximum, so it is skipped; and since k/2 and
+    kq/2 are positive, the powers of rho = |psi|^2 are taken only where
+    rho > 0, the rest being 0 as 0^y is: the same bits, without the powers
+    of zero, which cost libm about three times a power of x > 0.
+    """
+    k = p.k
+    grid = psi.grid
+    w, mesh = grid.trap_weights(), grid.open_mesh()
+    vmax = bmax = m_half_k = m_half_kq = 0.0
+    shares = []  # (strip mass, strip x sum)
+    for rows in row_strips(grid.shape):
+        # |psi| once: its maxima feed the transform's truncation test, and
+        # squared in place it is rho = |psi|^2.  That is >= 0, never -0 and
+        # never NaN, so the np.where(rho > 0, rho, 0) the escort and M_q take
+        # leaves it as it is
+        rho = np.abs(psi.values[rows])
+        top = float(rho.max())
+        if top == 0.0:
+            continue
+        vmax = max(vmax, top)
+        bmax = max(bmax, strip_face_abs_max(rho, rows, grid.shape[0]))
+        rho **= 2
+        support = rho > 0.0
+        # the escort of order k/2 is rho^(k/2) / M_{k/2}; the weighted sum of
+        # each power is its M
+        rho_pow = np.zeros(rho.shape)
+        np.power(rho, k / 2.0, out=rho_pow, where=support)
+        mass = float((w[rows] * rho_pow).sum())
+        m_half_k += mass
+        np.power(rho, k * p.q / 2.0, out=rho, where=support)
+        rho *= w[rows]
+        m_half_kq += float(rho.sum())
+        if 0.0 < mass < math.inf:
+            field = strip_radius(mesh, rows, 2.0)
+            field **= p.gamma_exp
+            field *= w[rows]
+            rho_pow /= mass
+            field *= rho_pow
+            shares.append((mass, float(field.sum())))
+    m_half_k = _escort_mass(m_half_k)
+    x_mom = sum((mass / m_half_k * x for mass, x in shares), 0.0)
+    return vmax, bmax, m_half_k, m_half_kq, x_mom
+
+
 def saturating_wavefunction(grid: GridSpec, p: UncertaintyParams) -> WaveFunction:
     """Equality case of the bound: |psi|^k is a generalized Gaussian of order q.
 
@@ -327,6 +349,8 @@ def saturating_wavefunction(grid: GridSpec, p: UncertaintyParams) -> WaveFunctio
     its (1/k)-th power, L2-normalized.  At q = 1 this is the plain Gaussian.
     Dilations leave the product invariant, so its scale gamma is chosen from
     the box: |psi| = shape^(1/k) decays below 1e-9 of its peak inside it.
+    For q < 1 that takes 1e-9^(-k(1-q)), and ParameterError is raised when
+    it overflows a float (k(1-q) above about 34, as at q = 0.51, beta = 2).
     """
     half = min((hi - lo) / 2.0 for lo, hi in zip(grid.lo, grid.hi))
     eps = 1e-9
@@ -337,7 +361,15 @@ def saturating_wavefunction(grid: GridSpec, p: UncertaintyParams) -> WaveFunctio
         gamma = p.k * math.log(1.0 / eps) / (0.8 * half) ** 2
     else:
         one_m_q = 1.0 - p.q
-        gamma = (eps ** (-p.k * one_m_q) - 1.0) / (one_m_q * (0.8 * half) ** 2)
+        try:
+            decay = eps ** (-p.k * one_m_q)
+        except OverflowError:
+            limit = math.log(sys.float_info.max) / math.log(1.0 / eps)
+            raise ParameterError(
+                ("q", "beta"),
+                f"must give k(1-q) <= {limit:.4g}, or the scale {eps:g}^(-k(1-q)) of the "
+                "saturating psi overflows") from None
+        gamma = (decay - 1.0) / (one_m_q * (0.8 * half) ** 2)
     shape_params = QGaussianParams(q=p.q, alpha=2.0, gamma=gamma, dims=grid.dims)
     dens = make_q_gaussian(shape_params, grid)
     return WaveFunction.from_values(grid, dens.values ** (1.0 / p.k))

@@ -292,9 +292,11 @@ def test_domain_errors_rejected_before_output(tmp_path, capsys):
         (["minimize", "--q", "0"], ["q"]),
         (["uncertainty", "--gamma", "1"], ["gamma"]),
         (["uncertainty", "--q", "0.4"], ["q", "beta"]),
+        # k(1-q) = 49: the saturating psi's scale 1e-9^(-k(1-q)) overflows
+        (["uncertainty", "--psi", "qgauss", "--q", "0.51"], ["q", "beta"]),
     ],
     ids=["fisher", "fisher-compact", "qcr-check", "minimize", "uncertainty",
-         "uncertainty-joint"],
+         "uncertainty-joint", "uncertainty-saturating-overflow"],
 )
 def test_parameter_errors_name_their_config_keys(tmp_path, capsys, argv, keys):
     out = tmp_path / "out"

@@ -463,6 +463,25 @@ def test_2d_q_fisher_is_the_checks_information_bit_for_bit(points, q, alpha, nor
         kernel.parts(g.values, gradient=True)
 
 
+@pytest.mark.parametrize("points", [129, 257])
+@pytest.mark.parametrize("q,alpha,norm_p", [(1.5, 2.0, 2.0), (2.0, 2.0, 2.0), (1.5, 3.0, 3.0)])
+def test_2d_g_q_on_the_support_is_the_plain_power_bit_for_bit(points, q, alpha, norm_p):
+    # a matched q > 1 input vanishes off a ball, so g^q has zeros; the kernel
+    # takes no power of zero, and its g^q and M_q are those of the plain
+    # power of every node, M_q summed in the kernel's strips
+    g = _matched_2d(q, alpha, norm_p, points)
+    gv, w = g.values, g.grid.trap_weights()
+    assert np.count_nonzero(gv == 0.0) > 1000
+    info, g_q, m_q = QFisherKernel(g.grid, HolderPair.from_alpha(alpha).beta, q, norm_p)._node_parts(gv)
+    ref = gv**q
+    assert np.array_equal(g_q.view(np.int64), ref.view(np.int64))
+    ref_m_q = 0.0
+    for rows in grid_module.row_strips(gv.shape):
+        ref_m_q += float((w[rows] * ref[rows]).sum())
+    assert m_q == ref_m_q
+    assert info == q_cr_check(g, HolderPair.from_alpha(alpha), q, norm_p).diagnostics["i_beta_q"]
+
+
 def _peak_bytes(call):
     call()  # the grid's axes and trapezoid weights are cached
     tracemalloc.start()

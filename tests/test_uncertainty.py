@@ -21,7 +21,7 @@ from qfisher import (
     zoo,
 )
 from qfisher.densities import escort, m_q_functional
-from qfisher.errors import NonIntegrable
+from qfisher.errors import NonIntegrable, ParameterError
 import qfisher.grid as grid_module
 from qfisher.grid import GridDensity, boundary_abs_max
 from qfisher.uncertainty import _check_spectrum, _power_spectrum
@@ -401,10 +401,11 @@ def test_real_and_complex_routes_of_the_power_spectrum_agree(grid):
 
 
 def test_uncertainty_check_holds_few_grid_arrays_at_once():
-    # the x side streams over strips of rows and the xi side holds the power
-    # spectrum, one grid array, and the real FFT's half spectrum: 2.1 grid
-    # arrays; three grid arrays on the x side and the complex transform's
-    # held 4.3
+    # the x side streams over strips of rows and its strip arrays are gone
+    # before the xi side holds the power spectrum, one grid array, and the
+    # real FFT's half spectrum: 2.0 grid arrays (2.3 while the last strip's
+    # arrays outlived the x side); three grid arrays on the x side and the
+    # complex transform's held 4.3
     grid = GridSpec.box(-11.0, 11.0, 257, 2)
     p = UncertaintyParams(q=1.2, beta=2.0, dims=2)
     psi = saturating_wavefunction(grid, p)
@@ -416,3 +417,135 @@ def test_uncertainty_check_holds_few_grid_arrays_at_once():
     finally:
         tracemalloc.stop()
     assert peak <= 2.4 * 8 * psi.values.size
+
+
+def _x_side_formulas(psi, p):
+    """M_{k/2}, M_{kq/2} and the x moment of `uncertainty_check` written from
+    the formulas with whole arrays: rho = |psi|^2 and its two powers at every
+    node, zeros included, summed in the check's strips, each strip's escort
+    normalized by its own mass and weighted by its share of M_{k/2}.  The
+    pinned reference for the x side, which skips all-zero strips and takes
+    no power of zero."""
+    grid = psi.grid
+    w = grid.trap_weights()
+    rho = np.abs(psi.values) ** 2
+    rho_k = rho ** (p.k / 2.0)
+    kq_terms = rho ** (p.k * p.q / 2.0) * w
+    field = grid.radius(2.0) ** p.gamma_exp * w
+    m_half_k = m_half_kq = 0.0
+    shares = []
+    for rows in grid_module.row_strips(grid.shape):
+        mass = float((w[rows] * rho_k[rows]).sum())
+        m_half_k += mass
+        m_half_kq += float(kq_terms[rows].sum())
+        if 0.0 < mass < math.inf:
+            shares.append((mass, float((field[rows] * (rho_k[rows] / mass)).sum())))
+    return m_half_k, m_half_kq, sum((mass / m_half_k * x for mass, x in shares), 0.0)
+
+
+def _check_formulas(psi, p):
+    """The report of `uncertainty_check` from `_x_side_formulas` and the
+    power spectrum held to the transform's rules, summed in the check's
+    strips: lhs and every diagnostics field."""
+    m_half_k, m_half_kq, x_mom = _x_side_formulas(psi, p)
+    rho_hat = _spectral_density(psi)
+    field = rho_hat.grid.radius(2.0) ** p.theta_exp * rho_hat.grid.trap_weights()
+    xi_mom = 0.0
+    for rows in grid_module.row_strips(field.shape):
+        xi_mom += float((field[rows] * rho_hat.values[rows]).sum())
+    lhs = (math.sqrt(m_half_k) / m_half_kq * x_mom ** (1.0 / p.gamma_exp)
+           * xi_mom ** (1.0 / p.theta_exp))
+    return lhs, {"k": p.k, "lambda": p.lam, "m_k_half": m_half_k, "m_kq_half": m_half_kq,
+                 "x_moment": x_mom, "xi_moment": xi_mom}
+
+
+def _compact_bumps(grid, centers, radius):
+    """psi = (1 - |x - c|^2 / radius^2)_+^3 summed over `centers`: zero off
+    the balls, smooth enough for the transform's norm test."""
+    mesh = grid.open_mesh()
+    vals = np.zeros(grid.shape)
+    for c in centers:
+        r2 = sum((x - ci) ** 2 for x, ci in zip(mesh, c))
+        vals += np.maximum(1.0 - r2 / radius**2, 0.0) ** 3
+    return WaveFunction.from_values(grid, vals)
+
+
+def _support_input(case):
+    """(psi, p, strips of psi that are all zero) of a case with zeros on the
+    x side."""
+    p2 = UncertaintyParams(q=1.2, beta=2.0, dims=2)
+    if case in ("compact-257", "compact-513"):
+        n = int(case[-3:])
+        grid = GridSpec.box(-11.0, 11.0, n, 2)
+        psi, p = saturating_wavefunction(grid, p2), p2
+    elif case == "two-bumps":
+        # at 257 rows the strips are 63 rows: the bumps sit in the first and
+        # the fourth, and the two between them are all zero
+        psi, p = _compact_bumps(GridSpec.box(-11.0, 11.0, 257, 2), [(-8.3, 0.0), (8.0, 0.0)], 2.5), p2
+    elif case == "isolated-zeros":
+        grid = GridSpec.box(-10.0, 10.0, 257, 2)
+        r2 = sum(x * x for x in grid.open_mesh())
+        vals = np.exp(-r2 / 4.0)
+        # nodes at radii 5 to 7.1, where |psi| <= 2e-3 of its peak, so the
+        # holes leave the transform's norm test standing
+        vals[[51, 128, 192, 60, 200], [128, 192, 192, 70, 100]] = 0.0
+        psi, p = WaveFunction.from_values(grid, vals), UncertaintyParams(q=0.9, beta=2.0, dims=2)
+    elif case == "last-strip":
+        # 200 x 100 nodes: strips of 163 rows, the last one rows 163 to 199,
+        # x_0 from 6.38 to 10; the bump covers x_0 in [6.7, 9.7]
+        grid = GridSpec((-10.0, -5.0), (10.0, 5.0), (200, 100))
+        psi, p = _compact_bumps(grid, [(8.2, 0.0)], 1.5), p2
+    else:
+        grid = GridSpec.line(-10.0, 10.0, 1024)
+        p = UncertaintyParams(q=1.5, beta=2.0)
+        psi = saturating_wavefunction(grid, p)
+    zero = [rows for rows in grid_module.row_strips(psi.grid.shape) if not psi.values[rows].any()]
+    return psi, p, zero
+
+
+@pytest.mark.parametrize("case", ["compact-257", "compact-513", "two-bumps", "isolated-zeros",
+                                  "last-strip", "1d-compact"])
+def test_x_side_on_the_support_is_the_formulas_bit_for_bit(case):
+    psi, p, zero = _support_input(case)
+    strips = grid_module.row_strips(psi.grid.shape)
+    assert np.any(psi.values == 0.0)
+    if case.startswith("compact-"):
+        # the support's radius is 0.6 of the half width: at 257 rows a strip
+        # is 63 rows, and only the last one, of 5 rows, misses it; at 513
+        # rows the three strips of 31 rows at each edge do
+        assert zero == (strips[-1:] if case == "compact-257" else strips[:3] + strips[-3:])
+    elif case == "two-bumps":
+        assert zero == strips[1:3] + strips[4:]
+    elif case == "isolated-zeros":
+        assert not zero and np.count_nonzero(psi.values == 0.0) == 5
+    elif case == "last-strip":
+        assert zero == strips[:-1]
+    rep, got_warnings = _recorded(uncertainty_check, psi, p)
+    (lhs, diagnostics), ref_warnings = _recorded(_check_formulas, psi, p)
+    assert rep.diagnostics == diagnostics
+    assert rep.lhs == lhs
+    assert got_warnings == ref_warnings
+
+
+def test_uncertainty_check_warnings_name_its_caller():
+    grid = GridSpec.line(-12.0, 12.0, 129)
+    (x,) = grid.axes()
+    xi_max = float(np.abs(np.fft.fftfreq(129, grid.spacing[0])).max())
+    # a Gaussian cut at the box ends, with a faint packet near the top
+    # frequency (as in test_aliasing_warning_on_underresolved_oscillation)
+    bump = 0.01 * np.exp(-(x**2) / 16.0) * np.exp(2.0j * np.pi * 0.92 * xi_max * x)
+    psi = WaveFunction.from_values(grid, np.exp(-(x**2) / 4.0) + bump)
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        uncertainty_check(psi, UncertaintyParams(q=1.0, beta=2.0))
+    assert {w.category for w in rec} == {BoundaryMassWarning, AliasingWarning}
+    assert [w.filename for w in rec] == [__file__] * len(rec)
+
+
+def test_saturating_wavefunction_refuses_a_scale_that_overflows():
+    # q = 0.51, beta = 2: k = 100, and 1e-9^(-k(1-q)) = 1e441
+    p = UncertaintyParams(q=0.51, beta=2.0)
+    with pytest.raises(ParameterError, match=r"k\(1-q\) <= 34.25") as err:
+        saturating_wavefunction(GRID, p)
+    assert "q" in err.value.names
+    assert saturating_wavefunction(GRID, UncertaintyParams(q=0.52, beta=2.0)).values.any()
