@@ -370,8 +370,8 @@ class QFisherKernel:
         """(I_{beta,q}, g^q, M_q) on the nodes (2D), strip by strip; g^q is
         a new grid array, for a caller that needs it.  Since q > 0, g^q is
         taken only where g > 0 and is 0 elsewhere, as np.where(g > 0, g, 0)
-        ** q is, without the powers of zero that cost libm about three times
-        a power of g > 0."""
+        ** q is, without the powers of zero, each of which takes libm
+        several times as long as a power of g > 0."""
         beta, e, w = self.beta, self.e, self.weights
         floor = support_floor(gv)
         g_q = np.zeros(gv.shape)

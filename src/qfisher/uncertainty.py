@@ -301,7 +301,8 @@ def _x_side(psi: WaveFunction, p: UncertaintyParams) -> tuple[float, float, floa
     to every sum and 0 to every maximum, so it is skipped; and since k/2 and
     kq/2 are positive, the powers of rho = |psi|^2 are taken only where
     rho > 0, the rest being 0 as 0^y is: the same bits, without the powers
-    of zero, which cost libm about three times a power of x > 0.
+    of zero, each of which takes libm several times as long as a power of
+    x > 0.
     """
     k = p.k
     grid = psi.grid

@@ -531,8 +531,8 @@ def test_uncertainty_check_warnings_name_its_caller():
     grid = GridSpec.line(-12.0, 12.0, 129)
     (x,) = grid.axes()
     xi_max = float(np.abs(np.fft.fftfreq(129, grid.spacing[0])).max())
-    # a Gaussian cut at the box ends, with a faint packet near the top
-    # frequency (as in test_aliasing_warning_on_underresolved_oscillation)
+    # a Gaussian with a faint packet near the top frequency, whose tails
+    # reach the box ends (as in test_aliasing_warning_on_underresolved_oscillation)
     bump = 0.01 * np.exp(-(x**2) / 16.0) * np.exp(2.0j * np.pi * 0.92 * xi_max * x)
     psi = WaveFunction.from_values(grid, np.exp(-(x**2) / 4.0) + bump)
     with warnings.catch_warnings(record=True) as rec:
