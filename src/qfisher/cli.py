@@ -240,15 +240,16 @@ def _line_grid(half_width: float, points: int) -> GridSpec:
         raise ConfigError(f"invalid grid: {exc}") from exc
 
 
-def _load_density(path_str: str | None, what: str) -> GridDensity:
-    if not path_str:
-        raise ConfigError(f"{what} requires a density_file/psi_file path")
-    path = Path(path_str)
+def _load_density(params: dict, key: str, choice: str) -> GridDensity:
+    """The density in the file that config key `key` names for `choice` = file."""
+    if not params[key]:
+        raise ConfigError(f"key '{key}' must name a file when {choice} = file")
+    path = Path(params[key])
     if not path.is_file():
-        raise ConfigError(f"{what} file not found: {path}")
+        raise ConfigError(f"key '{key}' names a file that is not found: {path}")
     try:
         return GridDensity.load_json(path)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:  # json.JSONDecodeError is a ValueError
         raise ConfigError(f"could not parse density file {path}: {exc}") from exc
 
 
@@ -374,7 +375,7 @@ def _named_density(params: dict, key: str, grid: GridSpec, edge: float) -> GridD
         return zoo.smoothed_uniform(grid, -half / 3.0, half / 3.0, edge=edge)
     if kind == "mixture":
         return zoo.mixture_density(grid, (-1.2, 1.1), (0.7, 0.45), (0.6, 0.4))
-    return _load_density(params["density_file"], f"{key} = file")
+    return _load_density(params, "density_file", key)
 
 
 def _qcr_density(params: dict) -> GridDensity:
@@ -480,7 +481,7 @@ def cmd_uncertainty(params: dict) -> tuple[int, dict, dict]:
 
     loaded = None
     if params["psi"] == "file":
-        loaded = _load_density(params["psi_file"], "psi = file")
+        loaded = _load_density(params, "psi_file", "psi")
 
     grid = _line_grid(params["half_width"], params["grid_points"])
     if params["psi"] == "gauss":

@@ -18,7 +18,7 @@ from .errors import JacobianSingular, ParameterError, SingularFisherMatrix
 from .fisher import (ParametricFamily, QFisherKernel, _as_theta, _gradient_on,
                      central_difference, fisher_matrix, p1_moment_weights)
 from .grid import (GridDensity, HolderPair, boundary_abs_max, dual_exponent, lp_norm, row_strips,
-                   strip_gradient, strip_radius, support_floor)
+                   strip_gradient, strip_radius, support_floor, support_power)
 from .sampling import sample_density
 
 SATURATION_REL_TOL = 1e-2
@@ -302,8 +302,8 @@ def q_cr_check(g: GridDensity, pair: HolderPair, q: float, norm_p: float = 2.0) 
     g^q) depends on the dimension.  In 1D m_alpha and I_{beta,q} are those
     of the P1 interpolant, which `QFisherKernel` integrates, and g^q and M_q
     are what `escort(g, q)` normalizes; in 2D all four are taken on the
-    nodes, strip by strip, g^q and M_q coming with I_{beta,q} from the
-    kernel (g >= 0, so g^q is the escort's power).  The escort g^q / M_q is
+    nodes, g^q and M_q coming with I_{beta,q} from the kernel.  Either way
+    g^q is `support_power(g, q)`.  The escort g^q / M_q is
     then formed in place, and it is the only grid-sized array the check
     keeps: the equality-field fit streams over strips too, in one pass that
     takes its misfit from the normal equation (`_equality_field_fit`).
@@ -315,7 +315,7 @@ def q_cr_check(g: GridDensity, pair: HolderPair, q: float, norm_p: float = 2.0) 
         warn_if_truncated(float(summand.max()), boundary_abs_max(summand))
         m_alpha = float(summand.sum())
         info = QFisherKernel(g.grid, beta, q, norm_p).parts(gv)[0]
-        g_q = np.where(gv > 0.0, gv, 0.0) ** q
+        g_q = support_power(gv, q)
         m_q = g.integral(g_q)
     else:
         m_alpha = _moment(g, alpha, norm_p)

@@ -15,7 +15,8 @@ from .errors import (
     ParameterError,
     TruncationWarning,
 )
-from .grid import GridDensity, GridSpec, row_strips, strip_face_abs_max, strip_radius
+from .grid import (GridDensity, GridSpec, row_strips, strip_face_abs_max, strip_radius,
+                   support_power)
 
 # q values closer to 1 than this are treated as the stretched-Gaussian limit.
 Q_ONE_EPS = 1e-12
@@ -78,7 +79,7 @@ def q_exponential_shape(p: QGaussianParams, r: np.ndarray) -> np.ndarray:
         return np.exp(-p.gamma * ra)
     base = 1.0 - p.gamma * (p.q - 1.0) * ra
     if p.q > 1.0:
-        return np.where(base > 0.0, base, 0.0) ** (1.0 / (p.q - 1.0))
+        return support_power(base, 1.0 / (p.q - 1.0))
     # q < 1: base = 1 + gamma*(1-q)*r^alpha > 0 everywhere
     return base ** (1.0 / (p.q - 1.0))
 
@@ -146,9 +147,10 @@ def escort(g: GridDensity, q: float) -> GridDensity:
     """Escort distribution g^q / integral(g^q)."""
     if not (q > 0.0 and np.isfinite(q)):
         raise ValueError("escort order must be a positive real")
-    vals = np.where(g.values > 0.0, g.values, 0.0) ** q
-    _escort_mass(g.integral(vals))  # DegenerateEscort where g^q cannot be normalized
-    return GridDensity.from_values(g.grid, vals, normalize=True, check_boundary=False)
+    vals = support_power(g.values, q)
+    # M_q once: DegenerateEscort where it cannot normalize g^q
+    vals /= _escort_mass(g.integral(vals))
+    return GridDensity(g.grid, vals)
 
 
 def _escort_mass(z: float) -> float:
@@ -202,8 +204,7 @@ def m_q_functional(g: GridDensity, q: float) -> float:
     """M_q[g] = integral of g^q."""
     if not (q > 0.0 and np.isfinite(q)):
         raise ValueError("order q must be a positive real")
-    vals = np.where(g.values > 0.0, g.values, 0.0) ** q
-    return g.integral(vals)
+    return g.integral(support_power(g.values, q))
 
 
 def tsallis_entropy(g: GridDensity, q: float) -> float:

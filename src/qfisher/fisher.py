@@ -26,6 +26,7 @@ from .grid import (
     row_strips,
     strip_gradient,
     support_floor,
+    support_power,
 )
 from .zoo import gaussian_density, laplace_smoothed_density
 
@@ -368,27 +369,20 @@ class QFisherKernel:
 
     def _node_parts(self, gv: np.ndarray) -> tuple[float, np.ndarray, float]:
         """(I_{beta,q}, g^q, M_q) on the nodes (2D), strip by strip; g^q is
-        a new grid array, for a caller that needs it.  Since q > 0, g^q is
-        taken only where g > 0 and is 0 elsewhere, as np.where(g > 0, g, 0)
-        ** q is, without the powers of zero, each of which takes libm
-        several times as long as a power of g > 0."""
+        a new grid array, for a caller that needs it.  Both g^q and g^e are
+        taken by `support_power`, g^e above the support floor."""
         beta, e, w = self.beta, self.e, self.weights
         floor = support_floor(gv)
-        g_q = np.zeros(gv.shape)
+        g_q = support_power(gv, self.q)
         phi = m_q = 0.0
         for rows in row_strips(gv.shape):
-            g = gv[rows]
-            np.power(g, self.q, out=g_q[rows], where=g > 0.0)
-            mask = g > floor
             grads = strip_gradient(gv, rows, self.spacing)
             if self.dual != 2.0:  # squares need no |.|
                 grads = [np.abs(c) for c in grads]
             u = _norm_of_magnitudes(grads, self.dual) ** beta
-            if e != 0.0:  # g^0 = 1 needs no pass
-                u *= np.where(mask, g, 1.0) ** e
-            # finite off the support, where g^e is 1 (unless |grad g|^beta
-            # overflows), so multiplying by the mask zeroes it there
-            u *= mask
+            # finite off the support (unless |grad g|^beta overflows), where
+            # g^e, or the mask at e = 0 (g^0 = 1 needs no pass), zeroes it
+            u *= support_power(gv[rows], e, floor) if e != 0.0 else gv[rows] > floor
             phi += float((u * w[rows]).sum())
             m_q += float((w[rows] * g_q[rows]).sum())
         return (self.q / m_q) ** beta * phi, g_q, m_q
@@ -435,15 +429,13 @@ def _matrix_from_parts(grads: np.ndarray, g: GridDensity) -> np.ndarray:
     m = np.zeros((k, k))
     for i in range(k):
         gi = grads[i]
-        # the clamped-floor leak guard runs on the diagonals only; the
-        # off-diagonal leak is Cauchy-Schwarz dominated by them
-        g.masked_power_integral(
-            np.abs(gi), 2.0, mismatch="theta-gradient carries weight where g vanishes"
-        )
         for j in range(i, k):
             integrand = np.zeros_like(gv)
             integrand[mask] = gi[mask] * grads[j][mask] / gv[mask]
             m[i, j] = m[j, i] = g.integral(integrand)
+        # the clamped-floor leak guard runs on the diagonals only; the
+        # off-diagonal leak is Cauchy-Schwarz dominated by them
+        g.check_leak(gi * gi, 2.0, m[i, i], "theta-gradient carries weight where g vanishes")
     return m
 
 

@@ -54,7 +54,7 @@ import numpy as np
 from .errors import NonIntegrable, ParameterError
 from .fisher import QFisherKernel, p1_moment_weights
 from .fisher import gradient_adjoint  # noqa: F401  (re-exported)
-from .grid import GridDensity, GridSpec, HolderPair
+from .grid import GridDensity, GridSpec, HolderPair, support_power
 
 # curvature pairs the two-loop recursion keeps
 MEMORY = 12
@@ -278,7 +278,7 @@ def minimize_q_fisher(start: GridDensity, cfg: MinimizationConfig) -> MinimizeRe
             flat = (len(trace) > FLAT_WINDOW and trace[-1 - FLAT_WINDOW] - trace[-1]
                     < FLAT_FRAC * min(trace[-1] - max(target, 1.0), FLAT_NEAR))
             if not flat:
-                scale = np.where(g > 0.0, g**-0.5, 0.0)
+                scale = support_power(g, -0.5)
 
                 def metric(v):
                     return _sobolev_metric(v, scale, sine_weights)

@@ -24,7 +24,7 @@ from .cramer_rao import BoundReport
 from .densities import QGaussianParams, _escort_mass, make_q_gaussian
 from .errors import AliasingWarning, BoundaryMassWarning, GridTooCoarse, NonIntegrable, ParameterError
 from .grid import (GridDensity, GridSpec, boundary_abs_max, row_strips, strip_face_abs_max,
-                   strip_radius)
+                   strip_radius, support_power)
 
 L2_NORM_TOL = 1e-9
 BOUNDARY_PSI_REL_TOL = 1e-8
@@ -141,7 +141,7 @@ def fourier_transform(psi: WaveFunction) -> WaveFunction:
     values *= cell
     power = np.abs(values)
     power **= 2
-    truncated = _check_spectrum(power, out_grid, bmax, vmax, stacklevel=3)
+    truncated = _check_spectrum(power, out_grid, bmax, vmax)
     # read-only, so neither constructor below copies it
     values.flags.writeable = False
     if truncated:
@@ -189,8 +189,7 @@ def _shifted_from_half(half: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _check_spectrum(power: np.ndarray, grid_hat: GridSpec, bmax: float, vmax: float,
-                    stacklevel: int) -> bool:
+def _check_spectrum(power: np.ndarray, grid_hat: GridSpec, bmax: float, vmax: float) -> bool:
     """Hold |psi_hat|^2 = `power` on `grid_hat` to the transform's rules, psi
     being a wave function whose |psi| peaks at `vmax` and at `bmax` on the box
     faces; returns whether psi is truncated there.
@@ -201,7 +200,7 @@ def _check_spectrum(power: np.ndarray, grid_hat: GridSpec, bmax: float, vmax: fl
     more than SPECTRAL_TAIL_FRACTION of the mass draws an AliasingWarning.  An
     untruncated psi must keep unit L2 norm within L2_NORM_TOL, or
     GridTooCoarse is raised.  The masses are trapezoid sums strip by strip;
-    warnings name the caller `stacklevel` frames up.
+    warnings name the caller of the function that calls this.
     """
     truncated = bmax > BOUNDARY_PSI_REL_TOL * vmax
     if truncated:
@@ -209,7 +208,7 @@ def _check_spectrum(power: np.ndarray, grid_hat: GridSpec, bmax: float, vmax: fl
             f"boundary |psi| = {bmax:.3e} exceeds {BOUNDARY_PSI_REL_TOL:.0e} x max; "
             "the transform will pick up truncation ringing",
             BoundaryMassWarning,
-            stacklevel=stacklevel,
+            stacklevel=3,
         )
     w, mesh = grid_hat.trap_weights(), grid_hat.open_mesh()
     far = [np.abs(xi) >= 0.9 * float(np.abs(xi).max()) for xi in mesh]
@@ -224,7 +223,7 @@ def _check_spectrum(power: np.ndarray, grid_hat: GridSpec, bmax: float, vmax: fl
         warnings.warn(
             f"spectral tail holds {tail_mass:.2e} of the mass; grid is too coarse for psi",
             AliasingWarning,
-            stacklevel=stacklevel,
+            stacklevel=3,
         )
     if truncated:
         power /= total
@@ -259,8 +258,7 @@ def uncertainty_check(psi: WaveFunction, p: UncertaintyParams) -> BoundReport:
 
     grid_hat = frequency_grid(psi.grid)
     power = _power_spectrum(psi)
-    # its warnings name the caller of the check
-    _check_spectrum(power, grid_hat, bmax, vmax, stacklevel=3)
+    _check_spectrum(power, grid_hat, bmax, vmax)
     w, mesh = grid_hat.trap_weights(), grid_hat.open_mesh()
     xi_mom = 0.0
     for rows in row_strips(power.shape):
@@ -298,11 +296,8 @@ def _x_side(psi: WaveFunction, p: UncertaintyParams) -> tuple[float, float, floa
     Each strip's escort is normalized by the strip's own mass and the strip
     sums are weighted by their shares of M_{k/2}, so one strip (every 1D
     grid) sums the escort's bits.  A strip where psi is all zero adds +0.0
-    to every sum and 0 to every maximum, so it is skipped; and since k/2 and
-    kq/2 are positive, the powers of rho = |psi|^2 are taken only where
-    rho > 0, the rest being 0 as 0^y is: the same bits, without the powers
-    of zero, each of which takes libm several times as long as a power of
-    x > 0.
+    to every sum and 0 to every maximum, so it is skipped, and the powers
+    of rho = |psi|^2 are those of `support_power`, as the escort's and M_q's.
     """
     k = p.k
     grid = psi.grid
@@ -311,9 +306,7 @@ def _x_side(psi: WaveFunction, p: UncertaintyParams) -> tuple[float, float, floa
     shares = []  # (strip mass, strip x sum)
     for rows in row_strips(grid.shape):
         # |psi| once: its maxima feed the transform's truncation test, and
-        # squared in place it is rho = |psi|^2.  That is >= 0, never -0 and
-        # never NaN, so the np.where(rho > 0, rho, 0) the escort and M_q take
-        # leaves it as it is
+        # squared in place it is rho = |psi|^2
         rho = np.abs(psi.values[rows])
         top = float(rho.max())
         if top == 0.0:
@@ -321,16 +314,12 @@ def _x_side(psi: WaveFunction, p: UncertaintyParams) -> tuple[float, float, floa
         vmax = max(vmax, top)
         bmax = max(bmax, strip_face_abs_max(rho, rows, grid.shape[0]))
         rho **= 2
-        support = rho > 0.0
         # the escort of order k/2 is rho^(k/2) / M_{k/2}; the weighted sum of
         # each power is its M
-        rho_pow = np.zeros(rho.shape)
-        np.power(rho, k / 2.0, out=rho_pow, where=support)
+        rho_pow = support_power(rho, k / 2.0)
         mass = float((w[rows] * rho_pow).sum())
         m_half_k += mass
-        np.power(rho, k * p.q / 2.0, out=rho, where=support)
-        rho *= w[rows]
-        m_half_kq += float(rho.sum())
+        m_half_kq += float((w[rows] * support_power(rho, k * p.q / 2.0)).sum())
         if 0.0 < mass < math.inf:
             field = strip_radius(mesh, rows, 2.0)
             field **= p.gamma_exp
@@ -373,4 +362,4 @@ def saturating_wavefunction(grid: GridSpec, p: UncertaintyParams) -> WaveFunctio
         gamma = (decay - 1.0) / (one_m_q * (0.8 * half) ** 2)
     shape_params = QGaussianParams(q=p.q, alpha=2.0, gamma=gamma, dims=grid.dims)
     dens = make_q_gaussian(shape_params, grid)
-    return WaveFunction.from_values(grid, dens.values ** (1.0 / p.k))
+    return WaveFunction.from_values(grid, support_power(dens.values, 1.0 / p.k))

@@ -412,6 +412,54 @@ def _box_density_file(tmp_path, values):
     return path
 
 
+FILE_FLAGS = {"qcr-check": ["--density", "file", "--density-file"],
+              "minimize": ["--init", "file", "--density-file"],
+              "uncertainty": ["--psi", "file", "--psi-file"]}
+MALFORMED_DENSITY_FILES = {
+    "json-array": [0.0, 1.0, 0.0],
+    "non-numeric-lo": {"lo": ["a"], "hi": [1.0], "points": [5], "values": [0, 1, 1, 1, 0]},
+    "scalar-lo-hi": {"lo": -1.0, "hi": 1.0, "points": [5], "values": [0, 1, 1, 1, 0]},
+    "fractional-points": {"lo": [-1.0], "hi": [1.0], "points": [3.5], "values": [0, 1, 0]},
+}
+
+
+@pytest.mark.parametrize("content", MALFORMED_DENSITY_FILES.values(), ids=MALFORMED_DENSITY_FILES)
+@pytest.mark.parametrize("subcommand", FILE_FLAGS)
+def test_malformed_density_files_are_config_errors(tmp_path, capsys, subcommand, content):
+    # the first three crashed with a TypeError (exit 1), and 3.5 points ran on
+    # a grid cut to 3 points (exit 0)
+    path = tmp_path / "density.json"
+    path.write_text(json.dumps(content))
+    out = tmp_path / "out"
+    assert main([subcommand, *FILE_FLAGS[subcommand], str(path), "--out-dir", str(out)]) == 64
+    assert capsys.readouterr().err.startswith(f"config error: could not parse density file {path}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["qcr-check", "--config", "{missing}"], "config file not found: {missing}"),
+    (["fisher", "--config", "{array}"], "config file must hold a flat JSON object"),
+    (["qcr-check", "--density", "file"], "key 'density_file' must name a file when density = file"),
+    (["minimize", "--init", "file"], "key 'density_file' must name a file when init = file"),
+    (["uncertainty", "--psi", "file"], "key 'psi_file' must name a file when psi = file"),
+    (["qcr-check", "--density", "file", "--density-file", "{missing}"],
+     "key 'density_file' names a file that is not found: {missing}"),
+    (["uncertainty", "--psi", "file", "--psi-file", "{missing}"],
+     "key 'psi_file' names a file that is not found: {missing}"),
+    (["divergence", "--grid-points", "100", "--factor", "3"],
+     "grid_points must be divisible by factor"),
+    (["debruijn", "--t-burn", "0.3", "--t-final", "0.2"], "t_burn must lie in [0, t_final)"),
+], ids=["missing-config", "array-config", "density-no-path", "init-no-path", "psi-no-path",
+        "missing-density-file", "missing-psi-file", "factor", "t-burn"])
+def test_config_errors_exit_64_before_any_output(tmp_path, capsys, argv, message):
+    paths = {"missing": tmp_path / "missing.json", "array": tmp_path / "array.json"}
+    paths["array"].write_text("[1, 2]")
+    out = tmp_path / "out"
+    assert main([a.format(**paths) for a in argv] + ["--out-dir", str(out)]) == 64
+    assert capsys.readouterr().err == f"config error: {message.format(**paths)}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("values", [np.ones_like, lambda x: np.exp(-0.02 * x * x)],
                          ids=["flat", "wide-gaussian"])
 def test_qcr_check_mass_at_the_box_ends_is_too_coarse_not_a_violation(tmp_path, capsys, values):

@@ -9,16 +9,19 @@ from qfisher import (
     GridDensity,
     GridSpec,
     HolderPair,
+    QGaussianParams,
     dual_exponent,
     functional_cr_check,
     lp_norm,
+    make_q_gaussian,
     moment,
     zoo,
 )
 from qfisher.errors import BoundaryMassWarning, NonIntegrable, TruncationWarning
 import qfisher.grid as grid_module
 from qfisher.grid import (BLOCK, _trap_weights, blocks, boundary_abs_max, row_strips,
-                           strip_face_abs_max, strip_gradient, strip_radius, write_csv)
+                           strip_face_abs_max, strip_gradient, strip_radius, support_floor,
+                           support_power, write_csv)
 from qfisher.uncertainty import WaveFunction, fourier_transform
 
 
@@ -235,6 +238,52 @@ def test_strip_radius_and_face_maximum_are_the_whole_grids_rows(monkeypatch):
         assert got.tobytes() == grid.radius(p).tobytes()
     faces = [strip_face_abs_max(field[rows], rows, len(field)) for rows in strips]
     assert max(faces) == boundary_abs_max(field)
+
+
+@pytest.mark.parametrize("points", [(3.5,), (65, 64.5), ("9",), (np.float64(7.25),)])
+def test_grid_refuses_a_point_count_that_is_not_integral(points):
+    axis = len(points) - 1
+    with pytest.raises(ValueError, match=f"axis {axis}: need an integral point count"):
+        GridSpec((-1.0,) * len(points), (1.0,) * len(points), points)
+
+
+def test_grid_takes_an_integral_float_point_count():
+    assert GridSpec((-1.0,), (1.0,), (9.0,)).points == (9,)
+
+
+def _support_powers():
+    """A q = 1.5 compact density on 513 points, with its zeros and nodes at
+    and just above its support floor."""
+    grid = GridSpec.line(-3.0, 3.0, 513)
+    v = make_q_gaussian(QGaussianParams(q=1.5, alpha=2.0, gamma=1.0), grid).values.copy()
+    floor = support_floor(v)
+    v[10], v[11] = floor, np.nextafter(floor, 1.0)
+    return v, floor
+
+
+@pytest.mark.parametrize("y", [0.25, 1.0, 1.5, 2.0, 0.7142857142857143])
+def test_support_power_is_the_plain_power_on_the_support(y):
+    v, _ = _support_powers()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = support_power(v, y)
+    on = v > 0.0
+    assert np.count_nonzero(~on) > 100
+    assert np.array_equal(out[on], v[on] ** y)
+    assert np.array_equal(out.view(np.int64)[~on], np.zeros(np.count_nonzero(~on), np.int64))
+    assert np.array_equal(out, np.where(v > 0.0, v, 0.0) ** y)
+
+
+@pytest.mark.parametrize("y", [-0.5, -1.0, -2.5])
+def test_support_power_with_a_floor_takes_no_power_at_or_below_it(y):
+    v, floor = _support_powers()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = support_power(v, y, floor)
+    on = v > floor
+    assert not on[10] and on[11]
+    assert np.array_equal(out[on], v[on] ** y)
+    assert np.all(np.isfinite(out)) and not np.any(out[~on])
 
 
 def test_dual_exponent_pairs():

@@ -244,7 +244,7 @@ def _spectral_density(psi):
     mag = np.abs(psi.values)
     grid_hat = frequency_grid(psi.grid)
     power = _power_spectrum(psi)
-    _check_spectrum(power, grid_hat, boundary_abs_max(mag), float(mag.max()), stacklevel=2)
+    _check_spectrum(power, grid_hat, boundary_abs_max(mag), float(mag.max()))
     return GridDensity(grid_hat, power)
 
 
