@@ -212,10 +212,11 @@ def _resolve_config(ns: argparse.Namespace, schema: dict) -> dict:
     return params
 
 
-def _key_error(exc: ParameterError, params: dict, keys: dict) -> ConfigError:
+def _key_error(exc: ParameterError, params: dict, keys: dict | None = None) -> ConfigError:
     """The config error for a broken parameter rule, naming the config keys
-    (`keys` maps library parameter names to them)."""
-    named = [keys[name] for name in exc.names]
+    (`keys` maps library parameter names to them; without it the names are
+    the keys)."""
+    named = [keys[name] for name in exc.names] if keys else list(exc.names)
     which = " and ".join(f"'{key}'" for key in named)
     got = " and ".join(str(params[key]) for key in named)
     noun = "key" if len(named) == 1 else "keys"
@@ -301,8 +302,11 @@ def _bound_status(margin: float, values, rel_tol: float, what: str, from_file: b
 
 
 def cmd_divergence(params: dict) -> tuple[int, dict, dict]:
+    keys = ("grid_points", "factor")
     if params["grid_points"] % params["factor"] != 0:
-        raise ConfigError("grid_points must be divisible by factor")
+        raise _key_error(ParameterError(keys, "must make grid_points a multiple of factor"), params)
+    if params["grid_points"] // params["factor"] < 2:
+        raise _key_error(ParameterError(keys, "must leave at least 2 coarse points"), params)
 
     grid = _line_grid(params["half_width"], params["grid_points"])
     f1, f2, g = zoo.random_triple(grid, params["seed"])
@@ -436,7 +440,8 @@ def cmd_minimize(params: dict) -> tuple[int, dict, dict]:
 
 def cmd_debruijn(params: dict) -> tuple[int, dict, dict]:
     if not 0.0 <= params["t_burn"] < params["t_final"]:
-        raise ConfigError("t_burn must lie in [0, t_final)")
+        raise _key_error(ParameterError(("t_burn", "t_final"), "must satisfy 0 <= t_burn < t_final"),
+                         params)
 
     try:
         diffusion.check_entropy_order(params["m"], params["beta"])

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .densities import _escort_mass, _moment, warn_if_truncated
+from .densities import _escort_mass, moment, warn_if_truncated
 from .errors import JacobianSingular, ParameterError, SingularFisherMatrix
 from .fisher import (ParametricFamily, QFisherKernel, _as_theta, _gradient_on,
                      central_difference, fisher_matrix, p1_moment_weights)
@@ -272,7 +272,7 @@ def functional_cr_check(
         g = g.on_shifted_grid(mu)
     alpha, beta = pair.alpha, pair.beta
     pstar = dual_exponent(norm_p)
-    lhs_moment = _moment(g, alpha, norm_p) ** (1.0 / alpha)
+    lhs_moment = moment(g, alpha, norm_p) ** (1.0 / alpha)
     grad_norm = lp_norm(f.spatial_gradient(), pstar)
     # where f and g both lie outside their supports the score is 0/0: the
     # stencil's slope into the first zero node past a compact support's edge
@@ -318,7 +318,7 @@ def q_cr_check(g: GridDensity, pair: HolderPair, q: float, norm_p: float = 2.0) 
         g_q = support_power(gv, q)
         m_q = g.integral(g_q)
     else:
-        m_alpha = _moment(g, alpha, norm_p)
+        m_alpha = moment(g, alpha, norm_p)
         info, g_q, m_q = QFisherKernel(g.grid, beta, q, norm_p)._node_parts(gv)
     g_q /= _escort_mass(m_q)
     k, residual, saturated = _equality_field_fit(g_q, g, alpha, norm_p)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +13,7 @@ from .errors import (
     NonIntegrable,
     ParameterError,
     TruncationWarning,
+    warn,
 )
 from .grid import (GridDensity, GridSpec, row_strips, strip_face_abs_max, strip_radius,
                    support_power)
@@ -162,14 +162,8 @@ def _escort_mass(z: float) -> float:
 
 
 def moment(g: GridDensity, alpha: float, norm_p: float = 2.0) -> float:
-    """m_alpha[g] = E_g[||x||_p^alpha]; warns when the integrand is boundary-heavy."""
-    return _moment(g, alpha, norm_p)
-
-
-def _moment(g: GridDensity, alpha: float, norm_p: float) -> float:
-    """`moment`, summed strip by strip (`grid.row_strips`) with ||x||_p
-    recomputed per strip; its TruncationWarning names the caller of the
-    function that calls this."""
+    """m_alpha[g] = E_g[||x||_p^alpha], summed strip by strip (`grid.row_strips`)
+    with ||x||_p recomputed per strip; warns when the integrand is boundary-heavy."""
     if alpha <= 0.0:
         raise ValueError("moment order must be positive")
     if norm_p < 1.0:
@@ -182,22 +176,17 @@ def _moment(g: GridDensity, alpha: float, norm_p: float) -> float:
         bmax = max(bmax, strip_face_abs_max(integrand, rows, len(gv)))
         # w * integrand, as `GridDensity.integral` sums it
         total += float((w[rows] * integrand).sum())
-    warn_if_truncated(imax, bmax, stacklevel=4)
+    warn_if_truncated(imax, bmax)
     return total
 
 
-def warn_if_truncated(imax: float, bmax: float, stacklevel: int = 3) -> None:
+def warn_if_truncated(imax: float, bmax: float) -> None:
     """TruncationWarning when a moment integrand, whose largest value is
     `imax` and largest |value| on the grid's faces `bmax`, is not negligible
-    at the boundary; `stacklevel` 3 names the caller of the function that
-    calls this."""
+    at the boundary."""
     if imax > 0.0 and bmax > 1e-6 * imax:
-        warnings.warn(
-            f"moment integrand at boundary is {bmax / imax:.2e} of its max; "
-            "value is likely truncated",
-            TruncationWarning,
-            stacklevel=stacklevel,
-        )
+        warn(f"moment integrand at boundary is {bmax / imax:.2e} of its max; "
+             "value is likely truncated", TruncationWarning)
 
 
 def m_q_functional(g: GridDensity, q: float) -> float:
@@ -257,13 +246,18 @@ def coarse_grain(g: GridDensity, factor: int) -> GridDensity:
     The plain-sum mass identity sum(out)*prod(spacing_out) ==
     sum(in)*prod(spacing_in) holds exactly; the trapezoid integral stays 1 up
     to the (boundary-weighted) difference between the two quadratures.
+    GridTooCoarse is raised when that difference exceeds 1e-6, as it does
+    when the end blocks carry mass on a grid of few coarse points.
     """
     if factor == 1:
         return g
     vals = block_average(g.values, factor)
-    return GridDensity.from_values(
-        coarse_grid(g.grid, factor), vals, normalize=False, check_boundary=False
-    )
+    grid = coarse_grid(g.grid, factor)
+    mass = float((grid.trap_weights() * vals).sum())
+    if abs(mass - 1.0) > 1e-6:
+        raise GridTooCoarse(f"coarse-graining by factor {factor} moves the trapezoid mass "
+                            f"{mass - 1.0:+.3e} from 1; use a smaller factor or more points")
+    return GridDensity.from_values(grid, vals, normalize=False, check_boundary=False)
 
 
 def q_gaussian_moment_scale(q: float, alpha: float) -> float:

@@ -1,4 +1,11 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and `warn`, which
+emits every warning it raises."""
+
+import os
+import sys
+import warnings
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
 class QFisherError(Exception):
@@ -68,3 +75,13 @@ class BoundaryMassWarning(UserWarning):
 
 class AliasingWarning(UserWarning):
     """Spectral tail mass suggests the transform is under-resolved."""
+
+
+def warn(message: str, category: type[Warning]) -> None:
+    """Emit `message` as a `category` warning that names the innermost caller
+    outside this package: the frame `warnings.warn(..., skip_file_prefixes=...)`
+    names from Python 3.12, found here by walking the stack."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)

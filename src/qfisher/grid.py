@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import BoundaryMassWarning, NonIntegrable, SupportMismatch
+from .errors import BoundaryMassWarning, NonIntegrable, SupportMismatch, warn
 
 # Relative threshold below which boundary density mass is considered negligible.
 BOUNDARY_REL_TOL = 1e-10
@@ -330,11 +329,9 @@ class GridDensity:
         if check_boundary:
             b = boundary_abs_max(d.values)
             if b > BOUNDARY_REL_TOL * float(d.values.max()):
-                msg = (
-                    f"boundary density {b:.3e} exceeds {BOUNDARY_REL_TOL:.0e} x max; "
-                    "widen the grid or pass check_boundary=False for compact support"
-                )
-                warnings.warn(msg, BoundaryMassWarning, stacklevel=2)
+                warn(f"boundary density {b:.3e} exceeds {BOUNDARY_REL_TOL:.0e} x max; "
+                     "widen the grid or pass check_boundary=False for compact support",
+                     BoundaryMassWarning)
         return d
 
     # -- quadrature ---------------------------------------------------------

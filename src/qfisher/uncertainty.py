@@ -14,15 +14,15 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from .cramer_rao import BoundReport
-from .densities import QGaussianParams, _escort_mass, make_q_gaussian
-from .errors import AliasingWarning, BoundaryMassWarning, GridTooCoarse, NonIntegrable, ParameterError
+from .densities import QGaussianParams, _escort_mass, make_q_gaussian, q_exponential_shape
+from .errors import (AliasingWarning, BoundaryMassWarning, GridTooCoarse, NonIntegrable,
+                     ParameterError, warn)
 from .grid import (GridDensity, GridSpec, boundary_abs_max, row_strips, strip_face_abs_max,
                    strip_radius, support_power)
 
@@ -199,17 +199,12 @@ def _check_spectrum(power: np.ndarray, grid_hat: GridSpec, bmax: float, vmax: fl
     A spectral tail (some |xi_a| at or above 0.9 of its axis' largest) holding
     more than SPECTRAL_TAIL_FRACTION of the mass draws an AliasingWarning.  An
     untruncated psi must keep unit L2 norm within L2_NORM_TOL, or
-    GridTooCoarse is raised.  The masses are trapezoid sums strip by strip;
-    warnings name the caller of the function that calls this.
+    GridTooCoarse is raised.  The masses are trapezoid sums strip by strip.
     """
     truncated = bmax > BOUNDARY_PSI_REL_TOL * vmax
     if truncated:
-        warnings.warn(
-            f"boundary |psi| = {bmax:.3e} exceeds {BOUNDARY_PSI_REL_TOL:.0e} x max; "
-            "the transform will pick up truncation ringing",
-            BoundaryMassWarning,
-            stacklevel=3,
-        )
+        warn(f"boundary |psi| = {bmax:.3e} exceeds {BOUNDARY_PSI_REL_TOL:.0e} x max; "
+             "the transform will pick up truncation ringing", BoundaryMassWarning)
     w, mesh = grid_hat.trap_weights(), grid_hat.open_mesh()
     far = [np.abs(xi) >= 0.9 * float(np.abs(xi).max()) for xi in mesh]
     total = tail = 0.0
@@ -220,11 +215,8 @@ def _check_spectrum(power: np.ndarray, grid_hat: GridSpec, bmax: float, vmax: fl
         tail += float(dens[np.broadcast_to(in_tail, dens.shape)].sum())
     tail_mass = tail / max(total, 1e-300)
     if tail_mass > SPECTRAL_TAIL_FRACTION:
-        warnings.warn(
-            f"spectral tail holds {tail_mass:.2e} of the mass; grid is too coarse for psi",
-            AliasingWarning,
-            stacklevel=3,
-        )
+        warn(f"spectral tail holds {tail_mass:.2e} of the mass; grid is too coarse for psi",
+             AliasingWarning)
     if truncated:
         power /= total
         return True
@@ -339,17 +331,21 @@ def saturating_wavefunction(grid: GridSpec, p: UncertaintyParams) -> WaveFunctio
     its (1/k)-th power, L2-normalized.  At q = 1 this is the plain Gaussian.
     Dilations leave the product invariant, so its scale gamma is chosen from
     the box: |psi| = shape^(1/k) decays below 1e-9 of its peak inside it.
-    For q < 1 that takes 1e-9^(-k(1-q)), and ParameterError is raised when
-    it overflows a float (k(1-q) above about 34, as at q = 0.51, beta = 2).
+    For q > 1 the support edge sits at 0.6 of the half width, unless that
+    makes psi narrower than the q = 1 profile does: as q -> 1+ it would
+    shrink below the grid spacing.  The q > 1 shape lies under exp(-gamma
+    ||x||^2), so where its support then runs past the box, psi still decays
+    as the q = 1 profile does inside it.  For q < 1 the decay takes
+    1e-9^(-k(1-q)), and ParameterError is raised when it overflows a float
+    (k(1-q) above about 34, as at q = 0.51, beta = 2).
     """
     half = min((hi - lo) / 2.0 for lo, hi in zip(grid.lo, grid.hi))
     eps = 1e-9
+    gamma = p.k * math.log(1.0 / eps) / (0.8 * half) ** 2
     if p.q > 1.0:
-        # compact support radius 1/sqrt(gamma (q-1)); keep it inside the box
-        gamma = 1.0 / ((p.q - 1.0) * (0.6 * half) ** 2)
-    elif p.q == 1.0:
-        gamma = p.k * math.log(1.0 / eps) / (0.8 * half) ** 2
-    else:
+        # support edge 1/sqrt(gamma (q-1)) at 0.6 of the half width
+        gamma = min(1.0 / ((p.q - 1.0) * (0.6 * half) ** 2), gamma)
+    elif p.q < 1.0:
         one_m_q = 1.0 - p.q
         try:
             decay = eps ** (-p.k * one_m_q)
@@ -361,5 +357,9 @@ def saturating_wavefunction(grid: GridSpec, p: UncertaintyParams) -> WaveFunctio
                 "saturating psi overflows") from None
         gamma = (decay - 1.0) / (one_m_q * (0.8 * half) ** 2)
     shape_params = QGaussianParams(q=p.q, alpha=2.0, gamma=gamma, dims=grid.dims)
-    dens = make_q_gaussian(shape_params, grid)
+    if shape_params.compact_support and shape_params.support_radius > half:
+        shape = q_exponential_shape(shape_params, grid.radius())
+        dens = GridDensity.from_values(grid, shape, check_boundary=False)
+    else:
+        dens = make_q_gaussian(shape_params, grid)
     return WaveFunction.from_values(grid, support_power(dens.values, 1.0 / p.k))

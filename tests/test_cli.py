@@ -447,8 +447,9 @@ def test_malformed_density_files_are_config_errors(tmp_path, capsys, subcommand,
     (["uncertainty", "--psi", "file", "--psi-file", "{missing}"],
      "key 'psi_file' names a file that is not found: {missing}"),
     (["divergence", "--grid-points", "100", "--factor", "3"],
-     "grid_points must be divisible by factor"),
-    (["debruijn", "--t-burn", "0.3", "--t-final", "0.2"], "t_burn must lie in [0, t_final)"),
+     "keys 'grid_points' and 'factor' must make grid_points a multiple of factor, got 100 and 3"),
+    (["debruijn", "--t-burn", "0.3", "--t-final", "0.2"],
+     "keys 't_burn' and 't_final' must satisfy 0 <= t_burn < t_final, got 0.3 and 0.2"),
 ], ids=["missing-config", "array-config", "density-no-path", "init-no-path", "psi-no-path",
         "missing-density-file", "missing-psi-file", "factor", "t-burn"])
 def test_config_errors_exit_64_before_any_output(tmp_path, capsys, argv, message):
@@ -457,6 +458,24 @@ def test_config_errors_exit_64_before_any_output(tmp_path, capsys, argv, message
     out = tmp_path / "out"
     assert main([a.format(**paths) for a in argv] + ["--out-dir", str(out)]) == 64
     assert capsys.readouterr().err == f"config error: {message.format(**paths)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("points, factor, status, message", [
+    (4, 4, 64, "config error: keys 'grid_points' and 'factor' must leave at least 2 coarse "
+               "points, got 4 and 4"),
+    (16, 8, 1, "error: coarse-graining by factor 8 moves the trapezoid mass -5.000e-01 from 1"),
+    (40, 8, 1, "error: coarse-graining by factor 8 moves the trapezoid mass -1.709e-06 from 1"),
+    (96, 32, 1, "error: coarse-graining by factor 32 moves the trapezoid mass -3.116e-02 from 1"),
+])
+def test_divergence_on_too_few_coarse_points_is_refused(tmp_path, capsys, points, factor,
+                                                         status, message):
+    # each exited 1 with an internal ValueError: a one-point coarse axis, or
+    # a coarse trapezoid mass that the unnormalized constructor refused
+    out = tmp_path / "out"
+    argv = ["divergence", "--grid-points", str(points), "--factor", str(factor)]
+    assert main(argv + ["--out-dir", str(out)]) == status
+    assert capsys.readouterr().err.startswith(message)
     assert not out.exists()
 
 

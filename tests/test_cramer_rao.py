@@ -1,6 +1,7 @@
 """Estimation bounds: scalar, multidim, matrix-weighted, functional, single-density."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -575,3 +576,18 @@ def test_statistic_shape_validation():
     )
     with pytest.raises(ValueError):
         prob.statistic_on_grid()
+
+
+CR_REFUSALS = {
+    "functional-across-grids": (lambda: functional_cr_check(
+        zoo.gaussian_density(GridSpec.line(-8.0, 8.0, 257)),
+        zoo.gaussian_density(GridSpec.line(-8.0, 8.0, 256)), PAIR22), "share one grid"),
+    "matrix-m-dim-2": (lambda: matrix_cr_check(
+        replace(_identity_problem(GridSpec.line(-8.0, 8.0, 64)), m_dim=2), 0.0), "scalar h"),
+}
+
+
+@pytest.mark.parametrize("call, match", CR_REFUSALS.values(), ids=CR_REFUSALS)
+def test_cramer_rao_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -199,3 +199,33 @@ def test_fit_q_gaussian_recovers_parameters():
     g = make_q_gaussian(p, grid)
     fitted = fit_q_gaussian(g, 1.5, 2.0)
     assert l1_distance(g, fitted) < 1e-6
+
+
+Q1 = QGaussianParams(q=1.0, alpha=2.0, gamma=1.0)
+WIDE = GridSpec.line(-3.0, 3.0, 9)
+DENSITY_REFUSALS = {
+    "moment-order-0": (lambda: moment(gaussian_density(STD_GRID), 0.0), ValueError, "positive"),
+    "moment-norm-p-below-1": (lambda: moment(gaussian_density(STD_GRID), 2.0, 0.5), ValueError,
+                              "norm_p"),
+    "make-dims": (lambda: make_q_gaussian(Q1, GridSpec.box(-8.0, 8.0, 65, 2)), ValueError,
+                  "dims"),
+    "make-few-points": (lambda: make_q_gaussian(Q1, GridSpec.line(-8.0, 8.0, 63)),
+                        GridTooCoarse, ">= 64 points"),
+    "escort-q-0": (lambda: escort(gaussian_density(STD_GRID), 0.0), ValueError, "positive"),
+    "m-q-0": (lambda: m_q_functional(gaussian_density(STD_GRID), 0.0), ValueError, "positive"),
+    "tsallis-q-0": (lambda: tsallis_entropy(gaussian_density(STD_GRID), 0.0), ValueError,
+                    "positive"),
+    "moment-scale-diverges": (lambda: q_gaussian_moment_scale(0.4, 1.0), NonIntegrable,
+                              "diverges"),
+    "l1-across-grids": (lambda: l1_distance(gaussian_density(STD_GRID),
+                                            gaussian_density(GridSpec.line(-12.0, 12.0, 4096))),
+                        ValueError, "different grids"),
+    "coarse-grain-mass": (lambda: coarse_grain(GridDensity(WIDE, np.ones(9) / 6.0), 3),
+                          GridTooCoarse, "factor 3"),
+}
+
+
+@pytest.mark.parametrize("call, error, match", DENSITY_REFUSALS.values(), ids=DENSITY_REFUSALS)
+def test_density_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

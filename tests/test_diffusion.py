@@ -433,3 +433,9 @@ def test_evolve_to_the_state_time_is_a_no_op():
     assert out.t == 0.1
     np.testing.assert_array_equal(out.density.values, s.density.values, strict=True)
     assert s.counters.rhs_evals == 0
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-6])
+def test_step_refuses_a_step_that_is_not_forward(dt):
+    with pytest.raises(ValueError, match="dt must be positive"):
+        step(_heat_state(points=256), dt)

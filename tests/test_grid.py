@@ -425,3 +425,22 @@ def test_boundary_checks_scan_every_axis():
     with pytest.warns(BoundaryMassWarning):
         fourier_transform(WaveFunction.from_values(grid, np.sqrt(vals)))
 
+
+LINE5 = GridSpec.line(-1.0, 1.0, 5)
+GRID_REFUSALS = {
+    "norm-p-below-1": (lambda: lp_norm([np.ones(3), np.ones(3)], 0.5), "p >= 1"),
+    "unequal-lengths": (lambda: GridSpec((0.0,), (1.0, 2.0), (3,)), "equal length"),
+    "no-axis": (lambda: GridSpec((), (), ()), "at least one axis"),
+    "infinite-end": (lambda: GridSpec((0.0,), (np.inf,), (3,)), "finite lo < hi"),
+    "alpha-1": (lambda: HolderPair(1.0, 2.0), "alpha must be finite and > 1"),
+    "beta-1": (lambda: HolderPair(2.0, 1.0), "beta must be finite and > 1"),
+    "dual-of-1": (lambda: dual_exponent(1.0), "1 < p < inf"),
+    "density-shape": (lambda: GridDensity(LINE5, np.ones(4)), "shape"),
+    "from-values-shape": (lambda: GridDensity.from_values(LINE5, np.ones(4)), "shape"),
+}
+
+
+@pytest.mark.parametrize("call, match", GRID_REFUSALS.values(), ids=GRID_REFUSALS)
+def test_grid_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -181,6 +181,19 @@ def test_saturating_wavefunction_touches_bound(q):
     assert rep.saturated
 
 
+@pytest.mark.parametrize("q", [1.0 + 1e-9, 1.0 + 1e-6, 1.02])
+@pytest.mark.parametrize("grid", [GRID, GridSpec.box(-12.0, 12.0, 257, 2)], ids=["1d", "2d"])
+def test_saturating_wavefunction_just_above_q_1(grid, q):
+    # the support edge at 0.6 of the half width gave a psi narrower than the
+    # spacing as q -> 1+: at q = 1 + 1e-6 the transform's L2 norm was 0.99995
+    p = UncertaintyParams(q=q, beta=2.0, dims=grid.dims)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = uncertainty_check(saturating_wavefunction(grid, p), p)
+    assert rep.margin == pytest.approx(0.0, abs=1e-10 * rep.rhs)
+    assert rep.saturated
+
+
 def test_bound_holds_on_zoo_wavefunctions():
     for seed in range(10):
         psi = WaveFunction.from_values(GRID, zoo.random_wavefunction(GRID, seed))
@@ -549,3 +562,8 @@ def test_saturating_wavefunction_refuses_a_scale_that_overflows():
         saturating_wavefunction(GRID, p)
     assert "q" in err.value.names
     assert saturating_wavefunction(GRID, UncertaintyParams(q=0.52, beta=2.0)).values.any()
+
+
+def test_uncertainty_check_refuses_params_of_other_dims():
+    with pytest.raises(ValueError, match="dims = 2"):
+        uncertainty_check(_gaussian_psi(GRID), UncertaintyParams(q=1.0, beta=2.0, dims=2))
