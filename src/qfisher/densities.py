@@ -225,14 +225,18 @@ def block_average(values: np.ndarray, factor: int) -> np.ndarray:
 
 
 def coarse_grid(grid: GridSpec, factor: int) -> GridSpec:
-    """Grid of block centroids after merging `factor` nodes per axis."""
+    """Grid of block centroids after merging `factor` nodes per axis; an axis
+    left with fewer than 2 points raises GridTooCoarse."""
     if factor == 1:
         return grid
     lo, hi, pts = [], [], []
-    for l, h, n, sp in zip(grid.lo, grid.hi, grid.points, grid.spacing):
+    for axis, (l, h, n, sp) in enumerate(zip(grid.lo, grid.hi, grid.points, grid.spacing)):
         if n % factor != 0:
             raise IncompatibleFactor(f"factor {factor} does not divide {n} points")
         m = n // factor
+        if m < 2:
+            raise GridTooCoarse(f"factor {factor} leaves {m} coarse point of the {n} points on "
+                                f"axis {axis}; coarse-graining needs at least 2")
         new_lo = l + sp * (factor - 1) / 2.0
         lo.append(new_lo)
         hi.append(new_lo + sp * factor * (m - 1))

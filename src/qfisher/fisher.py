@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -212,12 +212,34 @@ def p1_moment_weights(grid: GridSpec, alpha: float) -> np.ndarray:
     return w
 
 
-def _cell_power_integrals(g: np.ndarray, s: np.ndarray, h: float, keep: np.ndarray | None,
+class _PowerRows(NamedTuple):
+    """The exponents of `_cell_power_integrals`, a column s with one row each,
+    and what the integrals derive from them, set up once per kernel: t = s + 1,
+    the factor of x in the quotient's denominator (-t, or, where some row has
+    s = -1, t with 1 on those rows, under a negated numerator) and the mask
+    of those rows (None when there are none)."""
+
+    s: np.ndarray
+    t: np.ndarray
+    den: np.ndarray
+    log_rows: np.ndarray | None
+
+
+def _power_rows(s: np.ndarray) -> _PowerRows:
+    t = s + 1.0
+    log_rows = t[:, 0] == 0.0
+    if log_rows.any():
+        return _PowerRows(s, t, np.where(log_rows[:, None], 1.0, t), log_rows)
+    return _PowerRows(s, t, -t, None)
+
+
+def _cell_power_integrals(g: np.ndarray, rows: _PowerRows, h: float, keep: np.ndarray | None,
                           gradient: bool):
     """Integrals of l^s over the cells, l the linear interpolant of the node
-    values g >= 0, one row per exponent in the column `s`, and with `gradient`
-    their derivatives in each cell's left and right node value.  Cells off
-    `keep` (None keeps all) give 0.
+    values g >= 0, one row per exponent in `rows`, and with `gradient` their
+    derivatives in each cell's left and right node value.  g is one row of
+    node values that every exponent shares, or one row per exponent.  Cells
+    off `keep` (None keeps all; one row, or one per exponent) give 0.
 
     Where l runs from a to b, the integral is h (b^(s+1) - a^(s+1)) / ((s+1)(b - a)),
     or h (ln b - ln a) / (b - a) at s = -1.  It is evaluated as
@@ -226,45 +248,65 @@ def _cell_power_integrals(g: np.ndarray, s: np.ndarray, h: float, keep: np.ndarr
     (s+1) ln rho.  ln rho is log1p(-x) where x < 1/2, so no term cancels as
     a and b merge; a cell with a = b gets h a^s.  The derivatives are
     (h b^s - P) / (b - a) and (P - h a^s) / (b - a), or a series where the
-    ends nearly agree.
+    ends nearly agree.  Each temporary is written in place, and every
+    element sees the arithmetic of the formulas in this order.
     """
-    a, b = g[:-1], g[1:]
-    t = s + 1.0
-    log_rows = t[:, 0] == 0.0
+    s, t, den, log_rows = rows
+    a, b = g[..., :-1], g[..., 1:]
+    # np.power gives other bits for the exponents -1, 1/2 and 2 when it reads
+    # them from an array than when it reads one number per call, so each row
+    # of g takes its powers with its exponents in a call of its own
+    groups = ([(slice(None), s)] if g.ndim == 1
+              else [(slice(i, i + 1), s[i:i + 1]) for i in range(len(g))])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        gs = g**s
+        gs = np.empty((len(s), g.shape[-1]))
+        for at, si in groups:
+            np.power(g[at], si, out=gs[at])
         up = b >= a
         top = np.where(up, b, a)
         diff = b - a
         # a = b: x at 1e-200 takes the ratio below to its limit 1
-        x = np.maximum(np.abs(diff) / top, 1e-200)
-        log_rho = np.log1p(-x)
-        far = np.flatnonzero(x >= 0.5)
-        if far.size:
+        x = np.abs(diff)
+        x /= top
+        np.maximum(x, 1e-200, out=x)
+        log_rho = np.negative(x)
+        np.log1p(log_rho, out=log_rho)
+        far = np.nonzero(x >= 0.5)
+        if far[0].size:
             log_rho[far] = np.log(np.minimum(a[far], b[far]) / top[far])
-        if log_rows.any():
-            ratio = -np.expm1(t * log_rho) / (np.where(log_rows[:, None], 1.0, t) * x)
-            ratio[log_rows] = -log_rho / x
-        else:
-            ratio = np.expm1(t * log_rho) / (-t * x)
-        p = h * np.where(up, gs[:, 1:], gs[:, :-1]) * ratio
+        ratio = t * log_rho
+        np.expm1(ratio, out=ratio)
+        if log_rows is not None:
+            np.negative(ratio, out=ratio)
+        ratio /= den * x
+        if log_rows is not None:
+            ratio[log_rows] = np.broadcast_to(-log_rho / x, ratio.shape)[log_rows]
+        p = np.where(up, gs[..., 1:], gs[..., :-1])
+        p *= h
+        p *= ratio
         if gradient:
-            hgs = h * gs
-            dpa = (p - hgs[:, :-1]) / diff
-            dpb = (hgs[:, 1:] - p) / diff
+            gs *= h
+            dpa = np.subtract(p, gs[..., :-1])
+            dpa /= diff
+            dpb = np.subtract(gs[..., 1:], p)
+            dpb /= diff
             # those quotients cancel as a and b merge: where x is at most
             # SERIES_REL, take h m^(s-1) (s + c (s-2) r^2 -+ 2 c r) / 2 with
             # m = (a+b)/2, r = (b-a)/(a+b) and c = s(s-1)/6, exact to O(r^3)
-            near = np.flatnonzero(x <= SERIES_REL if keep is None else (x <= SERIES_REL) & keep)
-            if near.size:
-                total = a[near] + b[near]
-                r = diff[near] / total
-                c = s * (s - 1.0) / 6.0
-                half = 0.5 * h * (0.5 * total) ** (s - 1.0)
-                d_m = s + c * (s - 2.0) * r * r
-                d_r = 2.0 * c * r
-                dpa[:, near] = half * (d_m - d_r)
-                dpb[:, near] = half * (d_m + d_r)
+            near = x <= SERIES_REL
+            if keep is not None:
+                near &= keep
+            for at, si in groups:
+                cells = np.flatnonzero(near[at])
+                if cells.size:
+                    total = a[at][..., cells] + b[at][..., cells]
+                    r = diff[at][..., cells] / total
+                    c = si * (si - 1.0) / 6.0
+                    half = 0.5 * h * (0.5 * total) ** (si - 1.0)
+                    d_m = si + c * (si - 2.0) * r * r
+                    d_r = 2.0 * c * r
+                    dpa[at][..., cells] = half * (d_m - d_r)
+                    dpb[at][..., cells] = half * (d_m + d_r)
     if keep is not None:
         p = np.where(keep, p, 0.0)
         if gradient:
@@ -312,7 +354,8 @@ class QFisherKernel:
         self.dual = dual_exponent(norm_p)
         self.e = beta * (q - 1.0) + 1.0 - beta
         self.weights = grid.trap_weights()
-        self._exponents = np.array([[self.e], [q]])
+        # g^0 = 1 needs no pass: its cell integrals are h
+        self._rows = _power_rows(np.array([[q]] if self.e == 0.0 else [[self.e], [q]]))
 
     def parts(self, gv: np.ndarray, gradient: bool = False) -> tuple[float, np.ndarray | None]:
         """I_{beta,q} at node values `gv` (of trapezoid mass 1) and, with
@@ -327,42 +370,63 @@ class QFisherKernel:
         beta, q, e, (h,) = self.beta, self.q, self.e, self.spacing
         left, right = gv[:-1], gv[1:]
         gmin = float(gv.min())
-        keep = None if gmin > 0.0 else (left > 0.0) | (right > 0.0)
-        if e + 1.0 > 0.0 or gmin > support_floor(gv):
-            # g^0 = 1 needs no pass: its cell integrals are h
-            exps = self._exponents[1:] if e == 0.0 else self._exponents
-            p, dpa, dpb = _cell_power_integrals(gv, exps, h, keep, gradient)
+        keep = None
+        if not gmin > 0.0:
+            keep = (left > 0.0) | (right > 0.0)
+            if keep.all():  # np.where with an all-True mask is the identity
+                keep = None
+        floor = support_floor(gv) if e + 1.0 <= 0.0 else 0.0
+        if e + 1.0 > 0.0 or gmin > floor:
+            p, dpa, dpb = _cell_power_integrals(gv, self._rows, h, keep, gradient)
         else:
             # the support floor: cells below it on both ends are outside the
-            # support, and elsewhere g^e sees the node values clamped at it
-            floor = support_floor(gv)
-            above_l, above_r = left > floor, right > floor
-            pe, dea, deb = _cell_power_integrals(np.maximum(gv, floor), self._exponents[:1], h,
-                                                 above_l | above_r, gradient)
-            pq, dqa, dqb = _cell_power_integrals(gv, self._exponents[1:], h, keep, gradient)
-            p = np.concatenate([pe, pq])
+            # support, and elsewhere g^e sees the node values clamped at it;
+            # one call takes the clamped row for g^e and the raw row for g^q
+            above = gv > floor
+            above_l, above_r = above[:-1], above[1:]
+            rows = np.empty((2, gv.size))
+            np.maximum(gv, floor, out=rows[0])
+            rows[1] = gv
+            keeps = np.empty((2, gv.size - 1), dtype=bool)
+            np.logical_or(above_l, above_r, out=keeps[0])
+            keeps[1] = True if keep is None else keep
+            p, dpa, dpb = _cell_power_integrals(rows, self._rows, h,
+                                                None if keeps.all() else keeps, gradient)
             if gradient:  # clamped ends do not move
-                dpa = np.concatenate([dea * above_l, dqa])
-                dpb = np.concatenate([deb * above_r, dqb])
+                dpa[0] *= above_l
+                dpb[0] *= above_r
         pq = p[-1]
         pe = h if e == 0.0 else p[0]
-        d = (right - left) / h
-        dv = np.sign(d) * np.abs(d) ** (beta - 1.0)
+        d = right - left
+        d /= h
+        # at beta = 2, sign(d) |d|^1 is d itself, up to the sign of a zero,
+        # which the sum below and gradient_adjoint's additions both drop
+        dv = d if beta == 2.0 else np.sign(d) * np.abs(d) ** (beta - 1.0)
         k = d * dv  # |D|^beta
         m_q = float(pq.sum())
         pref = (q / m_q) ** beta
-        value = pref * float(np.sum(k * pe))
+        value = pref * float((k * pe).sum())
         if not gradient:
             return value, None
         # dI = pref dPhi - beta I dM_q / M_q; Phi moves with D and with the
         # cell integrals of g^e, M_q with those of g^q
-        grad = gradient_adjoint((pref * beta) * pe * dv, h)
+        if e == 0.0:
+            face = ((pref * beta) * h) * dv
+        else:
+            face = pe
+            face *= pref * beta
+            face *= dv
+        grad = gradient_adjoint(face, h)
         c = beta * value / m_q
-        to_left, to_right = -c * dpa[-1], -c * dpb[-1]
+        to_left, to_right = dpa[-1], dpb[-1]
+        to_left *= -c
+        to_right *= -c
         if e != 0.0:
-            pk = pref * k
-            to_left += pk * dpa[0]
-            to_right += pk * dpb[0]
+            k *= pref
+            dpa[0] *= k
+            dpb[0] *= k
+            to_left += dpa[0]
+            to_right += dpb[0]
         grad[:-1] += to_left
         grad[1:] += to_right
         return value, grad

@@ -222,6 +222,9 @@ DENSITY_REFUSALS = {
                         ValueError, "different grids"),
     "coarse-grain-mass": (lambda: coarse_grain(GridDensity(WIDE, np.ones(9) / 6.0), 3),
                           GridTooCoarse, "factor 3"),
+    "coarse-grain-one-point": (lambda: coarse_grain(GridDensity(GridSpec.line(-1.5, 1.5, 4),
+                                                                np.ones(4) / 3.0), 4),
+                               GridTooCoarse, "factor 4 leaves 1 coarse point of the 4 points"),
 }
 
 

@@ -27,7 +27,8 @@ from qfisher import (
     theta_gradient,
     zoo,
 )
-from qfisher.fisher import p1_moment_weights
+from qfisher.fisher import SERIES_REL, QFisherKernel, gradient_adjoint, p1_moment_weights
+from qfisher.grid import support_floor
 
 GRID = GridSpec.line(-12.0, 12.0, 2048)
 
@@ -254,3 +255,141 @@ def test_q_gaussian_location_family_full_support():
     g = fam.at(0.0)
     val = generalized_fisher(fam, g, 0.0, beta=2.0)
     assert np.isfinite(val) and val > 0.0
+
+
+def _cell_integrals_formulas(g, s, h, keep, gradient):
+    """The P1 cell integrals of g^s and their end derivatives, written from
+    the formulas with fresh arrays, one exponent row per column entry of s
+    and one call per row of node values: the pinned reference for
+    `fisher._cell_power_integrals`, which works in place."""
+    a, b = g[:-1], g[1:]
+    t = s + 1.0
+    log_rows = t[:, 0] == 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gs = g**s
+        up = b >= a
+        top = np.where(up, b, a)
+        diff = b - a
+        x = np.maximum(np.abs(diff) / top, 1e-200)
+        log_rho = np.log1p(-x)
+        far = np.flatnonzero(x >= 0.5)
+        if far.size:
+            log_rho[far] = np.log(np.minimum(a[far], b[far]) / top[far])
+        if log_rows.any():
+            ratio = -np.expm1(t * log_rho) / (np.where(log_rows[:, None], 1.0, t) * x)
+            ratio[log_rows] = -log_rho / x
+        else:
+            ratio = np.expm1(t * log_rho) / (-t * x)
+        p = h * np.where(up, gs[:, 1:], gs[:, :-1]) * ratio
+        if gradient:
+            hgs = h * gs
+            dpa = (p - hgs[:, :-1]) / diff
+            dpb = (hgs[:, 1:] - p) / diff
+            near = np.flatnonzero(x <= SERIES_REL if keep is None else (x <= SERIES_REL) & keep)
+            if near.size:
+                total = a[near] + b[near]
+                r = diff[near] / total
+                c = s * (s - 1.0) / 6.0
+                half = 0.5 * h * (0.5 * total) ** (s - 1.0)
+                d_m = s + c * (s - 2.0) * r * r
+                d_r = 2.0 * c * r
+                dpa[:, near] = half * (d_m - d_r)
+                dpb[:, near] = half * (d_m + d_r)
+    if keep is not None:
+        p = np.where(keep, p, 0.0)
+        if gradient:
+            dpa, dpb = np.where(keep, dpa, 0.0), np.where(keep, dpb, 0.0)
+    return p, dpa if gradient else None, dpb if gradient else None
+
+
+def _p1_formulas(gv, h, beta, q, gradient):
+    """I_{beta,q} of the P1 interpolant and its gradient, from the formulas:
+    the floored path (e + 1 <= 0) as two calls, one per exponent, and
+    sign(D) |D|^(beta-1) at every beta."""
+    e = beta * (q - 1.0) + 1.0 - beta
+    exponents = np.array([[e], [q]])
+    left, right = gv[:-1], gv[1:]
+    gmin = float(gv.min())
+    keep = None if gmin > 0.0 else (left > 0.0) | (right > 0.0)
+    if e + 1.0 > 0.0 or gmin > support_floor(gv):
+        exps = exponents[1:] if e == 0.0 else exponents
+        p, dpa, dpb = _cell_integrals_formulas(gv, exps, h, keep, gradient)
+    else:
+        floor = support_floor(gv)
+        above_l, above_r = left > floor, right > floor
+        pe, dea, deb = _cell_integrals_formulas(np.maximum(gv, floor), exponents[:1], h,
+                                                above_l | above_r, gradient)
+        pq, dqa, dqb = _cell_integrals_formulas(gv, exponents[1:], h, keep, gradient)
+        p = np.concatenate([pe, pq])
+        if gradient:
+            dpa = np.concatenate([dea * above_l, dqa])
+            dpb = np.concatenate([deb * above_r, dqb])
+    pq = p[-1]
+    pe = h if e == 0.0 else p[0]
+    d = (right - left) / h
+    dv = np.sign(d) * np.abs(d) ** (beta - 1.0)
+    k = d * dv
+    m_q = float(pq.sum())
+    pref = (q / m_q) ** beta
+    value = pref * float(np.sum(k * pe))
+    if not gradient:
+        return value, None
+    grad = gradient_adjoint((pref * beta) * pe * dv, h)
+    c = beta * value / m_q
+    to_left, to_right = -c * dpa[-1], -c * dpb[-1]
+    if e != 0.0:
+        pk = pref * k
+        to_left += pk * dpa[0]
+        to_right += pk * dpb[0]
+    grad[:-1] += to_left
+    grad[1:] += to_right
+    return value, grad
+
+
+def _kernel_inputs():
+    """Node values on [-4, 4] (61 points, so that h is no power of 2) that
+    reach every branch of the kernel: pinned zero ends, cells whose two ends
+    are 0, far cells (x >= 1/2) with a zero end and with two positive ends,
+    series cells (x <= SERIES_REL), and values below the support floor."""
+    x = np.linspace(-4.0, 4.0, 61)
+    bump = np.exp(-0.5 * x * x)
+    pinned = bump.copy()
+    pinned[[0, -1]] = 0.0
+    compact = np.maximum(1.0 - x * x / 6.25, 0.0) ** 2
+    compact[29:32] = compact[30] * (1.0 + 1e-5 * np.arange(-1.0, 2.0))  # series cells
+    compact[20] *= 0.3  # a jump between two positive ends
+    floored = np.where(np.abs(x) > 3.5, 1e-19, bump)  # positive, some below the floor
+    return {"full": bump, "pinned": pinned, "compact": compact, "floored": floored}
+
+
+def test_kernel_inputs_reach_every_branch():
+    vals = _kernel_inputs()
+    a, b = vals["compact"][:-1], vals["compact"][1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.abs(b - a) / np.maximum(a, b)
+    both_zero = (a == 0.0) & (b == 0.0)
+    assert both_zero.any()
+    assert ((x >= 0.5) & (np.minimum(a, b) > 0.0)).any()
+    assert ((x >= 0.5) & (np.minimum(a, b) == 0.0)).any()
+    assert ((x <= SERIES_REL) & (a != b)).any()
+    assert vals["floored"].min() > 0.0
+    assert vals["floored"].min() <= support_floor(vals["floored"])
+
+
+@pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("q", [0.8, 1.0, 1.2, 1.5, 2.0])
+def test_p1_parts_is_the_formulas_bit_for_bit(q, beta):
+    # the kernel writes its temporaries in place, stacks the floored path's
+    # two rows into one call, skips all-True masks and takes D itself as
+    # sign(D)|D|^(beta-1) at beta = 2; none of that may move one bit
+    grid = GridSpec.line(-4.0, 4.0, 61)
+    kernel = QFisherKernel(grid, beta, q)
+    (h,) = grid.spacing
+    for name, vals in _kernel_inputs().items():
+        gv = vals / float(grid.trap_weights() @ vals)
+        for gradient in (False, True):
+            value, grad = kernel.parts(gv, gradient)
+            ref_value, ref_grad = _p1_formulas(gv, h, beta, q, gradient)
+            assert np.float64(value).tobytes() == np.float64(ref_value).tobytes(), name
+            if gradient:
+                assert grad.tobytes() == ref_grad.tobytes(), name

@@ -1,6 +1,7 @@
 """Objective gradient correctness and descent to the known minimizer family."""
 
 import sys
+from collections import deque
 
 import numpy as np
 import pytest
@@ -87,6 +88,29 @@ def test_sobolev_metric_is_the_scaled_inverse_shifted_laplacian(n):
         lhs = float(u @ minimizer._sobolev_metric(v, scale, weights))
         rhs = float(minimizer._sobolev_metric(u, scale, weights) @ v)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15)
+
+
+def _sobolev_metric_formulas(v, scale, weights):
+    """H0 v with each odd extension built by concatenating a negated copy:
+    the pinned reference for `_sobolev_metric`, which extends in one buffer."""
+    def odd_sine(z):
+        return np.fft.rfft(np.concatenate((z, -z[..., -2:0:-1]), axis=-1)).imag
+
+    return scale * odd_sine(weights * odd_sine(scale * v))
+
+
+@pytest.mark.parametrize("rows", [None, 1, 2])
+@pytest.mark.parametrize("n", [3, 9, 257])
+def test_sobolev_metric_is_the_concatenated_form_bit_for_bit(n, rows):
+    rng = np.random.default_rng(n)
+    h = 20.0 / (n - 1)
+    scale = rng.uniform(0.5, 3.0, n)
+    scale[[0, -1]] = 0.0
+    weights = minimizer._sobolev_weights(n, h)
+    v = rng.normal(size=n if rows is None else (rows, n))
+    fast = minimizer._sobolev_metric(v, scale, weights)
+    ref = _sobolev_metric_formulas(v, scale, weights)
+    assert fast.shape == ref.shape and fast.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("n", [257, 513, 1025])
@@ -328,3 +352,56 @@ def test_failed_quasi_newton_direction_retries_along_the_steepest_one(monkeypatc
     assert objectives[at + minimizer.MAX_TRIALS] < current
     assert res.counters.rejected_trials >= minimizer.MAX_TRIALS * len(two_loop_calls)
     assert res.stop_reason == "tol"
+
+
+def _two_loop_formulas(grad, steps, changes, metric):
+    """The two-loop recursion with fresh arrays at every step: the pinned
+    reference for `minimizer._two_loop`, which writes its vectors in place."""
+    s_mat, y_mat = np.array(steps), np.array(changes)
+    sy = (s_mat @ y_mat.T).tolist()
+    k = len(sy)
+    rho = [1.0 / sy[i][i] for i in range(k)]
+    s_dot = (s_mat @ grad).tolist()
+    a = [0.0] * k
+    for i in reversed(range(k)):
+        acc = s_dot[i]
+        for j in range(i + 1, k):
+            acc -= a[j] * sy[i][j]
+        a[i] = rho[i] * acc
+    r = grad - np.array(a) @ y_mat
+    y_new = y_mat[-1]
+    h_y, h_r = metric(np.stack([y_new, r]))
+    r = (sy[-1][-1] / float(y_new @ h_y)) * h_r
+    y_dot = (y_mat @ r).tolist()
+    c = [0.0] * k
+    for i in range(k):
+        acc = y_dot[i]
+        for j in range(i):
+            acc += c[j] * sy[j][i]
+        c[i] = a[i] - rho[i] * acc
+    r += np.array(c) @ s_mat
+    return -r
+
+
+@pytest.mark.parametrize("k", [1, 5, 12])
+def test_two_loop_is_the_formulas_bit_for_bit(k):
+    n = 257
+    rng = np.random.default_rng(k)
+    grid = GridSpec.line(-10.0, 10.0, n)
+    g = zoo.mixture_density(grid, (-1.2, 1.1), (0.7, 0.45), (0.6, 0.4)).values
+    scale = g ** -0.5
+    scale[[0, -1]] = 0.0
+    weights = minimizer._sobolev_weights(n, grid.spacing[0])
+
+    def metric(v):
+        return minimizer._sobolev_metric(v, scale, weights)
+
+    steps, changes = deque(maxlen=minimizer.MEMORY), deque(maxlen=minimizer.MEMORY)
+    for _ in range(k):
+        s_k = rng.normal(size=n)
+        steps.append(s_k)
+        changes.append(s_k * rng.uniform(0.5, 2.0, n) + 0.1 * rng.normal(size=n))
+    grad = rng.normal(size=n)
+    got = minimizer._two_loop(grad, steps, changes, metric)
+    ref = _two_loop_formulas(grad, steps, changes, metric)
+    assert got.tobytes() == ref.tobytes()
