@@ -9,6 +9,7 @@ and the two exponents are Holder conjugate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -17,8 +18,8 @@ from .densities import _escort_mass, moment, warn_if_truncated
 from .errors import JacobianSingular, ParameterError, SingularFisherMatrix
 from .fisher import (ParametricFamily, QFisherKernel, _as_theta, _gradient_on,
                      central_difference, fisher_matrix, p1_moment_weights)
-from .grid import (GridDensity, HolderPair, boundary_abs_max, dual_exponent, lp_norm, row_strips,
-                   strip_gradient, strip_radius, support_floor, support_power)
+from .grid import (GridDensity, GridSpec, HolderPair, boundary_abs_max, dual_exponent, lp_norm,
+                   row_strips, strip_gradient, strip_radius, support_floor, support_power)
 from .sampling import sample_density
 
 SATURATION_REL_TOL = 1e-2
@@ -210,23 +211,76 @@ def covariance_bound_check(
     )
 
 
+@lru_cache(maxsize=64)
+def _edge_field_weights(grid: GridSpec, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """(L, R) with V_i / h = L_i g_i + R_i g_{i+1} on a 1D grid, V_i the
+    integral over cell i of l |x|^(alpha-1) sign(x), l the linear interpolant
+    of the node values g.  Cached per (grid, alpha) and read-only, as
+    `p1_moment_weights` is.
+
+    On the cell [a, b], l = (g_i (b - x) + g_{i+1} (x - a)) / h, so with
+    I1 and I2 the increments of A1 = |x|^alpha / alpha and
+    A2 = x |x|^alpha / (alpha + 1), whose slopes are |x|^(alpha-1) sign(x)
+    and |x|^alpha, L = (b I1 - I2) / h^2 and R = (I2 - a I1) / h^2.  The
+    differences cancel where |x| is large against h, costing a few digits of
+    the 16, far below the fit's tolerance.
+    """
+    x = grid.axes()[0]
+    h = grid.spacing[0]
+    ax = np.abs(x)
+    a1 = ax**alpha / alpha
+    a2 = x * ax**alpha / (alpha + 1.0)
+    i1, i2 = np.diff(a1), np.diff(a2)
+    left = (x[1:] * i1 - i2) / (h * h)
+    right = (i2 - x[:-1] * i1) / (h * h)
+    left.setflags(write=False)
+    right.setflags(write=False)
+    return left, right
+
+
 def _equality_field_fit(f_values: np.ndarray, g: GridDensity, alpha: float,
                         norm_p: float) -> tuple[float, float, bool]:
     """Least-squares K and relative residual for grad f = -K g ||x||^(alpha-1) grad ||x||,
     f given by its node values, and whether they say the equality holds (a
     residual below FIELD_FIT_TOL, K > 0).
 
-    Each weighted sum is (w * a * b).sum() with w the trapezoid weights times
-    the support mask of g.  One pass over strips (`grid.row_strips`) takes
-    num = sum w grad f . v, den = sum w v . v and base = sum w grad f . grad f,
-    v the equality field, with the fields of each strip computed there: grad f
-    from the strip and its halo, ||x||_p and v from the coordinates.  K =
-    -num / den solves the normal equation, so the misfit at K,
-    sum w (grad f + K v)^2 = base + 2 K num + K^2 den, is base + K num.
+    In 1D the condition is integrated over each cell: Delta f / h = -K V / h,
+    V the exact cell integral of the field with g's linear interpolant
+    (`_edge_field_weights`), fitted on the cells with a node of g above the
+    support floor, all of width h.  In 2D it is taken at the nodes: each
+    weighted sum is (w * a * b).sum() with w the trapezoid weights times the
+    support mask of g, and one pass over strips (`grid.row_strips`) takes the
+    fields of each strip there: grad f from the strip and its halo, ||x||_p
+    and the field from the coordinates.
+
+    Either way num = sum a v, den = sum v v and base = sum a a, with a the
+    slopes of f and v the field, and K = -num / den solves the normal
+    equation, so the misfit at K, sum (a + K v)^2 = base + 2 K num + K^2 den,
+    is base + K num.
     """
     gv, grid = g.values, g.grid
-    floor, weights, mesh = support_floor(gv), grid.trap_weights(), grid.open_mesh()
+    floor = support_floor(gv)
+    if grid.dims == 1:
+        left, right = _edge_field_weights(grid, alpha)
+        above = gv > floor
+        touch = above[:-1] | above[1:]
+        h = grid.spacing[0]
+        slope = (f_values[1:] - f_values[:-1])[touch] / h
+        v = (left * gv[:-1] + right * gv[1:])[touch]
+        num, den, base = float((slope * v).sum()), float((v * v).sum()), float((slope * slope).sum())
+    else:
+        num, den, base = _node_fit_sums(f_values, g, alpha, norm_p, floor)
+    if den <= 0.0 or base <= 0.0:
+        return 0.0, 1.0, False
+    k = -num / den
+    residual = float(np.sqrt(max(base + k * num, 0.0) / base))
+    return k, residual, residual < FIELD_FIT_TOL and k > 0.0
 
+
+def _node_fit_sums(f_values, g, alpha, norm_p, floor):
+    """num, den and base of the 2D node fit, in one pass over strips."""
+    gv, grid = g.values, g.grid
+    weights, mesh = grid.trap_weights(), grid.open_mesh()
     num = den = base = 0.0
     for rows in row_strips(gv.shape):
         # g ||x||^(alpha-1) grad ||x||; grad ||x||_p is 0 at the origin (there
@@ -246,11 +300,7 @@ def _equality_field_fit(f_values: np.ndarray, g: GridDensity, alpha: float,
             num += float((wg * vi).sum())
             den += float((w * vi * vi).sum())
             base += float((wg * gf).sum())
-    if den <= 0.0 or base <= 0.0:
-        return 0.0, 1.0, False
-    k = -num / den
-    residual = float(np.sqrt(max(base + k * num, 0.0) / base))
-    return k, residual, residual < FIELD_FIT_TOL and k > 0.0
+    return num, den, base
 
 
 def functional_cr_check(

@@ -216,18 +216,21 @@ class _PowerRows(NamedTuple):
     """The exponents of `_cell_power_integrals`, a column s with one row each,
     and what the integrals derive from them, set up once per kernel: t = s + 1,
     the factor of x in the quotient's denominator (-t, or, where some row has
-    s = -1, t with 1 on those rows, under a negated numerator) and the mask
-    of those rows (None when there are none)."""
+    s = -1, t with 1 on those rows, under a negated numerator; None when
+    every row has s = -1, as no row then needs the quotient) and the mask of
+    those rows (None when there are none)."""
 
     s: np.ndarray
     t: np.ndarray
-    den: np.ndarray
+    den: np.ndarray | None
     log_rows: np.ndarray | None
 
 
 def _power_rows(s: np.ndarray) -> _PowerRows:
     t = s + 1.0
     log_rows = t[:, 0] == 0.0
+    if log_rows.all():
+        return _PowerRows(s, t, None, log_rows)
     if log_rows.any():
         return _PowerRows(s, t, np.where(log_rows[:, None], 1.0, t), log_rows)
     return _PowerRows(s, t, -t, None)
@@ -274,13 +277,17 @@ def _cell_power_integrals(g: np.ndarray, rows: _PowerRows, h: float, keep: np.nd
         far = np.nonzero(x >= 0.5)
         if far[0].size:
             log_rho[far] = np.log(np.minimum(a[far], b[far]) / top[far])
-        ratio = t * log_rho
-        np.expm1(ratio, out=ratio)
-        if log_rows is not None:
-            np.negative(ratio, out=ratio)
-        ratio /= den * x
-        if log_rows is not None:
-            ratio[log_rows] = np.broadcast_to(-log_rho / x, ratio.shape)[log_rows]
+        if den is None:  # s = -1 on every row
+            ratio = np.negative(log_rho)
+            ratio /= x
+        else:
+            ratio = t * log_rho
+            np.expm1(ratio, out=ratio)
+            if log_rows is not None:
+                np.negative(ratio, out=ratio)
+            ratio /= den * x
+            if log_rows is not None:
+                ratio[log_rows] = np.broadcast_to(-log_rho / x, ratio.shape)[log_rows]
         p = np.where(up, gs[..., 1:], gs[..., :-1])
         p *= h
         p *= ratio
@@ -312,6 +319,18 @@ def _cell_power_integrals(g: np.ndarray, rows: _PowerRows, h: float, keep: np.nd
         if gradient:
             dpa, dpb = np.where(keep, dpa, 0.0), np.where(keep, dpb, 0.0)
     return p, dpa if gradient else None, dpb if gradient else None
+
+
+def _floor_span(above: np.ndarray) -> tuple[int, int]:
+    """The cells [lo, hi) that touch a node above the support floor, `above`
+    marking those nodes: the whole line when the second and the last but one
+    node are above it, as where only the two end nodes are pinned at 0."""
+    lo, hi = 0, above.size - 1
+    if not above[1]:
+        lo = max(int(above.argmax()) - 1, 0)
+    if not above[-2]:
+        hi = min(above.size - int(above[::-1].argmax()), hi)
+    return lo, hi
 
 
 class QFisherKernel:
@@ -356,6 +375,8 @@ class QFisherKernel:
         self.weights = grid.trap_weights()
         # g^0 = 1 needs no pass: its cell integrals are h
         self._rows = _power_rows(np.array([[q]] if self.e == 0.0 else [[self.e], [q]]))
+        # under the support floor, a span of the line takes g^e alone
+        self._rows_e, self._rows_q = _power_rows(np.array([[self.e]])), _power_rows(np.array([[q]]))
 
     def parts(self, gv: np.ndarray, gradient: bool = False) -> tuple[float, np.ndarray | None]:
         """I_{beta,q} at node values `gv` (of trapezoid mass 1) and, with
@@ -380,18 +401,36 @@ class QFisherKernel:
             p, dpa, dpb = _cell_power_integrals(gv, self._rows, h, keep, gradient)
         else:
             # the support floor: cells below it on both ends are outside the
-            # support, and elsewhere g^e sees the node values clamped at it;
-            # one call takes the clamped row for g^e and the raw row for g^q
+            # support, and elsewhere g^e sees the node values clamped at it
             above = gv > floor
             above_l, above_r = above[:-1], above[1:]
-            rows = np.empty((2, gv.size))
-            np.maximum(gv, floor, out=rows[0])
-            rows[1] = gv
-            keeps = np.empty((2, gv.size - 1), dtype=bool)
-            np.logical_or(above_l, above_r, out=keeps[0])
-            keeps[1] = True if keep is None else keep
-            p, dpa, dpb = _cell_power_integrals(rows, self._rows, h,
-                                                None if keeps.all() else keeps, gradient)
+            lo, hi = _floor_span(above)
+            if lo == 0 and hi == gv.size - 1:
+                # one call takes the clamped row for g^e and the raw row for g^q
+                rows = np.empty((2, gv.size))
+                np.maximum(gv, floor, out=rows[0])
+                rows[1] = gv
+                keeps = np.empty((2, gv.size - 1), dtype=bool)
+                np.logical_or(above_l, above_r, out=keeps[0])
+                keeps[1] = True if keep is None else keep
+                p, dpa, dpb = _cell_power_integrals(rows, self._rows, h,
+                                                    None if keeps.all() else keeps, gradient)
+            else:
+                # g^e on the span alone, clamped from a view of it, and g^q on
+                # the whole line; each g^e row lands in a full-length row, 0
+                # off the span, as one call on the whole line leaves it, so
+                # every sum keeps its bits.  p, dpa and dpb are (g^e row, g^q
+                # row) pairs
+                on = above[lo:hi + 1]
+                keep_e = on[:-1] | on[1:]
+                span = _cell_power_integrals(np.maximum(gv[lo:hi + 1], floor), self._rows_e, h,
+                                             None if keep_e.all() else keep_e, gradient)
+                whole = _cell_power_integrals(gv, self._rows_q, h, keep, gradient)
+                p, dpa, dpb = (None if q_row is None else [np.zeros(gv.size - 1), q_row[0]]
+                               for q_row in whole)
+                for pair, e_row in zip((p, dpa, dpb), span):
+                    if pair is not None:
+                        pair[0][lo:hi] = e_row[0]
             if gradient:  # clamped ends do not move
                 dpa[0] *= above_l
                 dpb[0] *= above_r

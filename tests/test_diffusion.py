@@ -224,7 +224,7 @@ def test_debruijn_lhs_is_the_exact_entropy_rate(m_exp, beta):
     s = evolve(s, 0.01)
     f, q = s.density.values, s.q
     lhs = debruijn_check(s).lhs
-    lf, slope = diffusion._flux_divergence(f, s.dx, m_exp, beta)
+    lf, slope = diffusion._flux_divergence(f, diffusion._FluxBuffers.of(s))
     # summation by parts: sum_i h s'(f_i) L(f)_i equals minus the face sum
     # of F Delta s'(f), i.e. (q/(q-1)) sum F Delta f^(q-1), or sum F Delta ln f
     # at q = 1; nodes at or below the support floor carry s' = 0 on both sides
@@ -349,14 +349,15 @@ def test_super_steps_cut_flux_evaluations():
 
 
 def _flux_divergence_reference(g, dx, m_exp, beta):
-    """L(g) from the formulas, allocating every intermediate."""
+    """L(g) and the face slope D from the formulas, allocating every intermediate."""
     slope = np.diff(g**m_exp) / dx
     flux = slope if beta == 2.0 else np.sign(slope) * np.abs(slope) ** (beta - 1.0)
-    return np.concatenate([[2.0 * flux[0]], np.diff(flux), [-2.0 * flux[-1]]]) / dx
+    return np.concatenate([[2.0 * flux[0]], np.diff(flux), [-2.0 * flux[-1]]]) / dx, slope
 
 
-def _rkl2_reference(f0, l0, tau, s, dx, m_exp, beta):
-    """One RKL2 super step as the formulas read (Meyer, Balsara & Aslam 2014)."""
+def _rkl2_reference(f0, l0, tau, s, dx, m_exp, beta, stage_mins):
+    """One RKL2 super step as the formulas read (Meyer, Balsara & Aslam 2014);
+    appends the least value of each stage the clip sees to `stage_mins`."""
     w1 = 1.0 / ((s * s + s - 2) / 4.0)
     b = [1.0 / 3.0] * 3 + [(j * j + j - 2) / (2.0 * j * (j + 1)) for j in range(3, s + 1)]
     y_prev, y = f0, f0 + (b[1] * w1 * tau) * l0
@@ -364,31 +365,74 @@ def _rkl2_reference(f0, l0, tau, s, dx, m_exp, beta):
         mu = (2 * j - 1) / j * b[j] / b[j - 1]
         nu = -(j - 1) / j * b[j] / b[j - 2]
         mu_t = mu * w1 * tau
-        lj = _flux_divergence_reference(np.maximum(y, 0.0), dx, m_exp, beta)
+        stage_mins.append(float(y.min()))
+        lj, _ = _flux_divergence_reference(np.maximum(y, 0.0), dx, m_exp, beta)
         y_prev, y = y, (mu * y + nu * y_prev + (1.0 - mu - nu) * f0
                         + mu_t * lj - (1.0 - b[j - 1]) * mu_t * l0)
     return y
 
 
-@pytest.mark.parametrize("m_exp,beta", [(1.0, 2.0), (2.0, 2.0), (1.0, 3.0), (1.5, 2.5)])
+def _rippled_bump(points=512):
+    """A compact bump on [-3, 3] with a ripple of +-1e-4 on part of its zero
+    stretch: exact zeros, flat stretches, and nodes below 0, which every
+    stage's clip then meets, as it meets a stage that dips."""
+    grid = GridSpec.line(-3.0, 3.0, points)
+    (x,) = grid.axes()
+    values = np.maximum(1.0 - (x / 0.5) ** 2, 0.0) ** 2
+    ripple = np.flatnonzero((np.abs(x) > 0.6) & (np.abs(x) < 1.2))
+    values[ripple] = 1e-4 * (-1.0) ** ripple
+    return values, grid.spacing[0]
+
+
+def _assert_same_bits(a, b):
+    # compared as bit patterns, so that -0.0 and 0.0 differ
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("beta", [1.5, 2.0, 2.5, 3.0])
+@pytest.mark.parametrize("m_exp", [1.0, 1.5, 2.0, 3.0])
 def test_in_place_rkl2_matches_the_formulas_bit_for_bit(m_exp, beta):
-    grid = GridSpec.line(-3.0, 3.0, 512)
-    s = evolve(DiffusionState(density=zoo.gaussian_density(grid, 0.0, 0.05), t=0.0,
-                              m_exp=m_exp, beta=beta), 0.005)
-    f0 = s.density.values
-    l0 = _flux_divergence_reference(f0, s.dx, m_exp, beta)
-    dt_e = diffusion._cfl_dt(f0, np.diff(f0**m_exp) / s.dx, s.dx, m_exp, beta)
+    f0, dx = _rippled_bump()
+    # the flux of the nonnegative part, as at every stage
+    l0, slope = _flux_divergence_reference(np.maximum(f0, 0.0), dx, m_exp, beta)
+    # the CFL step of the steepest face at the largest value
+    grad_part = np.abs(slope).max() ** (beta - 2.0)
+    dt_e = 0.4 * dx**2 / ((beta - 1.0) * grad_part * m_exp * f0.max() ** (m_exp - 1.0))
     f0_bits, l0_bits = f0.copy(), l0.copy()
     # one set of buffers serves every call, as within one evolve
-    buf = diffusion._StageBuffers(f0.size)
-    for stages in (20, 7, 3):
+    buf = diffusion._StageBuffers(f0.size, dx, m_exp, beta)
+    stage_mins = []
+    for stages in range(diffusion.RKL2_MAX_STAGES, 2, -1):
         tau = dt_e * diffusion._rkl2_reach(stages)
-        ref = _rkl2_reference(f0, l0, tau, stages, s.dx, m_exp, beta)
-        out = diffusion._rkl2(f0, l0, tau, stages, s.dx, m_exp, beta, buf)
-        # compared as bit patterns, so that -0.0 and 0.0 differ
-        np.testing.assert_array_equal(out.view(np.int64), ref.view(np.int64))
-        np.testing.assert_array_equal(f0.view(np.int64), f0_bits.view(np.int64))
-        np.testing.assert_array_equal(l0.view(np.int64), l0_bits.view(np.int64))
+        ref = _rkl2_reference(f0, l0, tau, stages, dx, m_exp, beta, stage_mins)
+        out = diffusion._rkl2(f0, l0, tau, stages, buf)
+        assert np.isfinite(ref).all()
+        _assert_same_bits(out, ref)
+        _assert_same_bits(f0, f0_bits)
+        _assert_same_bits(l0, l0_bits)
+    assert min(stage_mins) < 0.0
+
+
+@pytest.mark.parametrize("beta", [1.5, 2.0, 2.5, 3.0])
+@pytest.mark.parametrize("m_exp", [1.0, 1.5, 2.0, 3.0])
+def test_flux_divergence_matches_the_formulas_bit_for_bit(m_exp, beta):
+    # exact zeros, flat stretches, subnormal steps and a -0.0 node; at
+    # dx = 2.5 a subnormal step of f^m divides to a slope of -0.0, where
+    # sign(D) is +0.0
+    tiny = 5e-324 ** (1.0 / m_exp)
+    values = np.array([0.0, 0.0, tiny, 0.0, -0.0, 0.0, 1.0, 1.0, 1.0, 0.5, tiny, 0.0,
+                       2.0, 2.0, 0.25, 0.0, 0.0])
+    for dx in (0.01, 2.5):
+        flux_buf = diffusion._FluxBuffers(values.size, dx, m_exp, beta)
+        stage_buf = diffusion._StageBuffers(values.size, dx, m_exp, beta).flux
+        for buf, f in ((flux_buf, values), (stage_buf, np.maximum(values, 0.0))):
+            div, slope = _flux_divergence_reference(f, dx, m_exp, beta)
+            out_div, out_slope = diffusion._flux_divergence(f, buf)
+            _assert_same_bits(out_slope, slope)
+            _assert_same_bits(out_div, div)
+    # the -0.0 slope is there to pin
+    slope = diffusion._flux_divergence(values, diffusion._FluxBuffers(values.size, 2.5, 1.0, 3.0))[1]
+    assert np.any((slope == 0.0) & np.signbit(slope))
 
 
 @pytest.mark.parametrize("m_exp,beta", [(1.0, 2.0), (2.0, 2.0), (1.0, 3.0)])

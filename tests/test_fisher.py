@@ -27,6 +27,7 @@ from qfisher import (
     theta_gradient,
     zoo,
 )
+import qfisher.fisher as fisher_module
 from qfisher.fisher import SERIES_REL, QFisherKernel, gradient_adjoint, p1_moment_weights
 from qfisher.grid import support_floor
 
@@ -379,9 +380,9 @@ def test_kernel_inputs_reach_every_branch():
 @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("q", [0.8, 1.0, 1.2, 1.5, 2.0])
 def test_p1_parts_is_the_formulas_bit_for_bit(q, beta):
-    # the kernel writes its temporaries in place, stacks the floored path's
-    # two rows into one call, skips all-True masks and takes D itself as
-    # sign(D)|D|^(beta-1) at beta = 2; none of that may move one bit
+    # the kernel writes its temporaries in place, takes the floored path's
+    # g^e row on the support span alone, skips all-True masks and takes D
+    # itself as sign(D)|D|^(beta-1) at beta = 2; none of that may move one bit
     grid = GridSpec.line(-4.0, 4.0, 61)
     kernel = QFisherKernel(grid, beta, q)
     (h,) = grid.spacing
@@ -393,3 +394,27 @@ def test_p1_parts_is_the_formulas_bit_for_bit(q, beta):
             assert np.float64(value).tobytes() == np.float64(ref_value).tobytes(), name
             if gradient:
                 assert grad.tobytes() == ref_grad.tobytes(), name
+
+
+@pytest.mark.parametrize("gradient", [False, True])
+@pytest.mark.parametrize("beta,q", [(2.0, 1.0), (3.0, 0.6)])  # e = -1 and e = -3.2
+@pytest.mark.parametrize("half,below", [(3.0, 0.0005), (12.0, 0.38), (60.0, 0.88)])
+def test_floored_span_is_the_whole_line_path_bit_for_bit(half, below, beta, q, gradient,
+                                                         monkeypatch):
+    # the floored path takes g^e on the cells between the first and the last
+    # node above the support floor; taken on the whole line instead, as one
+    # call with g^q, every bit of the value and the gradient is the same.
+    # At half 3 only the pinned ends lie below the floor
+    grid = GridSpec.line(-half, half, 4096)
+    (x,) = grid.axes()
+    g = np.exp(-0.5 * (x - 0.37) ** 2)
+    g[[0, -1]] = 0.0
+    g /= float(grid.trap_weights() @ g)
+    assert np.mean(g <= support_floor(g)) == pytest.approx(below, abs=0.01)
+    kernel = QFisherKernel(grid, beta, q)
+    value, grad = kernel.parts(g, gradient)
+    monkeypatch.setattr(fisher_module, "_floor_span", lambda above: (0, above.size - 1))
+    ref_value, ref_grad = kernel.parts(g, gradient)
+    assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+    if gradient:
+        np.testing.assert_array_equal(grad.view(np.int64), ref_grad.view(np.int64))
