@@ -36,7 +36,6 @@ calls with no Python float operand, where it made 14, 15 and 18 calls with
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass, field, replace
@@ -126,11 +125,11 @@ class _FluxBuffers:
         self.dx, self.m_exp, self.beta = dx, m_exp, beta
         self.dx_0d, self.zero_0d = np.array(dx), np.array(0.0)
         self.m_0d, self.power_0d = np.array(m_exp), np.array(beta - 1.0)
-        # sign(D)|D|^(beta-1) differs from copysign(|D|^(beta-1), D) and from
-        # D|D| only at D = -0.0.  That needs f^m = -0.0 at a node, which no
-        # clipped stage holds (np.maximum(y, 0.0) maps -0.0 to +0.0), or a
-        # nonzero difference that dividing by dx > 1 rounds to zero
-        self.signed_forms = clipped and dx <= 1.0
+        # at beta = 3, sign(D)|D|^2 differs from D|D| only at D = -0.0.  That
+        # needs f^m = -0.0 at a node, which no clipped stage holds
+        # (np.maximum(y, 0.0) maps -0.0 to +0.0), or a nonzero difference
+        # that dividing by dx > 1 rounds to zero
+        self.product_flux = clipped and dx <= 1.0 and beta == 3.0
         self.fm, self.div = np.empty(n), np.empty(n)
         self.slope, self.flux, self.sign = np.empty(n - 1), np.empty(n - 1), np.empty(n - 1)
         self.fm_hi, self.fm_lo = self.fm[1:], self.fm[:-1]
@@ -162,13 +161,11 @@ def _flux_divergence(f, buf):
     flux = slope
     if beta != 2.0:
         flux = np.abs(slope, out=buf.flux)
-        if not buf.signed_forms:
-            np.power(flux, buf.power_0d, out=flux)
-            flux *= np.sign(slope, out=buf.sign)
-        elif beta == 3.0:  # np.power(x, 2.0) is x*x
+        if buf.product_flux:  # np.power(x, 2.0) is x*x
             flux *= slope
         else:
-            np.copysign(np.power(flux, buf.power_0d, out=flux), slope, out=flux)
+            np.power(flux, buf.power_0d, out=flux)
+            flux *= np.sign(slope, out=buf.sign)
     div = buf.div
     div[0], div[-1] = 2.0 * flux[0], -2.0 * flux[-1]
     np.subtract(buf.face_hi, buf.face_lo, out=buf.div_inner)
@@ -230,13 +227,6 @@ def _euler(f, lf, dt, t):
 def _rkl2_reach(stages: int) -> float:
     """Super-step length of an s-stage RKL2 step, in CFL steps."""
     return (stages * stages + stages - 2) / 4.0
-
-
-def _stage_count(dt_e: float, span: float) -> int:
-    """The fewest stages from 3 whose super step of CFL step dt_e reaches
-    span, or RKL2_MAX_STAGES if none below it does."""
-    return 3 + bisect.bisect_left(range(3, RKL2_MAX_STAGES), True,
-                                  key=lambda s: not dt_e * _rkl2_reach(s) < span)
 
 
 class _RKL2Table(NamedTuple):
@@ -336,7 +326,9 @@ def _advance(f, t, t_end, state, super_steps=True):
         if span <= dt_e:
             f = _euler(f, lf, span, t)
         else:
-            stages = _stage_count(dt_e, span)
+            stages = 3
+            while stages < RKL2_MAX_STAGES and dt_e * _rkl2_reach(stages) < span:
+                stages += 1
             span = min(span, dt_e * _rkl2_reach(stages))
             f_new = _rkl2(f, lf, span, stages, stage_buf)
             counters.super_steps += 1

@@ -216,21 +216,18 @@ class _PowerRows(NamedTuple):
     """The exponents of `_cell_power_integrals`, a column s with one row each,
     and what the integrals derive from them, set up once per kernel: t = s + 1,
     the factor of x in the quotient's denominator (-t, or, where some row has
-    s = -1, t with 1 on those rows, under a negated numerator; None when
-    every row has s = -1, as no row then needs the quotient) and the mask of
-    those rows (None when there are none)."""
+    s = -1, t with 1 on those rows, under a negated numerator) and the mask
+    of those rows (None when there are none)."""
 
     s: np.ndarray
     t: np.ndarray
-    den: np.ndarray | None
+    den: np.ndarray
     log_rows: np.ndarray | None
 
 
 def _power_rows(s: np.ndarray) -> _PowerRows:
     t = s + 1.0
     log_rows = t[:, 0] == 0.0
-    if log_rows.all():
-        return _PowerRows(s, t, None, log_rows)
     if log_rows.any():
         return _PowerRows(s, t, np.where(log_rows[:, None], 1.0, t), log_rows)
     return _PowerRows(s, t, -t, None)
@@ -277,17 +274,13 @@ def _cell_power_integrals(g: np.ndarray, rows: _PowerRows, h: float, keep: np.nd
         far = np.nonzero(x >= 0.5)
         if far[0].size:
             log_rho[far] = np.log(np.minimum(a[far], b[far]) / top[far])
-        if den is None:  # s = -1 on every row
-            ratio = np.negative(log_rho)
-            ratio /= x
-        else:
-            ratio = t * log_rho
-            np.expm1(ratio, out=ratio)
-            if log_rows is not None:
-                np.negative(ratio, out=ratio)
-            ratio /= den * x
-            if log_rows is not None:
-                ratio[log_rows] = np.broadcast_to(-log_rho / x, ratio.shape)[log_rows]
+        ratio = t * log_rho
+        np.expm1(ratio, out=ratio)
+        if log_rows is not None:
+            np.negative(ratio, out=ratio)
+        ratio /= den * x
+        if log_rows is not None:
+            ratio[log_rows] = np.broadcast_to(-log_rho / x, ratio.shape)[log_rows]
         p = np.where(up, gs[..., 1:], gs[..., :-1])
         p *= h
         p *= ratio

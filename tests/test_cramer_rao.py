@@ -235,7 +235,7 @@ def test_functional_bound_slack_for_mixture():
 
 @pytest.mark.parametrize(
     "q,alpha",
-    [(0.8, 2.0), (1.0, 2.0), (1.5, 2.0), (1.2, 1.5), (0.9, 3.0), (2.0, 2.0)],
+    [(0.8, 2.0), (1.0, 2.0), (1.5, 2.0), (1.2, 1.5), (0.8, 1.5), (0.9, 3.0), (2.0, 2.0)],
 )
 def test_q_cr_saturates_on_generalized_gaussians(q, alpha):
     p = QGaussianParams(q=q, alpha=alpha, gamma=1.0)
@@ -245,6 +245,20 @@ def test_q_cr_saturates_on_generalized_gaussians(q, alpha):
     assert rep.margin == pytest.approx(0.0, abs=2e-4)
     assert rep.saturated
     assert rep.diagnostics["K"] > 0.0
+
+
+@pytest.mark.parametrize("q", [0.8, 1.0, 1.5, 2.0])
+def test_q_cr_saturates_at_alpha_1_5_on_the_cli_grid(q):
+    # qcr-check's default 4096 points put no node at the origin, where the
+    # alpha = 1.5 equality field |x|^(1/2) sign(x) has its kink; a fit at the
+    # nodes left q = 0.8 at residual 1.4e-2, above FIELD_FIT_TOL
+    p = QGaussianParams(q=q, alpha=1.5, gamma=1.0)
+    half = suggested_half_extent(p)
+    g = make_q_gaussian(p, GridSpec.line(-half, half, 4096))
+    rep = q_cr_check(g, HolderPair.from_alpha(1.5), q)
+    assert rep.margin == pytest.approx(0.0, abs=2e-4)
+    assert rep.saturated
+    assert rep.diagnostics["residual_rel"] < 1e-3
 
 
 def test_q_cr_holds_strictly_on_zoo_members():
