@@ -46,7 +46,8 @@ from .fisher import (
     q_fisher,
     q_gaussian_location_family,
 )
-from .grid import BOUNDARY_REL_TOL, GridDensity, GridSpec, HolderPair, boundary_abs_max, write_csv
+from .grid import (BOUNDARY_REL_TOL, GridDensity, GridSpec, HolderPair, boundary_abs_max, write_csv,
+                   write_text)
 from .version import __version__
 
 EXIT_OK = 0
@@ -266,9 +267,7 @@ def _write_summary(subcommand: str, params: dict, tolerances: dict, results: dic
         "warnings": warned,
     }
     path = _out_dir(params) / f"{subcommand.replace('-', '_')}_summary.json"
-    with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _out_dir(params: dict) -> Path:

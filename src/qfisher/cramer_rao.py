@@ -16,7 +16,7 @@ import numpy as np
 
 from .densities import _escort_mass, moment, warn_if_truncated
 from .errors import JacobianSingular, ParameterError, SingularFisherMatrix
-from .fisher import (ParametricFamily, QFisherKernel, _as_theta, _gradient_on,
+from .fisher import (ParametricFamily, QFisherKernel, _as_theta, _gradient_on, _zero_off_supports,
                      central_difference, fisher_matrix, p1_moment_weights)
 from .grid import (GridDensity, GridSpec, HolderPair, boundary_abs_max, dual_exponent, lp_norm,
                    row_strips, strip_gradient, strip_radius, support_floor, support_power)
@@ -323,12 +323,7 @@ def functional_cr_check(
     alpha, beta = pair.alpha, pair.beta
     pstar = dual_exponent(norm_p)
     lhs_moment = moment(g, alpha, norm_p) ** (1.0 / alpha)
-    grad_norm = lp_norm(f.spatial_gradient(), pstar)
-    # where f and g both lie outside their supports the score is 0/0: the
-    # stencil's slope into the first zero node past a compact support's edge
-    # is no mass of f where g vanishes
-    outside = (f.values <= support_floor(f.values)) & (g.values <= support_floor(g.values))
-    grad_norm[outside] = 0.0
+    grad_norm = lp_norm(_zero_off_supports(f.spatial_gradient(), f.values, g.values), pstar)
     lhs_info = g.masked_power_integral(grad_norm, beta) ** (1.0 / beta)
     lhs = lhs_moment * lhs_info
     rhs = float(f.grid.dims)

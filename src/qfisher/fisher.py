@@ -99,12 +99,25 @@ def theta_gradient(fam: ParametricFamily, theta) -> tuple[GridDensity, np.ndarra
     return d, np.stack([(4.0 * b - a) / 3.0 for a, b in zip(d1, d2)])
 
 
+def _zero_off_supports(grads, f: np.ndarray, g: np.ndarray):
+    """The score grad f / g is 0 where f and g both lie at or below their
+    support floors: zeroes the components `grads` (arrays, or one stacked
+    array) there in place and returns them.  The 0/0 there is no mass of f
+    where g vanishes; it is the stencil's slope into the first zero node past
+    a compact support's edge."""
+    outside = (f <= support_floor(f)) & (g <= support_floor(g))
+    for c in grads:
+        c[outside] = 0.0
+    return grads
+
+
 def _gradient_on(fam: ParametricFamily, g: GridDensity, theta) -> np.ndarray:
-    """theta_gradient components, checked to live on the grid of g."""
+    """theta_gradient components, checked to live on the grid of g, as a
+    score over g (`_zero_off_supports`)."""
     d, grads = theta_gradient(fam, theta)
     if g.grid != d.grid:
         raise ValueError("g must live on the family grid")
-    return grads
+    return _zero_off_supports(grads, d.values, g.values)
 
 
 def generalized_fisher(

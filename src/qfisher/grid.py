@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -406,8 +407,7 @@ class GridDensity:
 
     def save_json(self, path) -> None:
         # json.dumps runs the C encoder, json.dump the pure-Python one; same bytes
-        with open(path, "w") as fh:
-            fh.write(json.dumps(self.to_json_dict()))
+        write_text(path, json.dumps(self.to_json_dict()))
 
     @staticmethod
     def load_json(path) -> "GridDensity":
@@ -421,9 +421,28 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+# binary mode where the platform has one (Windows), so "\n" stays one byte
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
+def write_text(path, text: str) -> None:
+    """Writes `text` (UTF-8) to `path` as its whole content: the one output
+    writer.  An existing file is overwritten in place and then trimmed to the
+    new length; it is never truncated to zero first (no O_TRUNC), because on
+    a disk that discards freed blocks that truncation costs far more than the
+    write (0.2-0.45 ms against about 15 us for 10 KB on ext4 mounted with
+    `discard`).  A missing file is created.
+
+    Nothing is synced, as before.  A crash mid-write may leave old and new
+    bytes mixed in the file, where truncate-then-write could leave it cut
+    short."""
+    with open(os.open(path, _WRITE_FLAGS, 0o666), "wb") as fh:
+        fh.write(text.encode())
+        fh.truncate()
+
+
 def write_csv(path, header: list[str], rows) -> None:
     """Comma-separated rows in the order given, with LF line ends: floats as
     `repr`, anything else as `str`."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(_csv_cell, row)) + "\n" for row in rows)
+    lines = [",".join(header), *(",".join(map(_csv_cell, row)) for row in rows)]
+    write_text(path, "\n".join(lines) + "\n")

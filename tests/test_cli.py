@@ -666,6 +666,39 @@ def test_seeded_runs_are_byte_identical(tmp_path):
         assert _output_files(out) == first, name
 
 
+@pytest.mark.parametrize("name, flags", [
+    ("minimize", SMALL_RUNS["minimize"]),
+    ("debruijn", [*SMALL_RUNS["debruijn"][:-1], "2"]),
+    ("qcr-check", SMALL_RUNS["qcr-check"]),
+], ids=["minimize", "debruijn-snap-every-2", "qcr-check"])
+def test_reruns_over_longer_stale_files_leave_the_bytes_of_a_fresh_run(tmp_path, monkeypatch,
+                                                                       name, flags):
+    # outputs are rewritten in place and trimmed, never truncated to zero
+    # first; one directory throughout, since the summary echoes --out-dir
+    out = tmp_path / "out"
+    argv = [name, *flags, "--out-dir", str(out)]
+    assert main(argv) == 0
+    expected = _output_files(out)
+    shutil.rmtree(out)
+    out.mkdir()
+    for file, data in expected.items():
+        (out / file).write_bytes(b"stale\n" * (len(data) // 5 + 10))
+    opened = {}
+    real_open = os.open
+
+    def recording_open(file, flag, *args, **kwargs):
+        opened.setdefault(Path(file).name, []).append(flag)
+        return real_open(file, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    for _ in range(2):
+        assert main(argv) == 0
+        assert _output_files(out) == expected
+    # every output, the summary included, goes through the one writer
+    assert sorted(opened) == sorted(expected)
+    assert not any(f & os.O_TRUNC for flags in opened.values() for f in flags)
+
+
 @pytest.mark.parametrize("subcommand", ["minimize", "debruijn"])
 def test_csv_files_have_lf_line_ends(tmp_path, subcommand):
     out = tmp_path / "out"

@@ -17,12 +17,15 @@ from qfisher import (
     SupportMismatch,
     covariance_bound_check,
     escort,
+    fisher_matrix,
     functional_cr_check,
     gaussian_location_family,
+    generalized_fisher,
     make_q_gaussian,
     matrix_cr_check,
     multidim_cr_check,
     q_cr_check,
+    q_exponential_shape,
     q_fisher,
     suggested_half_extent,
     zoo,
@@ -214,6 +217,41 @@ def test_functional_bound_on_matched_compact_support(q, alpha):
     rep = functional_cr_check(g, g, HolderPair.from_alpha(alpha))
     assert np.isfinite(rep.lhs)
     assert rep.margin >= -1e-6
+
+
+def _escort_location_problem(q, alpha, points):
+    """The matched q-Gaussian g (gamma = 0.1) on [-10, 10] as the reference,
+    f_theta its escort shifted by theta, T = x and h = theta."""
+    params = QGaussianParams(q=q, alpha=alpha, gamma=0.1)
+    grid = GridSpec.line(-10.0, 10.0, points)
+    (x,) = grid.axes()
+
+    def build(theta):
+        shape = q_exponential_shape(params, np.abs(x - theta[0]))
+        return GridDensity.from_values(grid, shape**q, normalize=True, check_boundary=False)
+
+    return EstimationProblem(
+        fam=ParametricFamily(density_at=build, theta_dim=1, kind="translation"),
+        statistic=lambda coords: coords[0],
+        h=lambda theta: theta,
+        h_jacobian=lambda theta: np.eye(1),
+        g=make_q_gaussian(params, grid),
+        pair=HolderPair.from_alpha(alpha),
+    )
+
+
+@pytest.mark.parametrize("points", [1025, 4097])
+@pytest.mark.parametrize("q", [1.5, 2.0])
+def test_parametric_checks_score_compact_escort_families(q, points):
+    # the paper's compact equality cases: the stencil's slope into the first
+    # zero node past the support's edge, where f and g both vanish, is no score
+    prob = _escort_location_problem(q, 2.0, points)
+    assert np.count_nonzero(prob.g.values == 0.0) > 100
+    rep = multidim_cr_check(prob, 0.0)
+    assert np.isfinite(rep.lhs) and rep.lhs == pytest.approx(rep.rhs, rel=2e-4)
+    info = generalized_fisher(prob.fam, prob.g, 0.0, 2.0)
+    assert np.isfinite(info)
+    assert fisher_matrix(prob.fam, prob.g, 0.0).entries[0, 0] == pytest.approx(info, rel=1e-12)
 
 
 def test_functional_bound_refuses_mass_of_f_where_g_vanishes():

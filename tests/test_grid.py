@@ -1,5 +1,6 @@
 import decimal
 import json
+import os
 import warnings
 
 import numpy as np
@@ -21,7 +22,7 @@ from qfisher.errors import BoundaryMassWarning, NonIntegrable, TruncationWarning
 import qfisher.grid as grid_module
 from qfisher.grid import (BLOCK, _trap_weights, blocks, boundary_abs_max, row_strips,
                            strip_face_abs_max, strip_gradient, strip_radius, support_floor,
-                           support_power, write_csv)
+                           support_power, write_csv, write_text)
 from qfisher.uncertainty import WaveFunction, fourier_transform
 
 
@@ -394,6 +395,64 @@ def test_csv_is_deterministic(tmp_path):
     write_csv(p1, ["x0", "value"], rows)
     write_csv(p2, ["x0", "value"], iter(rows))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _writer(name):
+    """(write(path), the bytes it must leave) for each output writer."""
+    g = GridSpec.line(-3.0, 3.0, 65)
+    (x,) = g.axes()
+    d = GridDensity.from_values(g, np.exp(-x * x), check_boundary=False)
+    if name == "save_json":
+        return d.save_json, json.dumps(d.to_json_dict()).encode()
+    if name == "write_csv":
+        rows = list(zip(x.tolist(), d.values.tolist()))
+        return (lambda path: write_csv(path, ["x0", "value"], rows),
+                b"".join([b"x0,value\n"] + [f"{a!r},{v!r}\n".encode() for a, v in rows]))
+    text = '{\n  "exit_status": 0\n}\n'
+    return (lambda path: write_text(path, text)), text.encode()
+
+
+WRITERS = ["write_text", "save_json", "write_csv"]
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_writer_over_a_longer_file_leaves_exactly_the_new_bytes(tmp_path, name):
+    write, expected = _writer(name)
+    path = tmp_path / "out"
+    path.write_bytes(b"stale\r\n" * (len(expected) // 3))
+    write(path)
+    assert path.read_bytes() == expected
+    write(path)  # over a file of its own length
+    assert path.read_bytes() == expected
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_writer_creates_a_missing_file(tmp_path, name):
+    write, expected = _writer(name)
+    path = tmp_path / "out"
+    write(path)
+    assert path.read_bytes() == expected
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_writer_never_truncates_to_zero(tmp_path, monkeypatch, name):
+    # an existing output is rewritten in place and trimmed after: truncating
+    # it to zero first costs far more than the write on some disks
+    write, expected = _writer(name)
+    path = tmp_path / "out"
+    path.write_bytes(b"x" * (2 * len(expected)))
+    flags = []
+    real_open = os.open
+
+    def recording_open(file, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(file, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    write(path)
+    assert flags, "the writer must open its file through os.open"
+    assert all(f & os.O_WRONLY and f & os.O_CREAT and not f & os.O_TRUNC for f in flags)
+    assert path.read_bytes() == expected
 
 
 def test_shifted_grid_relabels_coordinates():

@@ -138,20 +138,44 @@ def call():
     _equality_field_fit(f_values, g, 1.5, 2.0)
 """
 
-# one op of the flow workload, written into a directory removed at exit
-_DEBRUIJN = """
+# one CLI op, run again and again into one directory removed at exit, so
+# that every call after the first rewrites the files of the one before
+_CLI = """
 import atexit, contextlib, io, tempfile
 from qfisher import cli
 
 out = tempfile.TemporaryDirectory(prefix="percall-")
 atexit.register(out.cleanup)
-argv = ["debruijn", "--points", "512", "--t-final", "0.1", "--sigma0", "0.05",
-        "--out-dir", out.name] + {flags}
+argv = {argv} + ["--out-dir", out.name]
 
 
 def call():
     with contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(argv) == 0
+"""
+
+_DEBRUIJN = ["debruijn", "--points", "512", "--t-final", "0.1", "--sigma0", "0.05"]
+
+# one output file rewritten over its previous copy, as a re-run into one
+# --out-dir rewrites it: a 513-point density as the minimize argmin, and a
+# 319-row objective trace.  Back-to-back batches understate what a rewrite
+# costs inside a run: what truncating a file costs depends on where the
+# disk's writeback of the file stands
+_REWRITE = """
+import atexit, tempfile
+import numpy as np
+from qfisher import zoo
+from qfisher.grid import GridSpec, write_csv
+
+out = tempfile.TemporaryDirectory(prefix="percall-")
+atexit.register(out.cleanup)
+path = out.name + "/out"
+density = zoo.gaussian_density(GridSpec.line(-10.0, 10.0, 513), 0.0, 2.0)
+trace = list(enumerate(1.0 + np.geomspace(1.0, 1e-6, 319)))
+
+
+def call():
+    {call}
 """
 
 _REGIMES = {"m1b2": (1.0, 2.0), "m2b2": (2.0, 2.0), "m1b3": (1.0, 3.0)}
@@ -185,10 +209,20 @@ CALLS = {
         "4096 points)", _FIT, number=40),
     **{f"debruijn-{tag}": Call(f"one flow-workload op: debruijn {' '.join(flags)}, 512 points "
                                f"to t = 0.1, sigma0 = 0.05",
-                               _DEBRUIJN.format(flags=json.dumps(flags)), number=2, unit="ms")
+                               _CLI.format(argv=json.dumps(_DEBRUIJN + flags)), number=2,
+                               unit="ms")
        for tag, flags in (("m1b2-snap", ["--m", "1", "--beta", "2", "--snap-every", "2"]),
                           ("m2b2", ["--m", "2", "--beta", "2"]),
                           ("m1b3", ["--m", "1", "--beta", "3"]))},
+    "minimize-default": Call("one descent-workload op: minimize at its defaults, rewriting "
+                             "its summary, trace and final density",
+                             _CLI.format(argv=json.dumps(["minimize"])), number=20, unit="ms"),
+    "save-json-n513": Call("GridDensity.save_json of a 513-point density over its previous copy",
+                           _REWRITE.format(call="density.save_json(path)"), number=100),
+    "write-csv-319-rows": Call("grid.write_csv of a 319-row (iter, objective) trace over its "
+                               "previous copy",
+                               _REWRITE.format(call='write_csv(path, ["iter", "objective"], trace)'),
+                               number=100),
 }
 
 
