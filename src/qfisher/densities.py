@@ -24,6 +24,13 @@ Q_ONE_EPS = 1e-12
 MOMENT_TAIL_REL = 1e-9
 
 
+def gaussian_limit(q: float) -> bool:
+    """Whether q counts as 1, the stretched-Gaussian limit: the band
+    1 - Q_ONE_EPS <= q <= 1 + Q_ONE_EPS, above which
+    `QGaussianParams.compact_support` holds."""
+    return 1.0 - Q_ONE_EPS <= q <= 1.0 + Q_ONE_EPS
+
+
 @dataclass(frozen=True)
 class QGaussianParams:
     """Shape (1 - gamma*(q-1)*||x||^alpha)_+^(1/(q-1)); exp(-gamma*||x||^alpha) at q = 1.
@@ -75,10 +82,10 @@ class QGaussianParams:
 def q_exponential_shape(p: QGaussianParams, r: np.ndarray) -> np.ndarray:
     """Unnormalized density values at radii r = ||x||."""
     ra = r**p.alpha
-    if abs(p.q - 1.0) <= Q_ONE_EPS:
+    if gaussian_limit(p.q):
         return np.exp(-p.gamma * ra)
     base = 1.0 - p.gamma * (p.q - 1.0) * ra
-    if p.q > 1.0:
+    if p.compact_support:
         return support_power(base, 1.0 / (p.q - 1.0))
     # q < 1: base = 1 + gamma*(1-q)*r^alpha > 0 everywhere
     return base ** (1.0 / (p.q - 1.0))
@@ -135,7 +142,7 @@ def suggested_half_extent(p: QGaussianParams) -> float:
     """
     if p.compact_support:
         return 1.05 * p.support_radius
-    if abs(p.q - 1.0) <= Q_ONE_EPS:
+    if gaussian_limit(p.q):
         return max(8.0, 1.3 * np.log(1.0 / MOMENT_TAIL_REL) ** (1.0 / p.alpha)) * p.scale
     one_m_q = 1.0 - p.q
     growth_moment = MOMENT_TAIL_REL ** (-one_m_q / (p.alpha * p.q + p.q - 1.0))
@@ -200,7 +207,7 @@ def tsallis_entropy(g: GridDensity, q: float) -> float:
     """S_q = (M_q - 1)/(1 - q); Shannon entropy -E[ln g] at q = 1."""
     if not (q > 0.0 and np.isfinite(q)):
         raise ValueError("order q must be a positive real")
-    if abs(q - 1.0) <= Q_ONE_EPS:
+    if gaussian_limit(q):
         v = g.values
         integrand = np.where(v > 0.0, -v * np.log(np.where(v > 0.0, v, 1.0)), 0.0)
         return g.integral(integrand)

@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .densities import Q_ONE_EPS, m_q_functional, tsallis_entropy
+from .densities import gaussian_limit, m_q_functional, tsallis_entropy
 from .errors import ParameterError, UnstableStep
 from .fisher import q_fisher
 from .grid import GridDensity, support_floor
@@ -410,7 +410,7 @@ def debruijn_check(state: DiffusionState) -> DeBruijnReport:
     state.counters.rhs_evals += 1
     on = f > support_floor(f)
     fs = np.where(on, f, 1.0)
-    q_one = abs(q - 1.0) <= Q_ONE_EPS
+    q_one = gaussian_limit(q)
     ds = -np.log(fs) if q_one else q / (1.0 - q) * fs ** (q - 1.0)
     w = state.density.grid.trap_weights()
     lhs = float(np.dot(w * np.where(on, ds, 0.0), lf))

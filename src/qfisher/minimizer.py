@@ -34,8 +34,14 @@ tries the dilation g(x) -> g(x / DILATION) / DILATION about the origin.  The
 continuum J is invariant under it, while the P1 J falls as the support
 widens; a q > 1 descent otherwise settles on a support whose edge nodes
 cannot move, a few 1e-4 above the bound on a coarse grid.  The dilation is
-kept only if it lowers J; if it does not, the run reports a stall.  Zero
-nodes of the start stay zero.
+kept only if it lowers J; if it does not, the run reports a stall.  A
+descent can also crawl just above the FLAT_FRAC pace for hundreds of
+iterations, so every FLAT_WINDOW iterations, counted from the start or from
+the last probe, the dilation is tried as a probe: kept (as an iteration,
+clearing the memory) only if it lowers J by more than the last FLAT_WINDOW
+steps did together, else counted as a rejected trial.  A run that ends
+within FLAT_WINDOW iterations never probes.  Zero nodes of the start stay
+zero.
 
 `MinimizeResult.stop_reason` says why a run stopped ("tol", "stall" or
 "max_iters").  `MinimizeResult.counters` counts the objective evaluations, the
@@ -77,7 +83,8 @@ STEP_CAP = 1.0
 # shift c of the metric's K = T/h^2 + c I, in units of T/h^2's lowest
 # eigenvalue: any value from 10 to 1000 converges the seeded sweeps
 SMOOTH = 100.0
-# factor of the dilation x -> DILATION x tried when the descent stalls
+# factor of the dilation x -> DILATION x tried when the descent stalls, and
+# as a probe every FLAT_WINDOW iterations
 DILATION = 1.5
 # J stops falling when over the last FLAT_WINDOW steps J^(1/beta) fell by less
 # than FLAT_FRAC of its distance to the target (or to the bound 1 where the
@@ -287,13 +294,16 @@ def minimize_q_fisher(start: GridDensity, cfg: MinimizationConfig) -> MinimizeRe
             raise NonIntegrable("start has no mass off the two end nodes")
         return u
 
-    def dilated(g, j_val):
-        """The state g(x / DILATION) / DILATION if it lowers J, else None."""
+    def dilated(g, j_val, needed):
+        """The state g(x / DILATION) / DILATION if it lowers J by more than
+        `needed`, else None."""
         nonlocal rejected, dilations
         u = log_pinned(np.interp(x / DILATION, x, g))
         g_d, j_d, grad_d = evaluate(u)
-        if j_d < j_val and np.isfinite(grad_d).all():
+        if j_val - j_d > needed and np.isfinite(grad_d).all():
             dilations += 1
+            steps.clear()
+            changes.clear()
             return u, g_d, j_d, grad_d
         rejected += 1
         return None
@@ -307,11 +317,16 @@ def minimize_q_fisher(start: GridDensity, cfg: MinimizationConfig) -> MinimizeRe
         steps: deque = deque(maxlen=MEMORY)
         changes: deque = deque(maxlen=MEMORY)
         converged, stalled = trace[-1] <= target, False
+        probed = 0  # the iteration of the last probe
         while not converged and len(trace) <= cfg.max_iters:
             new = None
             flat = (len(trace) > FLAT_WINDOW and trace[-1 - FLAT_WINDOW] - trace[-1]
                     < FLAT_FRAC * min(trace[-1] - max(target, 1.0), FLAT_NEAR))
-            if not flat:
+            if not flat and len(trace) - 1 - probed >= FLAT_WINDOW:
+                # the probe: the dilation, kept if it beats the last FLAT_WINDOW steps
+                probed = len(trace) - 1
+                new = dilated(g, j_val, trace[-1 - FLAT_WINDOW] ** cfg.beta - j_val)
+            if not flat and new is None:
                 scale = support_power(g, -0.5)
 
                 def metric(v):
@@ -334,6 +349,11 @@ def minimize_q_fisher(start: GridDensity, cfg: MinimizationConfig) -> MinimizeRe
                     if (j_try < j_val and j_try <= j_val + ARMIJO * step * slope
                             and np.isfinite(grad_try).all()):
                         new = u_try, g_try, j_try, grad_try
+                        s_k = step * direction
+                        y_k = grad_try - grad
+                        if float(s_k @ y_k) > 0.0:
+                            steps.append(s_k)
+                            changes.append(y_k)
                         break
                     rejected += 1
                     step *= BACKTRACK
@@ -345,18 +365,10 @@ def minimize_q_fisher(start: GridDensity, cfg: MinimizationConfig) -> MinimizeRe
             if new is None:
                 # a stall, unless the dilation helps: J is invariant under it in
                 # the continuum, and the P1 J falls as the support widens
-                steps.clear()
-                changes.clear()
-                new = dilated(g, j_val)
+                new = dilated(g, j_val, 0.0)
                 if new is None:
                     stalled = True
                     break
-            else:
-                s_k = step * direction
-                y_k = new[3] - grad
-                if float(s_k @ y_k) > 0.0:
-                    steps.append(s_k)
-                    changes.append(y_k)
             u, g, j_val, grad = new
             trace.append(j_val**inv_beta)
             converged = trace[-1] <= target

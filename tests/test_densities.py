@@ -19,7 +19,7 @@ from qfisher import (
     q_gaussian_moment_scale,
     tsallis_entropy,
 )
-from qfisher.densities import suggested_half_extent
+from qfisher.densities import gaussian_limit, q_exponential_shape, suggested_half_extent
 from qfisher.errors import (
     DegenerateEscort,
     GridTooCoarse,
@@ -232,3 +232,22 @@ DENSITY_REFUSALS = {
 def test_density_refusals(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+def test_shape_just_above_one_is_the_gaussian_limit_bit_for_bit():
+    # 1 + 1e-12 rounds to this q, where compact_support does not hold yet
+    p = QGaussianParams(q=1.000000000001, alpha=2.0, gamma=1.3)
+    r = np.linspace(0.0, 6.0, 601)
+    assert not p.compact_support and gaussian_limit(p.q)
+    assert q_exponential_shape(p, r).tobytes() == np.exp(-p.gamma * r**p.alpha).tobytes()
+
+
+def test_every_q_near_one_takes_exactly_one_branch():
+    # q = 1 - k ulp and 1 + k ulp, k <= 20000, cross both ends of the band
+    k = np.arange(20001)
+    qs = np.concatenate([1.0 - k * 2.0**-53, 1.0 + k * 2.0**-52])
+    for q in qs.tolist():
+        branches = (gaussian_limit(q), QGaussianParams(q=q, alpha=2.0, gamma=1.0).compact_support,
+                    q < 1.0 and not gaussian_limit(q))
+        assert sum(branches) == 1, q
+    assert not gaussian_limit(qs[0] - 1e-11) and not gaussian_limit(qs[-1])

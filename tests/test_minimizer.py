@@ -311,6 +311,57 @@ def test_kept_dilations_are_counted_as_iterations():
         assert minimize_q_fisher(start, MinimizationConfig(q=1.5, alpha=2.0)).counters.dilations == 0
 
 
+def _two_bump(seed):
+    grid = GridSpec.line(-10.0, 10.0, 257)
+    rng = np.random.default_rng(seed)
+    return zoo.mixture_density(grid, np.sort(rng.uniform(-1.5, 1.5, 2)),
+                               rng.uniform(0.4, 0.9, 2), rng.uniform(0.3, 0.7, 2))
+
+
+@pytest.mark.parametrize("seed, most", [(15, 120), (23, 70)])
+def test_crawling_starts_end_fast_through_the_dilation_probe(seed, most):
+    # without the probe every FLAT_WINDOW steps these starts crawl just above
+    # the pace rule: 491 and 133 iterations
+    res = minimize_q_fisher(_two_bump(seed), MinimizationConfig(q=1.2, alpha=2.0))
+    c = res.counters
+    assert res.stop_reason == "tol" and res.n_iters <= most
+    assert c.dilations >= 1
+    assert c.evaluations == 1 + res.n_iters + c.rejected_trials
+
+
+def _count_dilations_tried(monkeypatch):
+    """A list that gains one entry per dilation the descent evaluates."""
+    calls, interp = [], np.interp
+
+    def counted_interp(*args):
+        calls.append(1)
+        return interp(*args)
+
+    monkeypatch.setattr(minimizer.np, "interp", counted_interp)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [15, 23])
+def test_an_identity_dilation_probe_is_tried_every_window_and_never_kept(seed, monkeypatch):
+    # the probe must beat the window's gain, not just a rounding-level drop;
+    # each failed probe is one rejected trial
+    monkeypatch.setattr(minimizer, "DILATION", 1.0)
+    tried = _count_dilations_tried(monkeypatch)
+    res = minimize_q_fisher(_two_bump(seed), MinimizationConfig(q=1.2, alpha=2.0))
+    c = res.counters
+    assert c.dilations == 0 and len(tried) >= res.n_iters // minimizer.FLAT_WINDOW >= 1
+    assert c.evaluations == 1 + res.n_iters + c.rejected_trials
+
+
+def test_runs_within_one_window_never_probe(monkeypatch):
+    # a run that ends within FLAT_WINDOW iterations evaluates no dilation
+    calls = _count_dilations_tried(monkeypatch)
+    grid = GridSpec.line(-10.0, 10.0, 257)
+    start = zoo.mixture_density(grid, (-1.2, 1.1), (0.7, 0.45), (0.6, 0.4))
+    res = minimize_q_fisher(start, MinimizationConfig(q=1.5, alpha=2.0))
+    assert res.converged and res.n_iters <= minimizer.FLAT_WINDOW and not calls
+
+
 def test_result_objective_is_last_trace_entry():
     grid = GridSpec.line(-8.0, 8.0, 257)
     start = zoo.gaussian_density(grid, 0.4, 0.9)

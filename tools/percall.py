@@ -217,6 +217,11 @@ CALLS = {
     "minimize-default": Call("one descent-workload op: minimize at its defaults, rewriting "
                              "its summary, trace and final density",
                              _CLI.format(argv=json.dumps(["minimize"])), number=20, unit="ms"),
+    "minimize-tol1e-12-n257": Call(
+        "one descent-workload op: minimize at 257 points, tol 1e-12, at most 6000 "
+        "iterations, which ends on a reported stall",
+        _CLI.format(argv=json.dumps(["minimize", "--grid-points", "257", "--tol", "1e-12",
+                                     "--iters", "6000"])), number=2, unit="ms"),
     "save-json-n513": Call("GridDensity.save_json of a 513-point density over its previous copy",
                            _REWRITE.format(call="density.save_json(path)"), number=100),
     "write-csv-319-rows": Call("grid.write_csv of a 319-row (iter, objective) trace over its "
