@@ -39,8 +39,10 @@ descent can also crawl just above the FLAT_FRAC pace for hundreds of
 iterations, so every FLAT_WINDOW iterations, counted from the start or from
 the last probe, the dilation is tried as a probe: kept (as an iteration,
 clearing the memory) only if it lowers J by more than the last FLAT_WINDOW
-steps did together, else counted as a rejected trial.  A run that ends
-within FLAT_WINDOW iterations never probes.  Zero nodes of the start stay
+steps did together, else counted as a rejected trial.  Should the step
+then fail at that iteration, the stall test judges that same evaluated
+dilation against J.  A run that ends within FLAT_WINDOW iterations never
+probes.  Zero nodes of the start stay
 zero.
 
 `MinimizeResult.stop_reason` says why a run stopped ("tol", "stall" or
@@ -294,18 +296,19 @@ def minimize_q_fisher(start: GridDensity, cfg: MinimizationConfig) -> MinimizeRe
             raise NonIntegrable("start has no mass off the two end nodes")
         return u
 
-    def dilated(g, j_val, needed):
-        """The state g(x / DILATION) / DILATION if it lowers J by more than
-        `needed`, else None."""
-        nonlocal rejected, dilations
+    def dilation(g):
+        """The state g(x / DILATION) / DILATION, evaluated."""
         u = log_pinned(np.interp(x / DILATION, x, g))
-        g_d, j_d, grad_d = evaluate(u)
-        if j_val - j_d > needed and np.isfinite(grad_d).all():
+        return (u, *evaluate(u))
+
+    def kept(trial, j_val, needed):
+        """The dilated `trial` if it lowers J by more than `needed`, else None."""
+        nonlocal dilations
+        if j_val - trial[2] > needed and np.isfinite(trial[3]).all():
             dilations += 1
             steps.clear()
             changes.clear()
-            return u, g_d, j_d, grad_d
-        rejected += 1
+            return trial
         return None
 
     # zero nodes stay at g = 0, u = -inf
@@ -318,6 +321,7 @@ def minimize_q_fisher(start: GridDensity, cfg: MinimizationConfig) -> MinimizeRe
         changes: deque = deque(maxlen=MEMORY)
         converged, stalled = trace[-1] <= target, False
         probed = 0  # the iteration of the last probe
+        probe = None  # its dilated state, while it is this iteration's
         while not converged and len(trace) <= cfg.max_iters:
             new = None
             flat = (len(trace) > FLAT_WINDOW and trace[-1 - FLAT_WINDOW] - trace[-1]
@@ -325,7 +329,10 @@ def minimize_q_fisher(start: GridDensity, cfg: MinimizationConfig) -> MinimizeRe
             if not flat and len(trace) - 1 - probed >= FLAT_WINDOW:
                 # the probe: the dilation, kept if it beats the last FLAT_WINDOW steps
                 probed = len(trace) - 1
-                new = dilated(g, j_val, trace[-1 - FLAT_WINDOW] ** cfg.beta - j_val)
+                probe = dilation(g)
+                new = kept(probe, j_val, trace[-1 - FLAT_WINDOW] ** cfg.beta - j_val)
+                if new is None:
+                    rejected += 1
             if not flat and new is None:
                 scale = support_power(g, -0.5)
 
@@ -364,12 +371,18 @@ def minimize_q_fisher(start: GridDensity, cfg: MinimizationConfig) -> MinimizeRe
                         continue
             if new is None:
                 # a stall, unless the dilation helps: J is invariant under it in
-                # the continuum, and the P1 J falls as the support widens
-                new = dilated(g, j_val, 0.0)
+                # the continuum, and the P1 J falls as the support widens; a
+                # probe that failed at this iteration is that dilation, evaluated
+                if probe is None:
+                    probe = dilation(g)
+                    rejected += 1  # a rejected trial unless it is kept
+                new = kept(probe, j_val, 0.0)
                 if new is None:
                     stalled = True
                     break
+                rejected -= 1  # kept: the trial is this iteration
             u, g, j_val, grad = new
+            probe = None
             trace.append(j_val**inv_beta)
             converged = trace[-1] <= target
 

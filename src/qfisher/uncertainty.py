@@ -156,35 +156,16 @@ def _power_spectrum(psi: WaveFunction) -> np.ndarray:
     for rounding, since its phase factor has modulus 1.
 
     The transform of a real psi is Hermitian, psi_hat(-xi) = conj psi_hat(xi),
-    so for one the half spectrum of `np.fft.rfftn` (last axis xi >= 0), from
-    `_real_half_spectrum`, fills the rest by the mirror xi -> -xi; a complex
-    psi takes `np.fft.fftn`.
+    so for one the half spectrum of `np.fft.rfftn` (last axis xi >= 0) fills
+    the rest by the mirror xi -> -xi; a complex psi takes `np.fft.fftn`.
     """
     if psi.values.imag.any():
         power = np.fft.fftshift(np.abs(np.fft.fftn(psi.values)))
     else:
-        power = _shifted_from_half(np.abs(_real_half_spectrum(psi.values.real)), psi.grid.shape)
+        power = _shifted_from_half(np.abs(np.fft.rfftn(psi.values.real)), psi.grid.shape)
     power **= 2
     power *= math.prod(psi.grid.spacing) ** 2
     return power
-
-
-def _real_half_spectrum(values: np.ndarray) -> np.ndarray:
-    """`np.fft.rfftn(values)` bit for bit, for real `values`.  In 2 or more
-    dimensions the last-axis rfft of an all-zero axis-0 slab is 0, so it is
-    taken only over the span of slabs that hold a nonzero value, into a
-    zeroed half spectrum; the fft passes over the other axes follow in
-    `rfftn`'s order."""
-    if values.ndim < 2:
-        return np.fft.rfftn(values)
-    rows = np.flatnonzero(values.any(axis=tuple(range(1, values.ndim))))
-    half = np.zeros(values.shape[:-1] + (values.shape[-1] // 2 + 1,), dtype=complex)
-    if rows.size:
-        lo, hi = rows[0], rows[-1] + 1
-        np.fft.rfft(values[lo:hi], out=half[lo:hi])
-    for axis in range(values.ndim - 2, -1, -1):
-        np.fft.fft(half, axis=axis, out=half)
-    return half
 
 
 def _shifted_from_half(half: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -1,10 +1,13 @@
 """`tools/descent_sweep.py`: one small cell, one tree, end to end."""
 
 import importlib.util
-import json
+import sys
 from pathlib import Path
 
-SWEEP = Path(__file__).resolve().parents[1] / "tools" / "descent_sweep.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+SWEEP = TOOLS / "descent_sweep.py"
+if str(TOOLS) not in sys.path:  # the tools import their shared _trees
+    sys.path.insert(0, str(TOOLS))
 
 
 def _load():
@@ -14,16 +17,12 @@ def _load():
     return module
 
 
-def test_one_cell_in_one_fresh_process_reports_its_figures(capsys, tmp_path):
+def test_one_cell_in_one_fresh_process_reports_its_figures():
     sweep = _load()
-    out = tmp_path / "bench.json"
-    out.write_text(json.dumps({"what": "kept"}))
-    assert sweep.main(["--starts", "3", "--points", "257", "--q", "1.5", "--no-stalls",
-                       "--out", str(out)]) == 0
-    printed = json.loads(capsys.readouterr().out)
-    assert json.loads(out.read_text()) == {"what": "kept", "descent_sweep": printed}
-    assert printed["sides"] == ["tree"] and printed["stalls"] == {}
-    cell = printed["cells"]["n257-q1.5"]["tree"]
+    spec = {"starts": 3, "points": [257], "q": [1.5], "stall_points": [], "stall_q": []}
+    block = sweep.report(spec, sweep.measure([("tree", sweep._trees.ROOT)], spec))
+    assert block["sides"] == ["tree"] and block["stalls"] == {}
+    cell = block["cells"]["n257-q1.5"]["tree"]
     assert cell["converged"] == 3 and cell["evaluations"] > 3
     assert 0 < cell["median_iters"] <= cell["p90_iters"] <= cell["max_iters"]
 
@@ -35,7 +34,7 @@ def test_two_sides_count_changed_and_slower_starts():
     slower = dict(run, iters=11, evaluations=13, trace="b")
     parent = {"sweep": {"n257-q1.5": [run, run]}, "stalls": {"n257-q1.5": run}}
     change = {"sweep": {"n257-q1.5": [run, slower]}, "stalls": {"n257-q1.5": slower}}
-    spec = {"starts": 2, "points": [257], "q": [1.5], "stalls": True}
+    spec = {"starts": 2, "points": [257], "q": [1.5], "stall_points": [257], "stall_q": [1.5]}
     block = sweep.report(spec, {"parent": parent, "change": change})
     cell = block["cells"]["n257-q1.5"]
     assert cell["starts_changed"] == 1 and cell["starts_slower"] == 1

@@ -2,9 +2,13 @@
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
-PERCALL = Path(__file__).resolve().parents[1] / "tools" / "percall.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+PERCALL = TOOLS / "percall.py"
+if str(TOOLS) not in sys.path:  # the tools import their shared _trees
+    sys.path.insert(0, str(TOOLS))
 
 
 def _load():

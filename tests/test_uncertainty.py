@@ -24,7 +24,7 @@ from qfisher.densities import escort, m_q_functional
 from qfisher.errors import NonIntegrable, ParameterError
 import qfisher.grid as grid_module
 from qfisher.grid import GridDensity, boundary_abs_max
-from qfisher.uncertainty import _check_spectrum, _power_spectrum, _real_half_spectrum
+from qfisher.uncertainty import _check_spectrum, _power_spectrum
 
 GRID = GridSpec.line(-12.0, 12.0, 2049)
 
@@ -411,25 +411,6 @@ def test_real_and_complex_routes_of_the_power_spectrum_agree(grid):
     turned = WaveFunction(grid, 1j * psi.values)
     real_route, complex_route = _power_spectrum(psi), _power_spectrum(turned)
     assert np.abs(real_route - complex_route).max() <= 1e-13 * complex_route.max()
-
-
-def test_half_spectrum_of_the_benchmark_input_is_rfftn_bit_for_bit():
-    # the compact q = 1.2 saturating psi at 513^2: 307 of its 513 rows are nonzero
-    up = UncertaintyParams(q=1.2, beta=2.0, dims=2)
-    values = saturating_wavefunction(GridSpec.box(-12.0, 12.0, 513, 2), up).values.real
-    assert 0 < values.any(axis=1).sum() < 513
-    assert _real_half_spectrum(values).tobytes() == np.fft.rfftn(values).tobytes()
-
-
-@pytest.mark.parametrize("zero_rows", [(), (0, 1, 2), (-3, -2, -1), (3, 4, 9), (0, 5, -1)],
-                         ids=["none", "start", "end", "interior", "start-interior-end"])
-@pytest.mark.parametrize("shape", [(64, 97), (97, 64), (16, 17, 18)], ids=["64x97", "97x64", "3d"])
-def test_half_spectrum_skips_zero_rows_and_is_rfftn_bit_for_bit(shape, zero_rows):
-    values = np.random.default_rng(len(zero_rows)).normal(size=shape)
-    values[list(zero_rows)] = 0.0
-    got = _real_half_spectrum(values)
-    assert got.shape == np.fft.rfftn(values).shape
-    assert got.tobytes() == np.fft.rfftn(values).tobytes()
 
 
 def test_uncertainty_check_holds_few_grid_arrays_at_once():

@@ -1,28 +1,27 @@
 """Descent pace on many starts: iterations per start, side by side in two
 source trees.
 
-    python tools/descent_sweep.py [--trees DIR [DIR]] [--starts N]
-                                  [--points N ...] [--q Q ...] [--no-stalls]
-                                  [--out FILE]
+    python tools/descent_sweep.py [--trees DIR [DIR]] [--out FILE]
 
-Two evidence sets, each run in one fresh interpreter per tree that imports
-``qfisher`` from the tree's ``src/`` (BLAS and OpenMP pinned to one thread):
+Two evidence sets, both run in one fresh interpreter per tree
+(``tools/_trees.py``: it imports ``qfisher`` from the tree's ``src/``, BLAS
+and OpenMP pinned to one thread); `SPEC` fixes their sizes:
 
 - the sweep: ``minimize_q_fisher`` at its default tol and alpha = 2 from the
-  two-bump starts drawn by ``numpy.random.default_rng(seed)``, seed 0 to
-  N - 1 (as in ``tests/test_minimizer.py``), on [-10, 10] at each point
-  count and q;
+  two-bump starts drawn by ``numpy.random.default_rng(seed)``, seed 0 to 99
+  (as in ``tests/test_minimizer.py``), on [-10, 10] at 257 and 513 points
+  and q in {1, 1.2, 1.5, 2};
 - the stalls: the benchmark's tol 1e-12 descent (the mixture start, 6000
   iterations at most) at 257, 513 and 1025 points and q in {1.2, 1.5, 2}.
 
 Per sweep cell and tree the report gives the median, p90 and max
 iterations, the evaluations summed over the starts and the converged count;
 with two trees (the parent's, then the change's) also the starts whose
-trace differs and the starts that took more iterations.  Per stall it gives
-the iterations, evaluations, stop reason and final J^(1/beta) - 1 of each
-tree.  ``--out`` writes the report as the ``descent_sweep`` block of a JSON
-file, keeping its other blocks.  Nothing needs installing; run it from
-anywhere.
+trace differs, the starts that took more iterations and the starts that
+converge only in the parent.  Per stall it gives the iterations,
+evaluations, stop reason and final J^(1/beta) - 1 of each tree.  ``--out``
+writes the report as the ``descent_sweep`` block of a JSON file, keeping
+its other blocks.  Nothing needs installing; run it from anywhere.
 """
 
 from __future__ import annotations
@@ -30,21 +29,22 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
-import subprocess
+import statistics
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-STALL_POINTS = (257, 513, 1025)
-STALL_Q = (1.2, 1.5, 2.0)
+import _trees
+
+SPEC = {"starts": 100, "points": [257, 513], "q": [1.0, 1.2, 1.5, 2.0],
+        "stall_points": [257, 513, 1025], "stall_q": [1.2, 1.5, 2.0]}
 
 
-def _worker(tree: str, spec: dict) -> dict:
-    """Every start's outcome, computed in this process from `tree`."""
-    sys.path.insert(0, str(Path(tree) / "src"))
+def _worker(spec: str) -> dict:
+    """Every start's outcome under the JSON `spec`, computed in this process."""
     import numpy as np
     from qfisher import GridSpec, MinimizationConfig, minimize_q_fisher, zoo
+
+    spec = json.loads(spec)
 
     def outcome(res):
         return {"iters": res.n_iters, "evaluations": res.counters.evaluations,
@@ -64,32 +64,18 @@ def _worker(tree: str, spec: dict) -> dict:
                 runs.append(outcome(minimize_q_fisher(start, MinimizationConfig(q=q, alpha=2.0))))
             sweep[f"n{n}-q{q:g}"] = runs
     stalls = {}
-    if spec["stalls"]:
-        for n in STALL_POINTS:
-            grid = GridSpec.line(-10.0, 10.0, n)
-            start = zoo.mixture_density(grid, (-1.2, 1.1), (0.7, 0.45), (0.6, 0.4))
-            for q in STALL_Q:
-                cfg = MinimizationConfig(q=q, alpha=2.0, max_iters=6000, tol=1e-12)
-                stalls[f"n{n}-q{q:g}"] = outcome(minimize_q_fisher(start, cfg))
+    for n in spec["stall_points"]:
+        grid = GridSpec.line(-10.0, 10.0, n)
+        start = zoo.mixture_density(grid, (-1.2, 1.1), (0.7, 0.45), (0.6, 0.4))
+        for q in spec["stall_q"]:
+            cfg = MinimizationConfig(q=q, alpha=2.0, max_iters=6000, tol=1e-12)
+            stalls[f"n{n}-q{q:g}"] = outcome(minimize_q_fisher(start, cfg))
     return {"sweep": sweep, "stalls": stalls}
 
 
-def _spawn(tree: Path, spec: dict) -> dict:
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--worker", str(tree),
-                           json.dumps(spec)], env=env, capture_output=True, text=True, check=False)
-    if done.returncode != 0:
-        raise RuntimeError(f"the sweep in {tree} failed:\n{done.stderr}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
-
-
-def _quantile(values: list[int], p: float) -> float:
-    """The p-quantile of `values`, linear between order statistics."""
-    ordered = sorted(values)
-    at = p * (len(ordered) - 1)
-    lo = int(at)
-    hi = min(lo + 1, len(ordered) - 1)
-    return ordered[lo] + (at - lo) * (ordered[hi] - ordered[lo])
+def measure(sides: list[tuple[str, Path]], spec: dict) -> dict:
+    """{side: that tree's outcomes under `spec`}, one fresh process per tree."""
+    return {side: _trees.spawn(__file__, tree, json.dumps(spec)) for side, tree in sides}
 
 
 def report(spec: dict, by_side: dict[str, dict]) -> dict:
@@ -101,8 +87,10 @@ def report(spec: dict, by_side: dict[str, dict]) -> dict:
         for side in sides:
             runs = by_side[side]["sweep"][cell]
             iters = [r["iters"] for r in runs]
-            entry[side] = {"median_iters": _quantile(iters, 0.5),
-                           "p90_iters": round(_quantile(iters, 0.9), 1), "max_iters": max(iters),
+            entry[side] = {"median_iters": statistics.median(iters),
+                           "p90_iters": round(statistics.quantiles(
+                               iters, n=10, method="inclusive")[8], 1),
+                           "max_iters": max(iters),
                            "evaluations": sum(r["evaluations"] for r in runs),
                            "converged": sum(r["converged"] for r in runs)}
         if len(sides) == 2:
@@ -124,30 +112,13 @@ def report(spec: dict, by_side: dict[str, dict]) -> dict:
 
 
 def main(argv=None) -> int:
-    if argv is None and sys.argv[1:2] == ["--worker"]:
-        print(json.dumps(_worker(sys.argv[2], json.loads(sys.argv[3]))))
+    if argv is None and _trees.serve(_worker):
         return 0
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--trees", nargs="+", type=Path, default=[ROOT],
-                        help="one source tree, or the parent's and the change's")
-    parser.add_argument("--starts", type=int, default=100, help="seeded starts per cell")
-    parser.add_argument("--points", type=int, nargs="+", default=[257, 513])
-    parser.add_argument("--q", type=float, nargs="+", default=[1.0, 1.2, 1.5, 2.0])
-    parser.add_argument("--no-stalls", action="store_true", help="skip the tol 1e-12 stalls")
-    parser.add_argument("--out", type=Path, help="JSON file whose descent_sweep block to write")
+    _trees.add_options(parser, "descent_sweep")
     args = parser.parse_args(argv)
-    if len(args.trees) > 2:
-        parser.error("--trees takes one or two source trees")
-    spec = {"starts": args.starts, "points": args.points, "q": args.q,
-            "stalls": not args.no_stalls}
-    sides = ["parent", "change"] if len(args.trees) == 2 else ["tree"]
-    block = report(spec, {side: _spawn(tree.resolve(), spec)
-                          for side, tree in zip(sides, args.trees)})
-    print(json.dumps(block, indent=1))
-    if args.out:
-        content = json.loads(args.out.read_text()) if args.out.exists() else {}
-        content["descent_sweep"] = block
-        args.out.write_text(json.dumps(content, indent=1) + "\n")
+    sides = _trees.sides(parser, args.trees)
+    _trees.publish(report(SPEC, measure(sides, SPEC)), "descent_sweep", args.out)
     return 0
 
 

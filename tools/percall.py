@@ -5,9 +5,10 @@ alternating two source trees.
                             [--rounds N] [--repeat R] [--out FILE] [--list]
 
 Each round starts one fresh interpreter per tree, the trees' order swapping
-from round to round.  The interpreter imports ``qfisher`` from the tree's
-``src/`` (BLAS and OpenMP pinned to one thread), builds the call's inputs,
-runs it once so that caches fill, then times R batches of the call with
+from round to round.  As in every tool built on ``tools/_trees.py``, the
+interpreter imports ``qfisher`` from the tree's ``src/`` with BLAS and
+OpenMP pinned to one thread.  It builds the call's inputs, runs it once so
+that caches fill, then times R batches of the call with
 ``time.perf_counter``, garbage collection off, and keeps the fastest batch.
 It also counts the minor page faults of the batches, and runs the call once
 more under ``tracemalloc`` for its traced peak.  The report gives, per tree
@@ -30,14 +31,12 @@ import argparse
 import fnmatch
 import gc
 import json
-import os
 import statistics
-import subprocess
 import sys
 from pathlib import Path
 from typing import NamedTuple
 
-ROOT = Path(__file__).resolve().parent.parent
+import _trees
 
 
 class Call(NamedTuple):
@@ -231,14 +230,13 @@ CALLS = {
 }
 
 
-def _worker(tree: str, name: str, repeat: int) -> dict:
-    """Times one call in this process, importing qfisher from `tree`."""
+def _worker(name: str, repeat: str) -> dict:
+    """Times one call in this process."""
     import resource
     import time
     import tracemalloc
 
-    sys.path.insert(0, str(Path(tree) / "src"))
-    spec = CALLS[name]
+    spec, repeat = CALLS[name], int(repeat)
     namespace: dict = {}
     exec(compile(spec.setup, f"<{name} set-up>", "exec"), namespace)
     call = namespace["call"]
@@ -266,28 +264,15 @@ def _worker(tree: str, name: str, repeat: int) -> dict:
             "minflt_per_call": faults / (repeat * spec.number)}
 
 
-def _spawn(tree: Path, name: str, repeat: int) -> dict:
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--worker", str(tree),
-                           name, str(repeat)], env=env, capture_output=True, text=True,
-                          check=False)
-    if done.returncode != 0:
-        raise RuntimeError(f"{name} in {tree} failed:\n{done.stderr}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
-
-
-def measure(trees: list[Path], names: list[str], rounds: int, repeat: int) -> dict:
+def measure(sides: list[tuple[str, Path]], names: list[str], rounds: int, repeat: int) -> dict:
     """{name: {side: [per-process figures]}}, one process per tree, call and
     round, the trees' order swapping from round to round."""
-    sides = ["parent", "change"] if len(trees) == 2 else ["tree"]
-    runs: dict = {name: {side: [] for side in sides} for name in names}
+    runs: dict = {name: {side: [] for side, _ in sides} for name in names}
     for r in range(rounds):
-        order = list(zip(sides, trees))
-        if r % 2:
-            order.reverse()
+        order = sides[::-1] if r % 2 else sides
         for name in names:
             for side, tree in order:
-                runs[name][side].append(_spawn(tree, name, repeat))
+                runs[name][side].append(_trees.spawn(__file__, tree, name, str(repeat)))
     return runs
 
 
@@ -315,34 +300,24 @@ def report(runs: dict) -> dict:
 
 
 def main(argv=None) -> int:
-    if argv is None and sys.argv[1:2] == ["--worker"]:
-        tree, name, repeat = sys.argv[2:5]
-        print(json.dumps(_worker(tree, name, int(repeat))))
+    if argv is None and _trees.serve(_worker):
         return 0
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--trees", nargs="+", type=Path, default=[ROOT],
-                        help="one source tree, or the parent's and the change's")
+    _trees.add_options(parser, "per_call")
     parser.add_argument("--calls", nargs="+", default=["*"], help="names or shell patterns")
     parser.add_argument("--rounds", type=int, default=8)
     parser.add_argument("--repeat", type=int, default=5, help="timed batches per process")
-    parser.add_argument("--out", type=Path, help="JSON file whose per_call block to write")
     parser.add_argument("--list", action="store_true", help="list the calls and exit")
     args = parser.parse_args(argv)
     if args.list:
         for name, spec in CALLS.items():
             print(f"{name}: {spec.what}")
         return 0
-    if len(args.trees) > 2:
-        parser.error("--trees takes one or two source trees")
+    sides = _trees.sides(parser, args.trees)
     names = [n for n in CALLS if any(fnmatch.fnmatch(n, p) for p in args.calls)]
     if not names:
         parser.error(f"no call matches {args.calls}; see --list")
-    block = report(measure([t.resolve() for t in args.trees], names, args.rounds, args.repeat))
-    print(json.dumps(block, indent=1))
-    if args.out:
-        content = json.loads(args.out.read_text()) if args.out.exists() else {}
-        content["per_call"] = block
-        args.out.write_text(json.dumps(content, indent=1) + "\n")
+    _trees.publish(report(measure(sides, names, args.rounds, args.repeat)), "per_call", args.out)
     return 0
 
 
