@@ -353,6 +353,21 @@ def test_an_identity_dilation_probe_is_tried_every_window_and_never_kept(seed, m
     assert c.evaluations == 1 + res.n_iters + c.rejected_trials
 
 
+def test_a_stall_at_a_failed_probe_reuses_its_evaluation(monkeypatch):
+    # no step is possible at the iteration of the first probe, which fails:
+    # the stall test judges that evaluated dilation, not a second copy of it
+    monkeypatch.setattr(minimizer, "DILATION", 1.0)
+    tried = _count_dilations_tried(monkeypatch)
+    capped = minimizer._capped
+    monkeypatch.setattr(minimizer, "_capped",
+                        lambda d: np.zeros_like(capped(d)) if tried else capped(d))
+    res = minimize_q_fisher(_two_bump(15), MinimizationConfig(q=1.2, alpha=2.0))
+    c = res.counters
+    assert res.stop_reason == "stall" and res.n_iters == minimizer.FLAT_WINDOW
+    assert len(tried) == 1 and c.dilations == 0
+    assert c.evaluations == 1 + res.n_iters + c.rejected_trials
+
+
 def test_runs_within_one_window_never_probe(monkeypatch):
     # a run that ends within FLAT_WINDOW iterations evaluates no dilation
     calls = _count_dilations_tried(monkeypatch)
