@@ -434,6 +434,9 @@ def cmd_minimize(params: dict) -> tuple[int, dict, dict]:
         "counters": {"evaluations": counters.evaluations,
                      "rejected_trials": counters.rejected_trials},
         "dilations": counters.dilations,
+        # the kept dilations split by kind: exact x2, and interpolating x1.5
+        "dilations_by_kind": {"exact_x2": counters.exact_dilations,
+                              "x1.5": counters.dilations - counters.exact_dilations},
     }
 
 

@@ -30,24 +30,37 @@ more than STEP_CAP.  A failed search clears the memory and retries along the
 preconditioned steepest direction.
 
 When that fails too, or J stops falling (FLAT_WINDOW, FLAT_FRAC), the descent
-tries the dilation g(x) -> g(x / DILATION) / DILATION about the origin.  The
-continuum J is invariant under it, while the P1 J falls as the support
-widens; a q > 1 descent otherwise settles on a support whose edge nodes
-cannot move, a few 1e-4 above the bound on a coarse grid.  The dilation is
-kept only if it lowers J; if it does not, the run reports a stall.  A
-descent can also crawl just above the FLAT_FRAC pace for hundreds of
-iterations, so every FLAT_WINDOW iterations, counted from the start or from
-the last probe, the dilation is tried as a probe: kept (as an iteration,
-clearing the memory) only if it lowers J by more than the last FLAT_WINDOW
-steps did together, else counted as a rejected trial.  Should the step
-then fail at that iteration, the stall test judges that same evaluated
-dilation against J.  A run that ends within FLAT_WINDOW iterations never
-probes.  Zero nodes of the start stay
-zero.
+tries a dilation about the origin.  The continuum J is invariant under
+g(x) -> g(x / d) / d, while the P1 J falls as the support widens; a q > 1
+descent otherwise settles on a support whose edge nodes cannot move, a few
+1e-4 above the bound on a coarse grid.  Where the grid is symmetric with its
+middle node at the origin (an odd point count on [-a, a]), x -> x/2 sends
+every node to a node or a cell midpoint, so d = 2 dilates the P1 function
+itself and J moves by rounding only: nested iteration in Brandt's multilevel
+sense (Math. Comp. 31, 1977), which doubles the nodes of the support for the
+steps that follow.  This exact dilation is tried wherever g has room for it
+(g <= ROOM max g on |x| > a/2) and kept only if J does not rise (J_d <= J,
+with no slack, so the trace stays nonincreasing; rounding moves J_d either
+way, so a try can fail by one ulp) and the support, the nodes above
+ROOM max g, widens, so an identity map is never kept.  Elsewhere the
+dilation is d = DILATION = 1.5, which interpolates and so can raise J on a
+compact support; it is kept only if it lowers J.  If the dilation tried is
+not kept, the run reports a stall.  A descent can also crawl just above the
+FLAT_FRAC pace for hundreds of iterations, so every FLAT_WINDOW iterations,
+counted from the start or from the last probe, the dilation is tried as a
+probe: kept (as an iteration, clearing the memory) if it is the exact one and
+passes its rule, or if it is the x1.5 one and lowers J by more than the last
+FLAT_WINDOW steps did together; else counted as a rejected trial.  Should the
+step then fail at that iteration, the stall test judges that same evaluated
+dilation against J.  A kept dilation of either kind restarts the pace
+window: J is judged flat only over FLAT_WINDOW steps taken after it.  A run
+that ends within FLAT_WINDOW iterations never probes.  Zero nodes of the
+start stay zero.
 
 `MinimizeResult.stop_reason` says why a run stopped ("tol", "stall" or
 "max_iters").  `MinimizeResult.counters` counts the objective evaluations, the
-rejected line-search trials and dilations among them, and the dilations kept.
+rejected line-search trials and dilations among them, the dilations kept and
+the exact ones among those.
 `gradient_adjoint` is re-exported from `fisher`: it runs once per objective
 evaluation, so its call count counts the evaluations.
 
@@ -85,9 +98,11 @@ STEP_CAP = 1.0
 # shift c of the metric's K = T/h^2 + c I, in units of T/h^2's lowest
 # eigenvalue: any value from 10 to 1000 converges the seeded sweeps
 SMOOTH = 100.0
-# factor of the dilation x -> DILATION x tried when the descent stalls, and
-# as a probe every FLAT_WINDOW iterations
+# factor of the interpolating dilation x -> DILATION x, tried when the descent
+# stalls and as a probe every FLAT_WINDOW iterations where the exact x2 is not
 DILATION = 1.5
+# the exact x2 dilation needs room: g <= ROOM max g on |x| > a/2
+ROOM = 1e-12
 # J stops falling when over the last FLAT_WINDOW steps J^(1/beta) fell by less
 # than FLAT_FRAC of its distance to the target (or to the bound 1 where the
 # target lies below it), that distance counted at most FLAT_NEAR: far from the
@@ -118,11 +133,13 @@ class MinimizationConfig:
 class MinimizeCounters:
     """Work done by one descent: every objective evaluation, the line-search
     trials and dilations among them that were not accepted (their gradient is
-    discarded), and the dilations kept (each one an iteration)."""
+    discarded), the dilations kept (each one an iteration) and the exact x2
+    ones among them."""
 
     evaluations: int
     rejected_trials: int
     dilations: int
+    exact_dilations: int
 
 
 @dataclass(frozen=True)
@@ -261,6 +278,24 @@ def _two_loop(grad: np.ndarray, steps: deque, changes: deque, metric) -> np.ndar
     return np.negative(r, out=r)
 
 
+def _exact_dilation(g: np.ndarray, x: np.ndarray) -> np.ndarray | None:
+    """The node values l(x / 2) of the exact x2 dilation, l the P1
+    interpolant of g, or None where the grid does not allow it or g has no
+    room.  (The dilated density is l(x / 2) / 2: the descent renormalizes.)
+
+    On a grid symmetric about its middle node m (an odd point count on
+    [-a, a]), x -> x/2 sends node m + k to node m + k/2 (k even) or to the
+    midpoint of two nodes (k odd), so these values interpolate l(x/2)
+    exactly.  Room: g <= ROOM max g on |x| > a/2, the part the map drops."""
+    n = g.size
+    m = n // 2
+    if n % 2 == 0 or x[0] != -x[-1]:
+        return None
+    if max(g[:m - m // 2].max(), g[m + m // 2 + 1:].max()) > ROOM * g.max():
+        return None
+    return np.interp(x / 2.0, x, g)
+
+
 def _capped(direction: np.ndarray) -> np.ndarray:
     """`direction` clipped in place to +-STEP_CAP per node."""
     np.maximum(direction, -STEP_CAP, out=direction)
@@ -277,7 +312,8 @@ def minimize_q_fisher(start: GridDensity, cfg: MinimizationConfig) -> MinimizeRe
     obj = _Objective(grid, cfg)
     weights = grid.trap_weights()
     x = grid.axes()[0]
-    evaluations, rejected, dilations = 0, 0, 0
+    evaluations, rejected, dilations, exact_dilations = 0, 0, 0, 0
+    restart = 0  # the iteration of the last kept dilation: the pace window starts there
 
     def evaluate(u):
         """g, J and dJ/du at u; dJ/du = g dJ/dg, and 0 where g is 0."""
@@ -296,19 +332,37 @@ def minimize_q_fisher(start: GridDensity, cfg: MinimizationConfig) -> MinimizeRe
             raise NonIntegrable("start has no mass off the two end nodes")
         return u
 
-    def dilation(g):
-        """The state g(x / DILATION) / DILATION, evaluated."""
-        u = log_pinned(np.interp(x / DILATION, x, g))
-        return (u, *evaluate(u))
+    def support(values):
+        """The number of nodes above ROOM max of `values`."""
+        return np.count_nonzero(values > ROOM * values.max())
 
-    def kept(trial, j_val, needed):
-        """The dilated `trial` if it lowers J by more than `needed`, else None."""
-        nonlocal dilations
-        if j_val - trial[2] > needed and np.isfinite(trial[3]).all():
+    def dilation(g):
+        """The dilated state, evaluated, and whether it is the exact x2 one:
+        g(x / 2) / 2 where `_exact_dilation` allows it, else
+        g(x / DILATION) / DILATION."""
+        values = _exact_dilation(g, x)
+        exact = values is not None
+        u = log_pinned(values if exact else np.interp(x / DILATION, x, g))
+        return (u, *evaluate(u)), exact
+
+    def kept(trial, g, j_val, needed):
+        """The dilated state of `trial` if it is kept at g, J = j_val: an exact
+        one if J does not rise and the support widens (so an identity map is
+        never kept), an interpolating one if it lowers J by more than
+        `needed`; else None."""
+        nonlocal dilations, exact_dilations, restart
+        (u_d, g_d, j_d, grad_d), exact = trial
+        if exact:
+            better = j_d <= j_val and support(g_d) > support(g)
+        else:
+            better = j_val - j_d > needed
+        if better and np.isfinite(grad_d).all():
             dilations += 1
+            exact_dilations += exact
+            restart = len(trace)
             steps.clear()
             changes.clear()
-            return trial
+            return u_d, g_d, j_d, grad_d
         return None
 
     # zero nodes stay at g = 0, u = -inf
@@ -324,13 +378,14 @@ def minimize_q_fisher(start: GridDensity, cfg: MinimizationConfig) -> MinimizeRe
         probe = None  # its dilated state, while it is this iteration's
         while not converged and len(trace) <= cfg.max_iters:
             new = None
-            flat = (len(trace) > FLAT_WINDOW and trace[-1 - FLAT_WINDOW] - trace[-1]
+            flat = (len(trace) - 1 - restart >= FLAT_WINDOW
+                    and trace[-1 - FLAT_WINDOW] - trace[-1]
                     < FLAT_FRAC * min(trace[-1] - max(target, 1.0), FLAT_NEAR))
             if not flat and len(trace) - 1 - probed >= FLAT_WINDOW:
                 # the probe: the dilation, kept if it beats the last FLAT_WINDOW steps
                 probed = len(trace) - 1
                 probe = dilation(g)
-                new = kept(probe, j_val, trace[-1 - FLAT_WINDOW] ** cfg.beta - j_val)
+                new = kept(probe, g, j_val, trace[-1 - FLAT_WINDOW] ** cfg.beta - j_val)
                 if new is None:
                     rejected += 1
             if not flat and new is None:
@@ -376,7 +431,7 @@ def minimize_q_fisher(start: GridDensity, cfg: MinimizationConfig) -> MinimizeRe
                 if probe is None:
                     probe = dilation(g)
                     rejected += 1  # a rejected trial unless it is kept
-                new = kept(probe, j_val, 0.0)
+                new = kept(probe, g, j_val, 0.0)
                 if new is None:
                     stalled = True
                     break
@@ -390,6 +445,6 @@ def minimize_q_fisher(start: GridDensity, cfg: MinimizationConfig) -> MinimizeRe
         argmin=GridDensity(grid, g),
         objective_trace=trace,
         counters=MinimizeCounters(evaluations=evaluations, rejected_trials=rejected,
-                                  dilations=dilations),
+                                  dilations=dilations, exact_dilations=exact_dilations),
         stop_reason="tol" if converged else "stall" if stalled else "max_iters",
     )

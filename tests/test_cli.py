@@ -800,8 +800,18 @@ def test_minimize_summary_says_why_it_stopped(tmp_path, flags, reason):
     assert r["stop_reason"] == reason
     assert r["converged"] is (reason == "tol") and r["stalled"] is (reason == "stall")
     assert 0 <= r["dilations"] <= r["n_iters"]
+    assert sum(r["dilations_by_kind"].values()) == r["dilations"]
     if reason == "max_iters":
         assert r["n_iters"] == 3
+
+
+def test_minimize_summary_splits_the_kept_dilations_by_kind(tmp_path):
+    # the tol 1e-12 descent at 257 points keeps one exact x2 dilation and one x1.5
+    out = tmp_path / "out"
+    argv = ["minimize", "--grid-points", "257", "--tol", "1e-12", "--iters", "6000"]
+    assert main([*argv, "--out-dir", str(out)]) == 0
+    r = _summary(out, "minimize_summary.json")["results"]
+    assert r["dilations"] == 2 and r["dilations_by_kind"] == {"exact_x2": 1, "x1.5": 1}
 
 
 @pytest.mark.parametrize("points", ["2", "3"])
@@ -986,7 +996,9 @@ def _library_results(subcommand, g):
             "stalled": res.stalled, "n_iters": res.n_iters, "stop_reason": res.stop_reason,
             "l1_to_fitted_q_gaussian": qfisher.l1_distance(res.argmin, fitted),
             "counters": {"evaluations": c.evaluations, "rejected_trials": c.rejected_trials},
-            "dilations": c.dilations}
+            "dilations": c.dilations,
+            "dilations_by_kind": {"exact_x2": c.exact_dilations,
+                                  "x1.5": c.dilations - c.exact_dilations}}
 
 
 @pytest.mark.parametrize("subcommand, kind", list(NAMED_INPUTS),

@@ -307,8 +307,15 @@ def test_kept_dilations_are_counted_as_iterations():
     assert res.stop_reason == "tol" and c.dilations >= 1
     assert c.evaluations == 1 + res.n_iters + c.rejected_trials
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(minimizer, "DILATION", 1.0)  # a dilation that never lowers J
+        _no_dilation_lowers_j(mp)
         assert minimize_q_fisher(start, MinimizationConfig(q=1.5, alpha=2.0)).counters.dilations == 0
+
+
+def _no_dilation_lowers_j(mp):
+    """Patch the x1.5 dilation to the identity, which never lowers J, and turn
+    the exact x2 one off."""
+    mp.setattr(minimizer, "DILATION", 1.0)
+    mp.setattr(minimizer, "_exact_dilation", lambda g, x: None)
 
 
 def _two_bump(seed):
@@ -345,7 +352,7 @@ def _count_dilations_tried(monkeypatch):
 def test_an_identity_dilation_probe_is_tried_every_window_and_never_kept(seed, monkeypatch):
     # the probe must beat the window's gain, not just a rounding-level drop;
     # each failed probe is one rejected trial
-    monkeypatch.setattr(minimizer, "DILATION", 1.0)
+    _no_dilation_lowers_j(monkeypatch)
     tried = _count_dilations_tried(monkeypatch)
     res = minimize_q_fisher(_two_bump(seed), MinimizationConfig(q=1.2, alpha=2.0))
     c = res.counters
@@ -356,7 +363,7 @@ def test_an_identity_dilation_probe_is_tried_every_window_and_never_kept(seed, m
 def test_a_stall_at_a_failed_probe_reuses_its_evaluation(monkeypatch):
     # no step is possible at the iteration of the first probe, which fails:
     # the stall test judges that evaluated dilation, not a second copy of it
-    monkeypatch.setattr(minimizer, "DILATION", 1.0)
+    _no_dilation_lowers_j(monkeypatch)
     tried = _count_dilations_tried(monkeypatch)
     capped = minimizer._capped
     monkeypatch.setattr(minimizer, "_capped",
@@ -366,6 +373,151 @@ def test_a_stall_at_a_failed_probe_reuses_its_evaluation(monkeypatch):
     assert res.stop_reason == "stall" and res.n_iters == minimizer.FLAT_WINDOW
     assert len(tried) == 1 and c.dilations == 0
     assert c.evaluations == 1 + res.n_iters + c.rejected_trials
+
+
+def _matched_q2():
+    """The matched q = 2, alpha = 2, gamma = 0.1 q-Gaussian on [-10, 10] at 257
+    points: compact, on |x| < 3.2, so it has room for the exact x2 dilation."""
+    grid = GridSpec.line(-10.0, 10.0, 257)
+    return make_q_gaussian(QGaussianParams(q=2.0, alpha=2.0, gamma=0.1), grid)
+
+
+def test_the_exact_dilation_is_the_p1_function_dilated_and_keeps_j():
+    g = _matched_q2()
+    x, values = g.grid.axes()[0], g.values
+    doubled = minimizer._exact_dilation(values, x)
+    # node 2t of the dilated values is node 64 + t of g, and their P1
+    # function is l(y / 2) at every y, l that of g
+    assert np.array_equal(doubled[::2], values[64:193])
+    y = np.linspace(-10.0, 10.0, 4097)
+    assert np.abs(np.interp(y, x, doubled) / 2.0
+                  - np.interp(y / 2.0, x, values) / 2.0).max() <= 1e-15 * values.max()
+    # J is dilation invariant, and the P1 J of this exact dilation moves by rounding only
+    obj = _Objective(g.grid, MinimizationConfig(q=2.0, alpha=2.0))
+    j_val = _objective_parts(values, obj)[0]
+    j_dil = _objective_parts(_renormalized(doubled, g.grid.trap_weights()), obj)[0]
+    assert abs(j_dil / j_val - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("grid", [GridSpec.line(-10.0, 10.0, 256), GridSpec.line(-10.0, 12.0, 257)],
+                         ids=["even-points", "asymmetric"])
+def test_the_exact_dilation_needs_a_middle_node_at_the_origin(grid):
+    g = zoo.gaussian_density(grid, 0.0, 0.5).values
+    assert minimizer._exact_dilation(g, grid.axes()[0]) is None
+
+
+def test_the_exact_dilation_needs_room():
+    # a Gaussian of width 1.4 holds 1.7e-3 of its peak at |x| = 5
+    grid = GridSpec.line(-10.0, 10.0, 257)
+    g = zoo.gaussian_density(grid, 0.0, 1.4).values
+    assert minimizer._exact_dilation(g, grid.axes()[0]) is None
+    assert minimizer._exact_dilation(_matched_q2().values, grid.axes()[0]) is not None
+
+
+@pytest.mark.parametrize("seed, most", [(19, 60), (39, 65)])
+def test_compact_starts_converge_through_the_exact_dilation(seed, most):
+    # without the exact x2 dilation these q = 2 starts stall at J^(1/beta) - 1
+    # of 1.03e-3 (140 iterations) and 1.23e-3 (77): the x1.5 one raises J
+    res = minimize_q_fisher(_two_bump(seed), MinimizationConfig(q=2.0, alpha=2.0))
+    c = res.counters
+    assert res.stop_reason == "tol" and res.n_iters <= most
+    assert c.exact_dilations >= 1
+    assert np.all(np.diff(res.objective_trace) <= 0.0)
+
+
+@pytest.mark.parametrize("seed, q, tol", [(19, 2.0, 1e-3), (39, 2.0, 1e-3), (None, 1.5, 1e-12)],
+                         ids=["q2-seed19", "q2-seed39", "mixture-tol1e-12"])
+def test_counters_add_up_on_runs_that_keep_an_exact_dilation(seed, q, tol, monkeypatch):
+    objectives, objective_parts = [], minimizer._objective_parts
+
+    def counted_objective(*args):
+        objectives.append(1)
+        return objective_parts(*args)
+
+    monkeypatch.setattr(minimizer, "_objective_parts", counted_objective)
+    if seed is None:
+        grid = GridSpec.line(-10.0, 10.0, 257)
+        start = zoo.mixture_density(grid, (-1.2, 1.1), (0.7, 0.45), (0.6, 0.4))
+    else:
+        start = _two_bump(seed)
+    res = minimize_q_fisher(start, MinimizationConfig(q=q, alpha=2.0, max_iters=6000, tol=tol))
+    c = res.counters
+    assert c.exact_dilations >= 1 and c.dilations >= c.exact_dilations
+    assert c.evaluations == len(objectives) == 1 + res.n_iters + c.rejected_trials
+
+
+def test_a_drawn_start_whose_exact_dilation_ties_j_descends_monotonically():
+    # the benchmark's descent start of pass 10, draw 2 at seed 2001: keeping
+    # its exact dilation when J rose by under 1e-12 relative raised the trace
+    # by 4.4e-16 at iteration 21; J_d <= J keeps it nonincreasing
+    grid = GridSpec.line(-10.0, 10.0, 513)
+    rng = np.random.default_rng(2001)
+    for _ in range(33):
+        start = zoo.mixture_density(grid, np.sort(rng.uniform(-1.5, 1.5, 2)),
+                                    rng.uniform(0.4, 0.9, 2), rng.uniform(0.3, 0.7, 2))
+    res = minimize_q_fisher(start, MinimizationConfig(q=1.5, alpha=2.0))
+    assert res.converged and res.n_iters > minimizer.FLAT_WINDOW
+    assert np.all(np.diff(res.objective_trace) <= 0.0)
+
+
+def test_an_identity_exact_dilation_is_never_kept_and_the_run_ends(monkeypatch):
+    # J does not rise under the identity, so only the rule that the exact
+    # dilation must widen the support keeps it from being kept forever
+    tried = []
+
+    def identity(g, x):
+        tried.append(1)
+        return g.copy()
+
+    monkeypatch.setattr(minimizer, "_exact_dilation", identity)
+    grid = GridSpec.line(-10.0, 10.0, 257)
+    start = zoo.mixture_density(grid, (-1.2, 1.1), (0.7, 0.45), (0.6, 0.4))
+    res = minimize_q_fisher(start, MinimizationConfig(q=1.5, alpha=2.0, max_iters=4000, tol=1e-12))
+    c = res.counters
+    assert res.stop_reason == "stall" and tried and c.dilations == 0
+    assert c.evaluations == 1 + res.n_iters + c.rejected_trials
+
+
+def test_a_kept_dilation_restarts_the_pace_window(monkeypatch):
+    # under a strict pace rule J would be judged flat at once if the window
+    # reached back past a kept dilation: this run then kept dilations at
+    # iterations 53 and 54 and stopped at 54.  Counted from the last kept
+    # dilation, the window lets the descent step on
+    events, objective_parts, interp = [], minimizer._objective_parts, np.interp
+    exact_dilation = minimizer._exact_dilation
+
+    def counted_objective(*args):
+        j_val, grad = objective_parts(*args)
+        events.append(j_val)
+        return j_val, grad
+
+    def marked(function):
+        def call(*args):
+            events.append(None)  # the next evaluation is a dilation's
+            return function(*args)
+        return call
+
+    monkeypatch.setattr(minimizer, "FLAT_FRAC", 0.1)
+    monkeypatch.setattr(minimizer, "_objective_parts", counted_objective)
+    monkeypatch.setattr(minimizer, "_exact_dilation", marked(exact_dilation))
+    monkeypatch.setattr(minimizer.np, "interp", marked(interp))
+    grid = GridSpec.line(-10.0, 10.0, 257)
+    start = zoo.mixture_density(grid, (-1.2, 1.1), (0.7, 0.45), (0.6, 0.4))
+    cfg = MinimizationConfig(q=1.5, alpha=2.0, max_iters=6000, tol=1e-12)
+    res = minimize_q_fisher(start, cfg)
+    trace, inv_beta = res.objective_trace, 1.0 / cfg.beta
+    kept_at, done, dilating = [], 0, False
+    for event in events[1:]:
+        if event is None:
+            dilating = True
+            continue
+        if done + 1 < len(trace) and event**inv_beta == trace[done + 1]:
+            done += 1
+            if dilating:
+                kept_at.append(done)
+        dilating = False
+    assert len(kept_at) == res.counters.dilations >= 1
+    assert res.n_iters - kept_at[-1] >= minimizer.FLAT_WINDOW
 
 
 def test_runs_within_one_window_never_probe(monkeypatch):
