@@ -422,12 +422,11 @@ def test_compact_starts_converge_through_the_exact_dilation(seed, most):
     c = res.counters
     assert res.stop_reason == "tol" and res.n_iters <= most
     assert c.exact_dilations >= 1
+    assert c.evaluations == 1 + res.n_iters + c.rejected_trials
     assert np.all(np.diff(res.objective_trace) <= 0.0)
 
 
-@pytest.mark.parametrize("seed, q, tol", [(19, 2.0, 1e-3), (39, 2.0, 1e-3), (None, 1.5, 1e-12)],
-                         ids=["q2-seed19", "q2-seed39", "mixture-tol1e-12"])
-def test_counters_add_up_on_runs_that_keep_an_exact_dilation(seed, q, tol, monkeypatch):
+def test_counters_add_up_on_a_stall_that_keeps_both_kinds_of_dilation(monkeypatch):
     objectives, objective_parts = [], minimizer._objective_parts
 
     def counted_objective(*args):
@@ -435,18 +434,15 @@ def test_counters_add_up_on_runs_that_keep_an_exact_dilation(seed, q, tol, monke
         return objective_parts(*args)
 
     monkeypatch.setattr(minimizer, "_objective_parts", counted_objective)
-    if seed is None:
-        grid = GridSpec.line(-10.0, 10.0, 257)
-        start = zoo.mixture_density(grid, (-1.2, 1.1), (0.7, 0.45), (0.6, 0.4))
-    else:
-        start = _two_bump(seed)
-    res = minimize_q_fisher(start, MinimizationConfig(q=q, alpha=2.0, max_iters=6000, tol=tol))
+    grid = GridSpec.line(-10.0, 10.0, 257)
+    start = zoo.mixture_density(grid, (-1.2, 1.1), (0.7, 0.45), (0.6, 0.4))
+    res = minimize_q_fisher(start, MinimizationConfig(q=1.5, alpha=2.0, max_iters=6000, tol=1e-12))
     c = res.counters
-    assert c.exact_dilations >= 1 and c.dilations >= c.exact_dilations
+    assert res.stop_reason == "stall" and c.dilations > c.exact_dilations >= 1
     assert c.evaluations == len(objectives) == 1 + res.n_iters + c.rejected_trials
 
 
-def test_a_drawn_start_whose_exact_dilation_ties_j_descends_monotonically():
+def test_the_seed_2001_pass_10_draw_2_start_descends_monotonically():
     # the benchmark's descent start of pass 10, draw 2 at seed 2001: keeping
     # its exact dilation when J rose by under 1e-12 relative raised the trace
     # by 4.4e-16 at iteration 21; J_d <= J keeps it nonincreasing
